@@ -81,6 +81,7 @@ from .spaces import (
     distribution,
     norm,
     norm_info,
+    norms_batch,
     rearrangement,
     rearrangement_decay,
 )

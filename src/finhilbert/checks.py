@@ -340,7 +340,8 @@ def check_semivariation(cfg):
         worst = max(worst, abs(sv.value - od.value) / denom)
     return [_bound_row("semivariation",
                        "norm of the restriction equals the semivariation of the "
-                       "induced set function (independent code paths)", worst, tol)]
+                       "induced set function (vector-measure basis T(f chi_{A and "
+                       "cell}) computed independently; shared norm kernel)", worst, tol)]
 
 
 def check_blowup(cfg):

@@ -196,11 +196,17 @@ def make_grid(n=DEFAULT_NODES, family=CHEBYSHEV):
 
 
 def from_callable(fn, n=DEFAULT_NODES, family=CHEBYSHEV, profile=None):
-    """Sample a callable onto a grid.  The closure is used only here."""
+    """Sample a callable onto a grid.  The closure is used only here.
+
+    A scalar result (a constant callable) is broadcast to every node; any
+    other result whose shape differs from the nodes' raises ValueError.
+    """
     nodes, weights = make_grid(n, family)
     vals = np.asarray(fn(nodes), dtype=complex)
-    if vals.shape != nodes.shape:
-        vals = np.full(nodes.shape, complex(fn(0.0)))  # constant callables
+    if vals.ndim == 0:
+        vals = np.full(nodes.shape, vals)
+    elif vals.shape != nodes.shape:
+        raise ValueError(f"callable returned shape {vals.shape} for {len(nodes)} nodes")
     return GridFunction(nodes, vals, weights, family, profile)
 
 

@@ -32,7 +32,7 @@ from .grid import (
 )
 from .intervals import IntervalSet
 from .profiles import PiecewiseProfile, PolyProfile
-from .spaces import SpaceSpec, norm, norm_info, rearrangement_decay
+from .spaces import SpaceSpec, norm, norm_info, norms_batch, rearrangement_decay
 from .transform import PVConfig, fht_grid, fht_indicator, fht_product_indicator
 from .airfoil import rybakov_functional
 
@@ -41,6 +41,10 @@ GREEDY = "greedy-flip"
 RANDOM_RESTART = "random-restart"
 
 MAX_EXHAUSTIVE_CELLS = 20
+
+# bytes of combined samples per block of sign patterns; the norm kernel's
+# temporaries add a few times this
+BLOCK_BYTES = 1 << 20
 
 
 # ------------------------------------------------------------- vector measure
@@ -158,51 +162,78 @@ def _series_for_search(f):
     return cheb_fit(f, degree=min(len(f) - 1, 32)).asarray()
 
 
-def _norm_of_combination(signs, basis, f, space):
-    vals = signs @ basis
-    return norm(f.with_values(vals), space)
+def _block_rows(n):
+    """Patterns per block: the combined samples of a block fill BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (16 * max(n, 1)))
 
 
-def _exhaustive_best(basis, f, space, cells, phases=2):
+def _pattern_norms(patterns, basis, nodes, weights, space):
+    """||sum_j s_j basis_j|| for every row s of patterns, a block at a time."""
+    step = _block_rows(basis.shape[1])
+    out = np.empty(len(patterns))
+    for i in range(0, len(patterns), step):
+        out[i:i + step] = norms_batch(patterns[i:i + step] @ basis, nodes, weights, space)[0]
+    return out
+
+
+def _exhaustive_best(basis, nodes, weights, space, phases=2):
     """Exact maximum over coefficient patterns from the phases-th roots of
     unity (phases = 2 is the real sign search).  A global phase leaves the
-    norm unchanged, so the first cell is pinned to 1."""
+    norm unchanged, so the first cell is pinned to 1.  Patterns run in
+    lexicographic order of their digits, a block at a time, and the first
+    strict maximum wins."""
     unit = np.exp(2j * np.pi * np.arange(phases) / phases)
     if phases == 2:
         unit = np.array([1.0, -1.0])
+    cells = len(basis)
+    total = phases ** (cells - 1)
+    place = phases ** np.arange(cells - 2, -1, -1)
+    step = _block_rows(basis.shape[1])
     best, best_signs = -1.0, None
-    for code in np.ndindex(*([phases] * (cells - 1))):
-        coeffs = np.concatenate(([1.0], unit[list(code)]))
-        val = _norm_of_combination(coeffs, basis, f, space)
-        if val > best:
-            best, best_signs = val, coeffs
+    for start in range(0, total, step):
+        codes = np.arange(start, min(start + step, total))
+        patterns = np.ones((len(codes), cells), dtype=unit.dtype)
+        patterns[:, 1:] = unit[codes[:, None] // place % phases]
+        vals = norms_batch(patterns @ basis, nodes, weights, space)[0]
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_signs = vals[k], patterns[k]
     return best, best_signs
 
 
-def _greedy_best(basis, f, space, cells, restarts, seed):
+def _greedy_best(basis, nodes, weights, space, restarts, seed):
+    """Single-cell sign flips from the all-ones pattern and seeded random
+    starts.  All starts advance together: each step norms every flip of
+    every start still improving in one batch; a start takes its best flip
+    when that gains more than 1e-15 and stops otherwise.  The first start
+    with the largest value gives the witness."""
+    cells = len(basis)
     rng = np.random.default_rng(seed)
     starts = [np.ones(cells)]
     starts += [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
-    best, best_signs = -1.0, None
-    for s in starts:
-        s = s.copy()
-        cur = _norm_of_combination(s, basis, f, space)
-        improved = True
-        while improved:
-            improved = False
-            gains = np.empty(cells)
-            for j in range(cells):
-                s[j] = -s[j]
-                gains[j] = _norm_of_combination(s, basis, f, space)
-                s[j] = -s[j]
-            jbest = int(np.argmax(gains))
-            if gains[jbest] > cur + 1e-15:
-                s[jbest] = -s[jbest]
-                cur = gains[jbest]
-                improved = True
-        if cur > best:
-            best, best_signs = cur, s.copy()
-    return best, best_signs
+    signs = np.array(starts)
+    cur = _pattern_norms(signs, basis, nodes, weights, space)
+    flips = 1.0 - 2.0 * np.eye(cells)
+    active = np.arange(len(signs))
+    while len(active):
+        trials = (signs[active, None, :] * flips).reshape(-1, cells)
+        gains = _pattern_norms(trials, basis, nodes, weights, space).reshape(-1, cells)
+        jbest = np.argmax(gains, axis=1)
+        gain = gains[np.arange(len(active)), jbest]
+        up = gain > cur[active] + 1e-15
+        active, jbest = active[up], jbest[up]
+        signs[active, jbest] = -signs[active, jbest]
+        cur[active] = gain[up]
+    k = int(np.argmax(cur))
+    return cur[k], signs[k]
+
+
+def _search_best(basis, f, space, search, restarts, seed, phases=2):
+    if search == EXHAUSTIVE:
+        return _exhaustive_best(basis, f.nodes, f.weights, space, phases)
+    if search in (GREEDY, RANDOM_RESTART):
+        return _greedy_best(basis, f.nodes, f.weights, space, restarts, seed)
+    raise ValueError(f"unknown search tag: {search}")
 
 
 def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
@@ -213,9 +244,11 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     ``phases``-th roots of unity (default real signs; the exact maximum over
     the searched class, refused above 20 cells).  The heuristics are greedy
     single-cell sign flips from seeded random starts.  The all-ones pattern
-    is always admissible, so the estimate dominates ||T(f)||.  In exhaustive
-    experiments on these norms real signs already attain the supremum;
-    compare phases=2 against phases=4 to see the reported gap.
+    is always admissible, so the estimate dominates ||T(f)||.  Real signs
+    need not attain the supremum over complex phases: for 0.3 + x + x^2 on
+    6 cells in L^1.5, phases=4 exceeds phases=2 by about 3%; compare the
+    two to see the gap.  Patterns are combined and normed a block at a time
+    (``spaces.norms_batch``).
     """
     cells = int(cells)
     if cells < 1:
@@ -234,12 +267,7 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
         witness = ModulatingFunction(edges, np.ones(cells))
         return OptNormEstimate(0.0, witness, search, cells)
     basis = _transform_basis(f, edges)
-    if search == EXHAUSTIVE:
-        best, signs = _exhaustive_best(basis, f, space, cells, phases)
-    elif search in (GREEDY, RANDOM_RESTART):
-        best, signs = _greedy_best(basis, f, space, cells, restarts, seed)
-    else:
-        raise ValueError(f"unknown search tag: {search}")
+    best, signs = _search_best(basis, f, space, search, restarts, seed, phases)
     witness = ModulatingFunction(edges, signs)
     return OptNormEstimate(float(best), witness, search, cells)
 
@@ -248,9 +276,10 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
                   restarts=32, seed=7):
     """sup over modulations supported in A of ||T(s f chi_A)||.
 
-    Independently coded route to the optimal-domain norm of f chi_A: each
-    candidate is assembled as a signed sum of the vector-measure values
-    T(f chi_{A and cell}) rather than by transforming a modulated function.
+    The candidates are signed sums of the vector-measure values
+    T(f chi_{A and cell}), computed here independently of the transform
+    basis ``optdomain_norm`` builds for the restriction; the block search and
+    the norm kernel are shared with it.
     """
     if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
@@ -263,29 +292,17 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
             f"exhaustive search above {MAX_EXHAUSTIVE_CELLS} cells is refused (cost)"
         )
     edges = np.linspace(-1.0, 1.0, cells + 1)
-    pieces, piece_cells = [], []
+    rows, piece_cells = [], []
     for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         part = interval_set.intersect(IntervalSet(((a, b),)))
         if not part.is_empty():
-            pieces.append(fht_product_indicator(f, part))
+            rows.append(fht_product_indicator(f, part).values)
             piece_cells.append(j)
-    if not pieces or not any(np.any(np.abs(p.values) > 0) for p in pieces):
+    basis = np.array(rows)
+    if not rows or not np.any(np.abs(basis) > 0):
         witness = ModulatingFunction(edges, np.ones(cells))
         return OptNormEstimate(0.0, witness, search, cells)
-    m = len(pieces)
-    best, best_signs = -1.0, np.ones(m)
-    if search == EXHAUSTIVE:
-        for code in range(1 << (m - 1)):
-            signs = [1.0] + [1.0 if (code >> j) & 1 else -1.0 for j in range(m - 1)]
-            acc = pieces[0] * signs[0]
-            for s, piece in zip(signs[1:], pieces[1:]):
-                acc = acc + piece * s
-            val = norm(acc, space)
-            if val > best:
-                best, best_signs = val, np.array(signs)
-    else:
-        basis = np.array([p.values for p in pieces])
-        best, best_signs = _greedy_best(basis, pieces[0], space, m, restarts, seed)
+    best, best_signs = _search_best(basis, f, space, search, restarts, seed)
     full_signs = np.ones(cells)
     full_signs[np.asarray(piece_cells, dtype=int)] = best_signs
     witness = ModulatingFunction(edges, full_signs)

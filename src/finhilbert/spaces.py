@@ -172,72 +172,97 @@ def norm_info(f, space):
     estimates the local blow-up exponent beta; the norm is reported as +inf
     when the exponent makes the defining integral divergent (p*beta >= 1,
     strict inequality for weak-L^p where the boundary case is finite).
+    Samples go through :func:`norms_batch` as a single row; a declared step
+    function then takes its exact norm from the pieces.
     """
-    beta = _blowup_exponent(f)
-    pb = space.p * beta
-    if space.kind == WEAK_LP:
-        divergent = pb > 1.05
+    vals, limited, divergent = norms_batch(f.values[None, :], f.nodes, f.weights, space)
+    info = NormInfo(float(vals[0]), bool(limited[0]), bool(divergent[0]))
+    if info.divergent or not (isinstance(f.profile, PiecewiseProfile)
+                              and f.profile.is_constantwise()):
+        return info
+    return NormInfo(_stepwise_norm(f, space), info.resolution_limited, False)
+
+
+def norms_batch(values, nodes, weights, space):
+    """Norms of the rows of ``values[P, N]``, each sampled at ``nodes``.
+
+    Returns ``(value, resolution_limited, divergent)`` arrays of length P,
+    row by row what :func:`norm_info` reports for profile-free samples.  One
+    descending sort of the magnitudes per block (stable, so tied values keep
+    their node order in the rearrangement) serves both the rearrangement and
+    the nonzero-median gate of the blow-up diagnosis; the power-law fit runs
+    only on the rows that gate engages.
+    """
+    mags = np.abs(np.asarray(values))
+    rows, n = mags.shape
+    beta = np.zeros(rows)
+    if n == 0:
+        flags = np.zeros(rows, dtype=bool)
+        return beta, flags, flags.copy()
+    if space.kind == LP:
+        ordered = np.sort(mags, axis=1)[:, ::-1]
     else:
-        divergent = pb >= 0.99
-    limited = beta > 0.1
-    if divergent:
-        return NormInfo(float("inf"), True, True)
+        order = np.argsort(-mags, axis=1, kind="stable")
+        ordered = np.take_along_axis(mags, order, axis=1)
+
+    # blow-up gate: the peak must dwarf the median of the nonzero magnitudes,
+    # which sit first in the descending order
+    nonzero = np.count_nonzero(mags > 0, axis=1)
+    r = np.arange(rows)
+    median = (ordered[r, np.maximum(nonzero - 1, 0) // 2] + ordered[r, nonzero // 2]) / 2.0
+    for i in np.flatnonzero((nonzero > 0) & (ordered[:, 0] > 30.0 * median)):
+        beta[i] = _blowup_exponent(nodes, mags[i])
+    pb = space.p * beta
+    divergent = pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99
+    limited = divergent | (beta > 0.1)
 
     if space.kind == LP:
-        if isinstance(f.profile, PiecewiseProfile) and f.profile.is_constantwise():
-            val = float(sum(abs(c[0]) ** space.p * (b - a)
-                            for a, b, c in f.profile.pieces) ** (1.0 / space.p))
+        vals = (mags ** space.p @ weights) ** (1.0 / space.p)
+    else:
+        breakpoints = np.cumsum(weights[order], axis=1)
+        if space.kind == LORENTZ:
+            vals = _lorentz_staircase(breakpoints, ordered, space)
         else:
-            val = float((f.weights @ np.abs(f.values) ** space.p) ** (1.0 / space.p))
-        return NormInfo(val, limited, False)
+            # conservative staircase pairing u_k with the next plateau value
+            # (the raw staircase inflates the sup by up to 2^{1/p} at
+            # sub-resolution t when singular values tie in symmetric pairs)
+            ordered[:, :-1] = ordered[:, 1:]
+            vals = np.max(breakpoints ** (1.0 / space.p) * ordered, axis=1)
+    vals[divergent] = np.inf
+    return vals, limited, divergent
 
+
+def _lorentz_staircase(breakpoints, plateaus, space):
+    """Lorentz quasinorm of staircases given row-wise as (u_k, v_k) arrays."""
+    chunks = np.diff(breakpoints ** (space.q / space.p), axis=1, prepend=0.0)
+    chunks *= space.p / space.q
+    return np.sum(plateaus ** space.q * chunks, axis=1) ** (1.0 / space.q)
+
+
+def _stepwise_norm(f, space):
+    """Exact norm of a declared step function, from its pieces."""
+    if space.kind == LP:
+        return float(sum(abs(c[0]) ** space.p * (b - a)
+                         for a, b, c in f.profile.pieces) ** (1.0 / space.p))
     r = rearrangement(f)
-    u = np.concatenate([[0.0], r.breakpoints])
-    v = r.plateaus
     if space.kind == LORENTZ:
-        ratio = space.q / space.p
-        chunks = (u[1:] ** ratio - u[:-1] ** ratio) * (space.p / space.q)
-        val = float((np.sum(v**space.q * chunks)) ** (1.0 / space.q))
-        return NormInfo(val, limited, False)
-    # weak-Lp: exact staircase for declared step structure; otherwise the
-    # conservative staircase pairing u_k with the next plateau value (the raw
-    # staircase inflates the sup by up to 2^{1/p} at sub-resolution t when
-    # singular values tie in symmetric pairs)
-    if not len(v):
-        return NormInfo(0.0, limited, False)
-    if isinstance(f.profile, PiecewiseProfile) and f.profile.is_constantwise():
-        val = float(np.max(r.breakpoints ** (1.0 / space.p) * v))
-        return NormInfo(val, limited, False)
-    vnext = np.concatenate([v[1:], v[-1:]])
-    val = float(np.max(r.breakpoints ** (1.0 / space.p) * vnext))
-    return NormInfo(val, limited, False)
+        return float(_lorentz_staircase(r.breakpoints[None, :], r.plateaus[None, :], space)[0])
+    return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))
 
 
-def lp_norm_exact_quadrature(f, p):
-    """Plain weighted-sample L^p norm with no divergence diagnosis."""
-    return float((f.weights @ np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def _blowup_exponent(f):
+def _blowup_exponent(nodes, mags):
     """Least-squares exponent of |f| ~ dist^{-beta} near its strongest peak.
 
-    Engaged only when the peak dwarfs the bulk of the function (a genuine
-    power singularity at grid resolution); bounded peaks, which a local fit
-    cannot tell from mild singularities, report beta = 0.
+    Called only when the peak dwarfs the bulk of the function (a genuine
+    power singularity at grid resolution); an interior peak, which a local
+    fit cannot tell from a mild singularity, reports beta = 0.
     """
-    mags = np.abs(f.values)
-    mmax = mags.max() if len(mags) else 0.0
-    if mmax == 0.0:
-        return 0.0
-    nonzero = mags[mags > 0]
-    if mmax <= 30.0 * np.median(nonzero):
-        return 0.0
-    k = int(np.argmax(mags))
-    x0 = f.nodes[k]
+    mmax = mags.max()
+    x0 = nodes[int(np.argmax(mags))]
     if x0 > 0.9:
-        dist = 1.0 - f.nodes
+        dist = 1.0 - nodes
     elif x0 < -0.9:
-        dist = 1.0 + f.nodes
+        dist = 1.0 + nodes
     else:
         # interior peaks: the singular location falls between nodes, so a
         # power fit against node distances is unreliable; only endpoint

@@ -142,6 +142,21 @@ def test_interval_algebra_closed(p1, p2):
         assert starts == sorted(starts)
 
 
+# --------------------------------------------------------------- from_callable
+
+def test_from_callable_broadcasts_scalar():
+    f = fh.from_callable(lambda x: 2.5 - 1j, 16)
+    assert f.values.shape == (16,)
+    assert np.all(f.values == 2.5 - 1j)
+
+
+def test_from_callable_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        fh.from_callable(lambda x: x[:-1], 16)
+    with pytest.raises(ValueError):
+        fh.from_callable(lambda x: np.stack([x, x]), 16)
+
+
 # ------------------------------------------------------------- Chebyshev series
 
 def test_cheb_fit_constant():

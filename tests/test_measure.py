@@ -1,5 +1,6 @@
 """Vector-measure machinery: scalar measures, supremum searches, diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,112 @@ def test_simple_function_norm_routes_coincide():
     sv = fh.semivariation(f, ivals((-1.0, 1.0)), LP15, cells=8)
     od = fh.optdomain_norm(f, LP15, cells=8)
     assert sv.value == pytest.approx(od.value, rel=1e-12)
+
+
+# ------------------------------------------- batched searches vs brute force
+
+SEARCH_SPACES = (fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.weak_lp(2))
+FULL = ivals((-1.0, 1.0))
+
+
+def cell_basis(f, A, cells):
+    """T(f chi_{A and cell}) for the cells that meet A, and their indices."""
+    edges = np.linspace(-1.0, 1.0, cells + 1)
+    rows, idx = [], []
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        part = A.intersect(ivals((a, b)))
+        if not part.is_empty():
+            rows.append(fh.fht_product_indicator(f, part).values)
+            idx.append(j)
+    return np.array(rows), idx
+
+
+def pattern_norm(f, basis, signs, space):
+    return fh.norm_info(f.with_values(np.asarray(signs) @ basis), space).value
+
+
+def brute_exhaustive(f, basis, space):
+    best, arg = -1.0, None
+    for code in itertools.product([1.0, -1.0], repeat=len(basis) - 1):
+        signs = (1.0,) + code
+        val = pattern_norm(f, basis, signs, space)
+        if val > best:
+            best, arg = val, signs
+    return best, np.array(arg)
+
+
+def brute_greedy(f, basis, space, restarts, seed):
+    cells = len(basis)
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(cells)] + [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
+    best, arg = -1.0, None
+    for s in starts:
+        cur = pattern_norm(f, basis, s, space)
+        while True:
+            gains = [pattern_norm(f, basis, s * np.where(np.arange(cells) == j, -1.0, 1.0),
+                                  space) for j in range(cells)]
+            j = int(np.argmax(gains))
+            if not gains[j] > cur + 1e-15:
+                break
+            s = s.copy()
+            s[j] = -s[j]
+            cur = gains[j]
+        if cur > best:
+            best, arg = cur, s
+    return best, arg
+
+
+@pytest.mark.parametrize("space", SEARCH_SPACES, ids=lambda sp: sp.label())
+def test_optdomain_searches_match_brute_force(space):
+    # 512 patterns and 33 starts x 9 flips both span two 256-row blocks at
+    # 256 nodes, so the first-strict-maximum rule runs across blocks
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 256)
+    basis, _ = cell_basis(f, FULL, 10)
+    est = fh.optdomain_norm(f, space, cells=10, search="exhaustive")
+    want, signs = brute_exhaustive(f, basis, space)
+    assert est.value == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(np.real(est.witness.coefficients), signs)
+    basis, _ = cell_basis(f, FULL, 9)
+    est = fh.optdomain_norm(f, space, cells=9, search="greedy-flip", restarts=32, seed=3)
+    want, signs = brute_greedy(f, basis, space, 32, 3)
+    assert est.value == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(np.real(est.witness.coefficients), signs)
+
+
+@pytest.mark.parametrize("space", SEARCH_SPACES, ids=lambda sp: sp.label())
+def test_semivariation_matches_brute_force(space, monkeypatch):
+    # blocks of 5 patterns: many block boundaries inside each search
+    monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 5 * 16 * 256)
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 256)
+    A = ivals((-0.8, -0.2), (0.1, 0.7))
+    basis, idx = cell_basis(f, A, 8)
+    for search, (want, signs) in (("exhaustive", brute_exhaustive(f, basis, space)),
+                                  ("greedy-flip", brute_greedy(f, basis, space, 4, 5))):
+        sv = fh.semivariation(f, A, space, cells=8, search=search, restarts=4, seed=5)
+        assert sv.value == pytest.approx(want, rel=1e-12)
+        full = np.ones(8)
+        full[idx] = signs
+        assert np.array_equal(np.real(sv.witness.coefficients), full)
+
+
+def test_exhaustive_keeps_first_of_tied_maxima_across_blocks(monkeypatch):
+    # a zero cell makes each pattern tie exactly with its last-sign partner,
+    # the next pattern in the enumeration; one pattern per block puts every
+    # tied pair in two blocks
+    monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 16 * 64)
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 64)
+    basis, _ = cell_basis(f, FULL, 4)
+    basis = np.vstack([basis, np.zeros_like(basis[:1])])
+    space = fh.SpaceSpec.lorentz(3, 1)
+    value, signs = fh.measure._exhaustive_best(basis, f.nodes, f.weights, space)
+    want, want_signs = brute_exhaustive(f, basis, space)
+    assert value == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(signs, want_signs) and signs[-1] == 1.0
+
+
+def test_semivariation_rejects_unknown_search(one):
+    with pytest.raises(ValueError):
+        fh.semivariation(one, ivals((0.0, 0.5)), fh.SpaceSpec.lp(2), search="bogus")
 
 
 # ------------------------------------------------------------------- weak norm

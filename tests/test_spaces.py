@@ -146,6 +146,79 @@ def test_norm_divergence_flags(invw):
     assert fh.norm_info(blow, fh.SpaceSpec.lp(1.5)).divergent
 
 
+# ---------------------------------------------------------------- batched norms
+
+BATCH_SPACES = (fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lp(3),
+                fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.weak_lp(2))
+
+
+def batch_rows(x):
+    """Bounded, zero-padded, endpoint-singular and log-peaked sample rows."""
+    smooth = 0.3 + x - 2.0 * x**3 + 0.5j * x**2
+    return np.array([
+        smooth,
+        np.where(x > 0.2, smooth, 0.0),          # exact zeros
+        np.zeros_like(x),
+        1.0 / (1.0 - x),                         # divergent endpoint blow-up
+        (1.0 + x) ** -0.4,                       # divergent for p = 3 only
+        np.log(np.abs(x - 0.3)),                 # interior logarithmic peak
+        np.log((1.0 - x) / 2.0),                 # endpoint logarithmic peak
+        np.cos(3 * x) ** 2,                      # ties at mirrored nodes
+        np.where(x > 0.5, (1.0 - x) ** -0.25, 0.0),  # mild peak, zero-padded
+    ], dtype=complex)
+
+
+def staircase_norm(f, space):
+    """The discrete norm definitions, written out from the rearrangement."""
+    r = fh.rearrangement(f)
+    u, v = r.breakpoints, r.plateaus
+    if space.kind == "Lp":
+        return float(f.weights @ np.abs(f.values) ** space.p) ** (1 / space.p)
+    if space.kind == "Lorentz":
+        du = np.diff(np.concatenate([[0.0], u]) ** (space.q / space.p))
+        return float(np.sum(v**space.q * du) * space.p / space.q) ** (1 / space.q)
+    return float(np.max(u ** (1 / space.p) * np.concatenate([v[1:], v[-1:]])))
+
+
+# (divergent, resolution_limited) flags of the batch_rows rows at 512 nodes:
+# only the two endpoint power singularities engage the blow-up fit, and the
+# zero-padded mild peak stays below the nonzero-median gate
+BATCH_FLAGS = {
+    "Lp(1.5)": ([0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
+    "Lp(3)": ([0, 0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
+    "Lorentz(3,1)": ([0, 0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
+    "WeakLp(2)": ([0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda sp: sp.label())
+def test_norms_batch_rows_equal_norm_info(space):
+    f = fh.poly_fn([1.0], 512)
+    rows = batch_rows(f.nodes)
+    vals, limited, divergent = fh.norms_batch(rows, f.nodes, f.weights, space)
+    assert vals.shape == limited.shape == divergent.shape == (len(rows),)
+    want_divergent, want_limited = BATCH_FLAGS[space.label()]
+    assert divergent.tolist() == [bool(b) for b in want_divergent]
+    assert limited.tolist() == [bool(b) for b in want_limited]
+    for k, row in enumerate(rows):
+        info = fh.norm_info(f.with_values(row), space)
+        assert divergent[k] == info.divergent
+        assert limited[k] == info.resolution_limited
+        if info.divergent:
+            assert vals[k] == float("inf")
+        else:
+            assert abs(vals[k] - info.value) <= 1e-13 * max(info.value, 1e-300)
+            want = staircase_norm(f.with_values(row), space)
+            assert vals[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_norms_batch_flags_differ_by_space():
+    f = fh.poly_fn([1.0], 512)
+    rows = batch_rows(f.nodes)[4:5]
+    flags = [bool(fh.norms_batch(rows, f.nodes, f.weights, sp)[2][0]) for sp in BATCH_SPACES]
+    assert flags == [False, True, True, False]
+
+
 # --------------------------------------------------------------------- dilation
 
 def test_dilate_identity(one, xfun):
