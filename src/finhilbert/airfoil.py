@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chebalg as ca
 from .grid import GridFunction, cheb_fit, integrate
-from .profiles import LogMixProfile, PiecewiseProfile, PolyProfile
+from .profiles import _W2, LogMixProfile, PiecewiseProfile, PolyProfile
 from .transform import fht_grid, fht_over_w_point, fht_times_w_point
 
 HIGH_INDEX = "HighIndex"
@@ -67,15 +67,22 @@ def regime_of(space):
 def right_inverse(f):
     """-T(f w)/w.  Satisfies T(right_inverse(f)) = f in the high-index regime.
 
-    Polynomial inputs go through the exact coefficient identity
-    T(w U_{k}) = -T_{k+1}; anything else (e.g. transform images carrying
-    endpoint logarithms) is evaluated by endpoint-graded quadrature.
+    Three routes, by the structure of f:
+
+    * polynomial: the exact coefficient identity T(w U_k) = -T_{k+1};
+    * log-mix (e.g. a transform image T(p), which carries ln(1 -+ x)):
+      exact, as T(f w) = T((f w^2)/w) with the closed-form weighted log
+      kernel of :meth:`LogMixProfile.fht_over_w_values`;
+    * anything else: endpoint-graded cos(theta) panel quadrature on the
+      interpolant.
     """
+    w = semicircle_weight(f.nodes)
     if _is_plain_poly(f):
         img = ca.fht_times_w_series(_series_of(f))   # T(p w), a polynomial
-        w = semicircle_weight(f.nodes)
         return f.with_values(-ca.chebval(f.nodes, img) / w, PolyProfile(-img, wpow=-1))
-    w = semicircle_weight(f.nodes)
+    if isinstance(f.profile, LogMixProfile):
+        vals = -f.profile.times_poly(_W2).fht_over_w_values(f.nodes) / w
+        return f.with_values(vals, None)
     vals = -np.array(
         [fht_times_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
     ) / w
@@ -85,13 +92,16 @@ def right_inverse(f):
 def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
-    Same dispatch as :func:`right_inverse`, with T(T_n / w) = U_{n-1}.
+    The same three routes as :func:`right_inverse`: T(T_n / w) = U_{n-1} for
+    polynomials, :meth:`LogMixProfile.fht_over_w_values` for log-mix
+    profiles, quadrature otherwise.
     """
+    w = semicircle_weight(f.nodes)
     if _is_plain_poly(f):
         img = ca.fht_over_w_series(_series_of(f))    # T(p/w), a polynomial
-        w = semicircle_weight(f.nodes)
         return f.with_values(-w * ca.chebval(f.nodes, img), PolyProfile(-img, wpow=1))
-    w = semicircle_weight(f.nodes)
+    if isinstance(f.profile, LogMixProfile):
+        return f.with_values(-w * f.profile.fht_over_w_values(f.nodes), None)
     vals = -w * np.array(
         [fht_over_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
     )

@@ -20,6 +20,7 @@ import functools
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
+from scipy.special import spence
 
 
 # ----------------------------------------------------------------- node families
@@ -40,14 +41,26 @@ def fejer1_weights(n):
     exactness is below 5e-8 for n >= 256.
     """
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
-    m = np.arange(1, n // 2 + 1)
-    w = (2.0 / n) * (1 - 2 * np.sum(np.cos(2 * np.outer(theta, m)) / (4 * m**2 - 1), axis=1))
-    w = w[::-1].copy()
+    w = _fejer1_raw(n)
     wx = np.sin(theta)[::-1].copy()          # w(x_k) on ascending nodes
     s1, s2 = wx.sum(), (wx**2).sum()
     rhs = np.array([2.0 - w.sum(), np.pi / 2 - w @ wx])
     alpha, beta = np.linalg.solve(np.array([[n, s1], [s1, s2]]), rhs)
     return w + alpha + beta * wx
+
+
+def _fejer1_raw(n):
+    """Raw Fejer-1 weights (2/n)(1 - 2 sum_m cos(2 m theta_k)/(4m^2 - 1)), ascending.
+
+    The sum is one DCT-III of c_0 = 1, c_2m = -1/(4m^2 - 1); its term with
+    2m = n is cos((2k-1) pi/2) = 0 at every node, so stopping at 2m < n is
+    exact.
+    """
+    c = np.zeros(n)
+    c[0] = 1.0
+    m = np.arange(1, (n - 1) // 2 + 1)
+    c[2 * m] = -1.0 / (4 * m**2 - 1)
+    return (2.0 / n) * dct(c, type=3)[::-1].copy()
 
 
 def uniform_nodes(n):
@@ -255,6 +268,51 @@ def fht_indicator_over_w(lo, hi, t):
     return (G(np.arccos(lo)) - G(np.arccos(hi))) / (np.pi * wt)
 
 
+def fht_log_kernel(a_pt, t):
+    """K_a(t) = pv int_-1^1 ln|y - a| / (y - t) dy, a in [-1, 1], vectorized in t.
+
+    Closed form in the dilogarithm Li2(z) = spence(1 - z):
+
+        K_a(t) = ln|t-a| L(t) - Re Li2((1-t)/(a-t)) + Re Li2((1+t)/(t-a))
+
+    with L = :func:`log_ratio`.  K_a jumps by pi^2 across t = a; there it
+    takes the symmetric principal value (ln^2(1-a) - ln^2(1+a)) / 2, the
+    mean of the two sides.
+    """
+    t = np.asarray(t, dtype=float)
+    at = t == a_pt
+    h = np.where(at, 1.0, t - a_pt)
+    out = (np.log(np.abs(h)) * log_ratio(t)
+           - _li2_real((1.0 - t) / -h) + _li2_real((1.0 + t) / h))
+    if np.any(at):
+        mid = (np.log1p(-a_pt) ** 2 - np.log1p(a_pt) ** 2) / 2.0
+        out = np.where(at, mid, out)
+    return out
+
+
+def _li2_real(z):
+    """Re Li2(z) for real z; complex evaluation covers the branch cut z > 1."""
+    return spence(1.0 - np.asarray(z, dtype=complex)).real
+
+
+def fht_log_over_w_kernel(a_pt, t):
+    """J_a(t) = T(ln|. - a| / w)(t), a in [-1, 1], vectorized in t.
+
+    From ln|y - a| = -ln 2 - 2 sum T_n(a) T_n(y) / n, T(T_n/w) = U_{n-1}
+    and sum sin(n phi)/n = (pi - phi)/2 on (0, 2 pi), with theta = arccos t:
+
+        J_a(t) = theta / w(t)           for t > a,
+                 -(pi - theta) / w(t)   for t < a,
+
+    and the mean (2 theta - pi) / (2 w(t)) at t = a.  Only the side of a
+    enters.
+    """
+    t = np.asarray(t, dtype=float)
+    theta = np.arccos(t)
+    shift = np.where(t > a_pt, 0.0, np.where(t < a_pt, np.pi, np.pi / 2.0))
+    return (theta - shift) / np.sqrt(1.0 - t * t)
+
+
 # ----------------------------------------------------------- panel quadrature
 
 @functools.lru_cache(maxsize=16)
@@ -271,46 +329,3 @@ def integrate_panels(f, edges, order=24):
     pts = mid[:, None] + half[:, None] * z[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
     return np.sum(half[:, None] * w[None, :] * vals)
-
-
-def graded_edges(lo, hi, singular, depth=36, ratio=0.5, floor=1e-11):
-    """Panel edges on (lo, hi), geometrically refined toward each singular point.
-
-    Refinement stops at an absolute ``floor`` so panel points never collapse
-    onto the singular point in floating point; the truncated mass of an
-    integrable log/algebraic singularity at that scale is negligible.
-    """
-    pts = {lo, hi}
-    for s in singular:
-        if not (lo < s < hi) and not (abs(s - lo) < 1e-15 or abs(s - hi) < 1e-15):
-            continue
-        for side in (-1.0, 1.0):
-            limit = hi - s if side > 0 else s - lo
-            if limit <= floor:
-                continue
-            step = limit
-            for _ in range(depth):
-                step *= ratio
-                if step < floor:
-                    break
-                pts.add(min(hi, max(lo, s + side * step)))
-    return np.array(sorted(pts))
-
-
-def fht_log_kernel(a_pt, t, order=20, depth=40):
-    """K_a(t) = pv int_-1^1 ln|y - a| / (y - t) dy by graded panel quadrature.
-
-    The Cauchy singularity at t is subtracted exactly (a plain panel split
-    there suffices); the integrable log singularity at a is absorbed by
-    geometric panel grading.
-    """
-    t = float(t)
-    la = np.log(abs(t - a_pt))
-
-    def g(y):
-        return (np.log(np.abs(y - a_pt)) - la) / (y - t)
-
-    edges = graded_edges(-1.0, 1.0, [a_pt], depth=depth)
-    edges = np.array(sorted(set(edges) | {t}))
-    val = integrate_panels(g, edges, order=order)
-    return float(val.real) + la * log_ratio(t)

@@ -13,6 +13,7 @@ back to sample arithmetic otherwise.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -69,6 +70,8 @@ class GridFunction:
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights < 0):
             raise ValueError("quadrature weights must be nonnegative")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sample values must be finite (no NaN or inf)")
         for arr in (nodes, values, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -87,11 +90,15 @@ class GridFunction:
         if self.profile is not None:
             return self.profile.eval(x)
         if self.node_family == CHEBYSHEV:
-            coeffs = ca.fit_chebyshev(self.values)
-            return ca.chebval(x, coeffs)
+            return ca.chebval(x, self._interpolant)
         re = np.interp(x, self.nodes, self.values.real)
         im = np.interp(x, self.nodes, self.values.imag)
         return re + 1j * im
+
+    @functools.cached_property
+    def _interpolant(self):
+        """Chebyshev coefficients of the samples, fitted once per object."""
+        return ca.fit_chebyshev(self.values)
 
     def with_values(self, values, profile=None):
         return GridFunction(self.nodes, values, self.weights, self.node_family, profile)

@@ -4,9 +4,12 @@ A profile records what a sampled function *is* -- a Chebyshev series times a
 power of the endpoint weight w, a piecewise series, or a series plus
 logarithmic terms c(x) ln|x - a|.  Each profile knows how to evaluate
 itself, integrate itself over subintervals, integrate itself against 1/w,
-and apply the finite Hilbert transform exactly or semi-exactly.  Operations
-that cannot preserve structure simply drop the profile; all consumers fall
-back to sample-based rules in that case.
+and apply the finite Hilbert transform in closed form.  Log terms use the
+two log kernels of :mod:`chebalg`: the dilogarithm form of
+T(ln|. - a|) for T(f), and the arccos form of T(ln|. - a| / w) for T(f/w),
+which :meth:`LogMixProfile.fht_over_w_values` provides for the exact airfoil
+inverses.  Operations that cannot preserve structure simply drop the
+profile; all consumers fall back to sample-based rules in that case.
 """
 
 from __future__ import annotations
@@ -270,13 +273,20 @@ class LogMixProfile:
         out = ca.fht_series(self._s, x).astype(complex)
         for a, c in self.logs:
             c = np.asarray(c, dtype=complex)
-            lam = np.array(
-                [ca.integral_log(_unit(k, len(c)), a) for k in range(max(len(c) - 1, 0))]
-            ) if len(c) > 1 else np.zeros(0, dtype=complex)
-            K = np.array([ca.fht_log_kernel(a, float(t)) for t in x])
-            bq = ca.difference_quotient(c, x)
-            extra = lam @ bq if bq.shape[0] else 0.0
-            out += (ca.chebval(x, c) * K + extra) / np.pi
+            out += ca.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
+            out += _log_moments(ca.integral_log, c, a, x)
+        return out
+
+    def fht_over_w_values(self, x):
+        """T(f/w) at x, exact: T(T_n/w) = U_{n-1} on the smooth part, and per
+        log term c(t) J_a(t) plus the regular remainder
+        (1/pi) int (c(y) - c(t))/(y - t) ln|y - a| / w(y) dy."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = ca.chebval(x, ca.fht_over_w_series(self._s)).astype(complex)
+        for a, c in self.logs:
+            c = np.asarray(c, dtype=complex)
+            out += ca.chebval(x, c) * ca.fht_log_over_w_kernel(a, x)
+            out += _log_moments(ca.integral_log_over_w, c, a, x)
         return out
 
     def fht_profile(self):
@@ -328,6 +338,17 @@ def _padd(a, b):
     out = a.copy()
     out[: len(b)] += b
     return out
+
+
+def _log_moments(moment, c, a, x):
+    """(1/pi) sum_k b_k(x) moment(T_k, a) with b = difference_quotient(c, x):
+    the regular part of a log term's transform once c(x) times the log
+    kernel is split off."""
+    b = ca.difference_quotient(c, x)
+    if not b.shape[0]:
+        return 0.0
+    lam = np.array([moment(_unit(k, k + 1), a) for k in range(b.shape[0])])
+    return (lam @ b) / np.pi
 
 
 def _unit(k, n):

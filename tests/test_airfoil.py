@@ -7,6 +7,7 @@ import pytest
 
 import finhilbert as fh
 from finhilbert import chebalg as ca
+from finhilbert.profiles import LogMixProfile
 
 
 def test_weight_values():
@@ -79,6 +80,49 @@ def test_projection_idempotent():
         once = fh.kernel_projection(f)
         twice = fh.kernel_projection(once)
         assert np.abs(once.values - twice.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_inverses_of_images_are_exact(n):
+    # T(p) is a log-mix profile with ln(1 -+ x) terms; both inverses are closed
+    # forms: left_inverse(T(p)) = p and right_inverse(T(p)) = p - P(p)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        f = fh.poly_fn(rng.uniform(-1, 1, 6), n)
+        img = fh.fht_grid(f)
+        assert isinstance(img.profile, LogMixProfile)
+        mask = np.abs(f.nodes) <= 0.9
+        left = fh.left_inverse(img)
+        right = fh.right_inverse(img)
+        assert left.profile is None and right.profile is None
+        want = f.values - fh.kernel_projection(f).values
+        assert np.abs(left.values - f.values)[mask].max() <= 1e-12
+        assert np.abs(right.values - want)[mask].max() <= 1e-12
+
+
+def test_inverses_of_indicator_image():
+    # T(chi_(a,b)) = (1/pi) ln|(b-x)/(a-x)| carries interior log terms
+    a, b = -0.3, 0.45
+    img = fh.fht_grid(fh.indicator_fn((a, b), 512))
+    x = img.nodes
+    left, right = fh.left_inverse(img), fh.right_inverse(img)
+    chi = ((x > a) & (x < b)).astype(float)
+    proj = (b - a) / math.pi / fh.semicircle_weight(x)
+    mask = np.abs(x) <= 0.9
+    assert np.abs(left.values - chi)[mask].max() <= 1e-12
+    assert np.abs(right.values - (chi - proj))[mask].max() <= 1e-12
+    # the retained theta-panel route, split at the log locations; its panels
+    # are not graded toward a and b, which caps it near 3e-4
+    pts = x[3::23]
+    pts = pts[(np.abs(pts - a) > 0.02) & (np.abs(pts - b) > 0.02)]
+    idx = np.searchsorted(x, pts)
+    w = fh.semicircle_weight(pts)
+    quad_left = -w * np.array([fh.fht_over_w_point(img.eval_at, t, extra_splits=(a, b),
+                                                   grade_endpoints=True) for t in pts])
+    quad_right = -np.array([fh.fht_times_w_point(img.eval_at, t, extra_splits=(a, b),
+                                                 grade_endpoints=True) for t in pts]) / w
+    assert np.abs(left.values[idx] - quad_left).max() <= 1e-3
+    assert np.abs(right.values[idx] - quad_right).max() <= 1e-3
 
 
 # ---------------------------------------------------------------- range defect

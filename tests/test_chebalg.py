@@ -155,3 +155,101 @@ def test_fht_log_kernel_against_pv():
     i0, i1 = oracle(1e-5), oracle(5e-6)
     want = 2 * i1 - i0
     assert ca.fht_log_kernel(a, t) == pytest.approx(want, abs=1e-7)
+
+
+def test_fejer_weights_dct_matches_cosine_sum():
+    # the raw rule, written out as the O(n^2) cosine sum over 2m <= n
+    for n in list(range(1, 10)) + [64, 512, 2048]:
+        theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
+        m = np.arange(1, n // 2 + 1)
+        raw = (2.0 / n) * (1 - 2 * np.sum(np.cos(2 * np.outer(theta, m)) / (4 * m**2 - 1),
+                                          axis=1))
+        assert np.abs(ca._fejer1_raw(n) - raw[::-1]).max() <= 4e-15 / n
+
+
+# ------------------------------------------------------- log kernel oracles
+# Both kernels are checked against adaptive quadrature of the regular
+# integrand left after subtracting ln|t - a| (T(1) = L/pi, T(1/w) = 0), in
+# the offset u = y - a so that the log singularity sits at u = 0 exactly.
+
+def _log_quotient(u, h):
+    """(ln|u| - ln|h|) / (u - h), evaluated stably near u = h."""
+    x = (u - h) / h
+    if abs(x) < 0.5:
+        return np.log1p(x) / (x * h) if x else 1.0 / h
+    return (np.log(abs(u)) - np.log(abs(h))) / (u - h)
+
+
+def _quad_pieces(f, lo, hi, *cuts):
+    pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    return sum(quad(f, p, q, limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+               for p, q in zip(pts[:-1], pts[1:]))
+
+
+def _log_kernel_quad(a, t):
+    h = t - a
+    reg = _quad_pieces(lambda u: _log_quotient(u, h), -1.0 - a, 1.0 - a, 0.0, h)
+    return reg + np.log(abs(h)) * ca.log_ratio(t)
+
+
+def _log_over_w_kernel_quad(a, t):
+    # between a and t in u; outside in theta = alpha + v, where 1/w drops out
+    h = t - a
+    lo, hi = min(0.0, h), max(0.0, h)
+    inner = _quad_pieces(
+        lambda u: _log_quotient(u, h) / np.sqrt((1.0 - a - u) * (1.0 + a + u)), lo, hi)
+    alpha = np.arccos(a)
+
+    def outer(v):
+        return _log_quotient(-2.0 * np.sin(alpha + v / 2) * np.sin(v / 2), h)
+
+    total = inner
+    if a + lo > -1.0:
+        total += _quad_pieces(outer, np.arccos(a + lo) - alpha if lo else 0.0, np.pi - alpha)
+    if a + hi < 1.0:
+        total += _quad_pieces(outer, -alpha, np.arccos(a + hi) - alpha if hi else 0.0)
+    return total / np.pi
+
+
+LOG_LOCATIONS = (0.0, 0.25, -0.6, 1.0, -1.0, 0.999)
+
+
+def _kernel_cases(a):
+    """(t, near) pairs: spread points, and both sides of a at 1e-3 and 1e-6."""
+    cases = [(t, False) for t in (-0.9, -0.3, 0.1, 0.5, 0.95) if t != a]
+    cases += [(a + d, abs(d) < 1e-4) for d in (1e-3, -1e-3, 1e-6, -1e-6) if -1 < a + d < 1]
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("a", LOG_LOCATIONS)
+def test_log_kernel_closed_form_against_quadrature(a):
+    ts = np.array([t for t, _ in _kernel_cases(a)])
+    got = ca.fht_log_kernel(a, ts)            # vectorized in t
+    for k, t in enumerate(ts):
+        want = _log_kernel_quad(a, t)
+        assert abs(got[k] - want) <= 1e-12, (a, t)
+        assert ca.fht_log_kernel(a, float(t)) == got[k]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("a", LOG_LOCATIONS)
+def test_log_over_w_kernel_closed_form_against_quadrature(a):
+    for t, near in _kernel_cases(a):
+        want = _log_over_w_kernel_quad(a, t)
+        got = ca.fht_log_over_w_kernel(a, np.array([t]))[0]
+        # 1e-6 from a the quadrature itself is good to about 5e-11 relative
+        assert abs(got - want) <= (1e-9 if near else 1e-12) * max(1.0, abs(want)), (a, t)
+
+
+def test_log_kernels_at_the_log_location():
+    # the principal value at t = a is the mean of the two one-sided limits
+    for a in (0.0, 0.25, -0.6):
+        d = 1e-9
+        for kernel in (ca.fht_log_kernel, ca.fht_log_over_w_kernel):
+            sides = kernel(a, np.array([a - d, a + d]))
+            mid = kernel(a, np.array([a]))[0]
+            assert mid == pytest.approx(sides.mean(), abs=1e-6)
+    a = 0.25
+    assert ca.fht_log_kernel(a, a) == pytest.approx(
+        (np.log(1 - a) ** 2 - np.log(1 + a) ** 2) / 2, abs=1e-15)

@@ -30,6 +30,26 @@ def test_lengths_must_match():
         fh.GridFunction(np.array([0.0, 0.5]), np.zeros(3), np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_samples_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        fh.GridFunction(np.array([0.0, 0.5]), np.array([1.0, bad]), np.ones(2))
+    with pytest.raises(ValueError):
+        fh.from_callable(lambda x: np.where(x > 0, bad, 1.0), 16)
+
+
+def test_eval_at_fits_the_interpolant_once(monkeypatch):
+    from finhilbert import chebalg as ca
+
+    f = fh.from_callable(np.exp, 64)
+    calls = []
+    fit = ca.fit_chebyshev
+    monkeypatch.setattr(ca, "fit_chebyshev", lambda v: calls.append(1) or fit(v))
+    for x in (0.1, -0.4, np.array([0.2, 0.3])):
+        assert np.allclose(f.eval_at(x), np.exp(x), atol=1e-13)
+    assert len(calls) == 1
+
+
 def test_weights_nonnegative():
     with pytest.raises(ValueError):
         fh.GridFunction(np.array([0.0, 0.5]), np.zeros(2), np.array([0.5, -0.1]))
