@@ -1,16 +1,25 @@
 """Chebyshev-series and log-kernel algebra underlying the transform evaluators.
 
 Everything here works on plain numpy arrays of first-kind Chebyshev
-coefficients (``f = sum a_n T_n``).  The central primitive is the synthetic
-division ``(p(y) - p(x)) / (y - x)`` carried out in coefficient space, which
-turns every principal-value integral of a polynomial against the Cauchy
-kernel into a finite closed form.  The classical identities used throughout:
+coefficients (``f = sum a_n T_n``).  The central primitive is the Cauchy
+kernel in coefficient space,
+
+    (T_n(y) - T_n(x)) / (y - x) = 2 sum'_{k<n} T_k(x) U_{n-1-k}(y)
+
+(the primed sum halves the k = 0 term), which turns every principal-value
+integral of a series against the Cauchy kernel into a finite closed form:
+the regular part of T(p chi_(lo,hi)) has coefficients
+``d_k = 2 sum_j a_{k+1+j} int_lo^hi U_j``, one FFT correlation
+(:func:`fht_smooth_coeffs`), evaluated at the first-kind nodes by one
+DCT-III.  The classical identities used throughout:
 
     pv int_-1^1 T_n(y) / (w(y)(y-t)) dy = pi * U_{n-1}(t),       n >= 1 (0 for n=0)
     pv int_-1^1 w(y) U_{n-1}(y) / (y-t) dy = -pi * T_n(t),       n >= 1
     ln|y - a| = -ln 2 - 2 sum_{n>=1} T_n(a) T_n(y) / n,          a, y in [-1, 1]
 
-with ``w(x) = sqrt(1 - x^2)``.
+with ``w(x) = sqrt(1 - x^2)``.  The pointwise synthetic division
+:func:`difference_quotient` remains for the log and weighted pieces, whose
+moments are not a correlation.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import functools
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct
+from scipy.fft import dct, fft, ifft, next_fast_len
 from scipy.special import spence
 
 
@@ -96,10 +105,6 @@ def chebmul(a, b):
     return _cheb.chebmul(a, b)
 
 
-def chebint(coeffs):
-    return _cheb.chebint(coeffs)
-
-
 def trim(coeffs, tol=0.0):
     c = np.asarray(coeffs)
     nz = np.nonzero(np.abs(c) > tol)[0]
@@ -125,24 +130,27 @@ def difference_quotient(coeffs, x):
     return b[:d]
 
 
-@functools.lru_cache(maxsize=256)
-def _chebint_table(d):
-    """Antiderivative coefficients of T_0..T_{d-1}, stacked as a (d, d+1) array."""
-    out = np.zeros((d, d + 1))
-    for k in range(d):
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        ci = _cheb.chebint(c)
-        out[k, : len(ci)] = ci
-    return out
-
-
 def segment_integrals(d, lo, hi):
-    """Vector of ``int_lo^hi T_k(y) dy`` for k = 0..d-1."""
+    """Vector of ``int_lo^hi T_k(y) dy`` for k = 0..d-1.
+
+    Closed-form antiderivatives: y, y^2/2, and
+    T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)) for k >= 2, with T_k = cos(k arccos y).
+    Ends outside [-1, 1] are clipped to it, the domain of every series here.
+    """
     if d <= 0:
         return np.zeros(0)
-    tab = _chebint_table(d)
-    return _cheb.chebval(hi, tab.T) - _cheb.chebval(lo, tab.T)
+    k = np.arange(2, d)
+
+    def antiderivatives(y):
+        y = min(max(y, -1.0), 1.0)
+        t = np.cos(np.arange(d + 1) * np.arccos(y))
+        out = np.empty(d)
+        out[0] = y
+        out[1:2] = y * y / 2.0
+        out[2:] = t[k + 1] / (2.0 * (k + 1)) - t[k - 1] / (2.0 * (k - 1))
+        return out
+
+    return antiderivatives(hi) - antiderivatives(lo)
 
 
 # ------------------------------------------------------- transforms of series
@@ -153,18 +161,49 @@ def log_ratio(x):
     return np.log1p(-x) - np.log1p(x)
 
 
+def fht_smooth_coeffs(coeffs, lo=-1.0, hi=1.0):
+    """Coefficients d of D = sum d_k T_k with pi T(p chi_(lo,hi)) = D + p ln|(hi-x)/(lo-x)|.
+
+    D(x) = int_lo^hi (p(y) - p(x))/(y - x) dy, so by the Cauchy identity of
+    the module docstring d_k = 2 sum_{j>=0} a_{k+1+j} I_j (d_0 halved) with
+    I_j = int_lo^hi U_j = (T_{j+1}(hi) - T_{j+1}(lo))/(j+1): a correlation of
+    the coefficient tail with I, computed by FFT.  At least one coefficient.
+    """
+    a = np.asarray(coeffs, dtype=complex)
+    d = len(a) - 1
+    if d <= 0:
+        return np.zeros(1, dtype=complex)
+    j1 = np.arange(1, d + 1)
+    seg_u = (np.cos(j1 * np.arccos(hi)) - np.cos(j1 * np.arccos(lo))) / j1
+    size = next_fast_len(2 * d)
+    out = 2.0 * ifft(fft(a[1:], size) * np.conj(fft(seg_u, size)))[:d]
+    out[0] /= 2.0
+    return out
+
+
 def fht_series(coeffs, x, lo=-1.0, hi=1.0):
     """(1/pi) pv int_lo^hi p(y)/(y-x) dy for Chebyshev-coefficient p.
 
     Exact (to roundoff) for any x in (-1,1) away from {lo, hi}, whether or
     not x lies inside the segment; the principal value is built into the
-    log term.
+    log term.  The result is (D(x) + p(x) ln|(hi-x)/(lo-x)|)/pi with D from
+    :func:`fht_smooth_coeffs`.  When x is exactly the first-kind node set
+    ``chebyshev_nodes(len(x))`` with ``len(x) >= len(coeffs)``, D and p are
+    evaluated there by one DCT-III; at other points by Clenshaw.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = difference_quotient(coeffs, x)
-    seg = segment_integrals(b.shape[0], lo, hi)
-    px = _cheb.chebval(x, coeffs)
-    return (seg @ b + px * np.log(np.abs((hi - x) / (lo - x)))) / np.pi
+    c = np.asarray(coeffs, dtype=complex)
+    d = fht_smooth_coeffs(c, lo, hi)
+    n = len(x)
+    if n >= len(c) and np.array_equal(x, chebyshev_nodes(n)):
+        both = np.zeros((2, n), dtype=complex)
+        both[0, : len(d)] = d
+        both[1, : len(c)] = c
+        # sum_k e_k cos(k theta_i) at theta_i = (2i+1) pi/2n, descending x
+        dx, px = ((dct(both, type=3, axis=1) + both[:, :1]) / 2.0)[:, ::-1]
+    else:
+        dx, px = _cheb.chebval(x, d), _cheb.chebval(x, c)
+    return (dx + px * np.log(np.abs((hi - x) / (lo - x)))) / np.pi
 
 
 def t_to_u(coeffs):

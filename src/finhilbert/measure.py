@@ -32,7 +32,8 @@ from .grid import (
 )
 from .intervals import IntervalSet
 from .profiles import PiecewiseProfile, PolyProfile
-from .spaces import SpaceSpec, norm, norm_info, norms_batch, rearrangement_decay
+from .spaces import (NormWorkspace, SpaceSpec, norm, norm_info, norms_batch,
+                     rearrangement_decay)
 from .transform import PVConfig, fht_grid, fht_indicator, fht_product_indicator
 from .airfoil import rybakov_functional
 
@@ -43,7 +44,7 @@ RANDOM_RESTART = "random-restart"
 MAX_EXHAUSTIVE_CELLS = 20
 
 # bytes of combined samples per block of sign patterns; the norm kernel's
-# temporaries add a few times this
+# workspace adds about 2.6 times this, allocated once per search
 BLOCK_BYTES = 1 << 20
 
 
@@ -167,13 +168,25 @@ def _block_rows(n):
     return max(1, BLOCK_BYTES // (16 * max(n, 1)))
 
 
-def _pattern_norms(patterns, basis, nodes, weights, space):
-    """||sum_j s_j basis_j|| for every row s of patterns, a block at a time."""
-    step = _block_rows(basis.shape[1])
-    out = np.empty(len(patterns))
-    for i in range(0, len(patterns), step):
-        out[i:i + step] = norms_batch(patterns[i:i + step] @ basis, nodes, weights, space)[0]
-    return out
+class _BlockNorms:
+    """||sum_j s_j basis_j|| for rows s of sign patterns, in blocks of up to
+    ``rows`` patterns.  The combined samples and the norm kernel's workspace
+    are allocated once, when a search starts, and reused by every block."""
+
+    def __init__(self, rows, basis, nodes, weights, space):
+        self.rows, self.basis = rows, basis
+        self.nodes, self.weights, self.space = nodes, weights, space
+        self.samples = np.empty((rows, basis.shape[1]), dtype=complex)
+        self.work = NormWorkspace(rows, basis.shape[1])
+
+    def __call__(self, patterns):
+        out = np.empty(len(patterns))
+        for i in range(0, len(patterns), self.rows):
+            block = patterns[i:i + self.rows]
+            combined = np.matmul(block, self.basis, out=self.samples[:len(block)])
+            out[i:i + len(block)] = norms_batch(combined, self.nodes, self.weights,
+                                                self.space, self.work)[0]
+        return out
 
 
 def _exhaustive_best(basis, nodes, weights, space, phases=2):
@@ -189,12 +202,13 @@ def _exhaustive_best(basis, nodes, weights, space, phases=2):
     total = phases ** (cells - 1)
     place = phases ** np.arange(cells - 2, -1, -1)
     step = _block_rows(basis.shape[1])
+    pattern_norms = _BlockNorms(min(step, total), basis, nodes, weights, space)
     best, best_signs = -1.0, None
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total))
         patterns = np.ones((len(codes), cells), dtype=unit.dtype)
         patterns[:, 1:] = unit[codes[:, None] // place % phases]
-        vals = norms_batch(patterns @ basis, nodes, weights, space)[0]
+        vals = pattern_norms(patterns)
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, best_signs = vals[k], patterns[k]
@@ -212,12 +226,14 @@ def _greedy_best(basis, nodes, weights, space, restarts, seed):
     starts = [np.ones(cells)]
     starts += [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
     signs = np.array(starts)
-    cur = _pattern_norms(signs, basis, nodes, weights, space)
+    rows = min(_block_rows(basis.shape[1]), len(signs) * cells)
+    pattern_norms = _BlockNorms(rows, basis, nodes, weights, space)
+    cur = pattern_norms(signs)
     flips = 1.0 - 2.0 * np.eye(cells)
     active = np.arange(len(signs))
     while len(active):
         trials = (signs[active, None, :] * flips).reshape(-1, cells)
-        gains = _pattern_norms(trials, basis, nodes, weights, space).reshape(-1, cells)
+        gains = pattern_norms(trials).reshape(-1, cells)
         jbest = np.argmax(gains, axis=1)
         gain = gains[np.arange(len(active)), jbest]
         up = gain > cur[active] + 1e-15

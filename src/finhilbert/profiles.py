@@ -68,12 +68,8 @@ class PolyProfile:
             return PolyProfile(ca.fht_times_w_series(self._c), 0)
         c = self._c
         # T(p)(x) = (1/pi) * [ D(x) + p(x) ln(1-x) - p(x) ln(1+x) ],  D poly
-        deg = max(len(c) - 1, 1)
-        xs = ca.chebyshev_nodes(deg + 1)
-        b = ca.difference_quotient(c, xs)
-        seg = ca.segment_integrals(b.shape[0], -1.0, 1.0)
-        dcoef = ca.fit_chebyshev(seg @ b) if b.shape[0] else np.zeros(1, dtype=complex)
-        return LogMixProfile(dcoef / np.pi, ((1.0, c / np.pi), (-1.0, -c / np.pi)))
+        return LogMixProfile(ca.fht_smooth_coeffs(c) / np.pi,
+                             ((1.0, c / np.pi), (-1.0, -c / np.pi)))
 
     def integral(self, lo, hi):
         if self.wpow == 0:
@@ -163,20 +159,15 @@ class PiecewiseProfile:
     def fht_profile(self):
         if self.wpow != 0:
             return None
-        deg = max(max(len(c) for _, _, c in self.pieces) - 1, 1) if self.pieces else 1
-        xs = ca.chebyshev_nodes(deg + 1)
-        smooth = np.zeros(len(xs), dtype=complex)
+        smooth = np.zeros(1, dtype=complex)
         logs = {}
         for a, b, c in self.pieces:
             c = np.asarray(c, dtype=complex)
-            bq = ca.difference_quotient(c, xs)
-            if bq.shape[0]:
-                smooth += ca.segment_integrals(bq.shape[0], a, b) @ bq
+            smooth = _padd(smooth, ca.fht_smooth_coeffs(c, a, b))
             for loc, sgn in ((b, 1.0), (a, -1.0)):
                 logs[loc] = _padd(logs.get(loc, np.zeros(1, dtype=complex)), sgn * c / np.pi)
-        dcoef = ca.fit_chebyshev(smooth) / np.pi
         terms = tuple((loc, cc) for loc, cc in sorted(logs.items()) if np.any(np.abs(cc) > 0))
-        return LogMixProfile(dcoef, terms)
+        return LogMixProfile(smooth / np.pi, terms)
 
     def integral(self, lo, hi):
         total = 0.0 + 0.0j

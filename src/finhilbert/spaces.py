@@ -183,7 +183,25 @@ def norm_info(f, space):
     return NormInfo(_stepwise_norm(f, space), info.resolution_limited, False)
 
 
-def norms_batch(values, nodes, weights, space):
+class NormWorkspace:
+    """Scratch arrays for :func:`norms_batch` blocks of up to ``rows`` rows of
+    ``n`` samples.
+
+    A search allocates one and passes it to every block, so its block loop
+    reuses the same memory instead of allocating fresh block-sized
+    temporaries, whose cost would depend on what the allocator last freed.
+    """
+
+    def __init__(self, rows, n):
+        self.mags = np.empty((rows, n))
+        self.positive = np.empty((rows, n), dtype=bool)
+        self.ordered = np.empty((rows, n))
+        self.gathered = np.empty((rows, n))
+        self.breakpoints = np.empty((rows, n))
+        self.scratch = np.empty((rows, n))
+
+
+def norms_batch(values, nodes, weights, space, work=None):
     """Norms of the rows of ``values[P, N]``, each sampled at ``nodes``.
 
     Returns ``(value, resolution_limited, divergent)`` arrays of length P,
@@ -191,23 +209,34 @@ def norms_batch(values, nodes, weights, space):
     descending sort of the magnitudes per block (stable, so tied values keep
     their node order in the rearrangement) serves both the rearrangement and
     the nonzero-median gate of the blow-up diagnosis; the power-law fit runs
-    only on the rows that gate engages.
+    only on the rows that gate engages.  Block-sized intermediates live in
+    ``work``, a :class:`NormWorkspace` of at least P rows (a fresh one when
+    omitted); the returned arrays are always new.
     """
-    mags = np.abs(np.asarray(values))
-    rows, n = mags.shape
+    values = np.asarray(values)
+    rows, n = values.shape
     beta = np.zeros(rows)
     if n == 0:
         flags = np.zeros(rows, dtype=bool)
         return beta, flags, flags.copy()
+    if work is None:
+        work = NormWorkspace(rows, n)
+    mags = np.abs(values, out=work.mags[:rows])
+    ordered = work.ordered[:rows]
+    scratch = work.scratch[:rows]
     if space.kind == LP:
-        ordered = np.sort(mags, axis=1)[:, ::-1]
+        np.copyto(ordered, mags)
+        ordered.sort(axis=1)
+        ordered = ordered[:, ::-1]
     else:
-        order = np.argsort(-mags, axis=1, kind="stable")
-        ordered = np.take_along_axis(mags, order, axis=1)
+        order = np.argsort(np.negative(mags, out=scratch), axis=1, kind="stable")
+        np.take(weights, order, out=work.gathered[:rows], mode="clip")
+        order += (n * np.arange(rows))[:, None]
+        np.take(mags.reshape(-1), order, out=ordered, mode="clip")
 
     # blow-up gate: the peak must dwarf the median of the nonzero magnitudes,
     # which sit first in the descending order
-    nonzero = np.count_nonzero(mags > 0, axis=1)
+    nonzero = np.count_nonzero(np.greater(mags, 0, out=work.positive[:rows]), axis=1)
     r = np.arange(rows)
     median = (ordered[r, np.maximum(nonzero - 1, 0) // 2] + ordered[r, nonzero // 2]) / 2.0
     for i in np.flatnonzero((nonzero > 0) & (ordered[:, 0] > 30.0 * median)):
@@ -217,26 +246,40 @@ def norms_batch(values, nodes, weights, space):
     limited = divergent | (beta > 0.1)
 
     if space.kind == LP:
-        vals = (mags ** space.p @ weights) ** (1.0 / space.p)
+        vals = np.power(mags, space.p, out=scratch) @ weights
+        vals **= 1.0 / space.p
     else:
-        breakpoints = np.cumsum(weights[order], axis=1)
+        breakpoints = np.cumsum(work.gathered[:rows], axis=1, out=work.breakpoints[:rows])
         if space.kind == LORENTZ:
-            vals = _lorentz_staircase(breakpoints, ordered, space)
+            vals = _lorentz_staircase(breakpoints, ordered, space, scratch)
         else:
             # conservative staircase pairing u_k with the next plateau value
             # (the raw staircase inflates the sup by up to 2^{1/p} at
             # sub-resolution t when singular values tie in symmetric pairs)
-            ordered[:, :-1] = ordered[:, 1:]
-            vals = np.max(breakpoints ** (1.0 / space.p) * ordered, axis=1)
+            np.power(breakpoints, 1.0 / space.p, out=scratch)
+            scratch[:, :-1] *= ordered[:, 1:]
+            scratch[:, -1] *= ordered[:, -1]
+            vals = np.max(scratch, axis=1)
     vals[divergent] = np.inf
     return vals, limited, divergent
 
 
-def _lorentz_staircase(breakpoints, plateaus, space):
-    """Lorentz quasinorm of staircases given row-wise as (u_k, v_k) arrays."""
-    chunks = np.diff(breakpoints ** (space.q / space.p), axis=1, prepend=0.0)
+def _lorentz_staircase(breakpoints, plateaus, space, scratch=None):
+    """Lorentz quasinorm of staircases given row-wise as (u_k, v_k) arrays.
+
+    With ``scratch`` (an array shaped like ``breakpoints``), the chunk
+    widths overwrite ``breakpoints`` and no block-sized array is allocated.
+    """
+    if scratch is None:
+        breakpoints, scratch = breakpoints.copy(), np.empty(breakpoints.shape)
+    powers = np.power(breakpoints, space.q / space.p, out=scratch)
+    chunks = breakpoints
+    chunks[:, 0] = powers[:, 0]
+    np.subtract(powers[:, 1:], powers[:, :-1], out=chunks[:, 1:])
     chunks *= space.p / space.q
-    return np.sum(plateaus ** space.q * chunks, axis=1) ** (1.0 / space.q)
+    summands = np.power(plateaus, space.q, out=scratch)
+    summands *= chunks
+    return np.sum(summands, axis=1) ** (1.0 / space.q)
 
 
 def _stepwise_norm(f, space):

@@ -49,11 +49,10 @@ class MethodError(ValueError):
 class PVConfig:
     epsilon_floor: float = 1e-12
     method: str = AUTO
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.epsilon_floor <= 0 or self.tolerance <= 0:
-            raise ValueError("epsilon_floor and tolerance must be positive")
+        if self.epsilon_floor <= 0:
+            raise ValueError("epsilon_floor must be positive")
         if self.method not in (SUBTRACT, SPECTRAL, AUTO):
             raise ValueError(f"unknown method: {self.method}")
 

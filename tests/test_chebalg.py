@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 from scipy.integrate import quad
 
 from finhilbert import chebalg as ca
+from finhilbert.transform import pv_oracle
 
 
 def test_nodes_interior_and_sorted():
@@ -253,3 +255,68 @@ def test_log_kernels_at_the_log_location():
     a = 0.25
     assert ca.fht_log_kernel(a, a) == pytest.approx(
         (np.log(1 - a) ** 2 - np.log(1 + a) ** 2) / 2, abs=1e-15)
+
+
+# ------------------------------------------------------- FFT series transform
+
+def test_segment_integrals_closed_form_matches_chebint():
+    rng = np.random.default_rng(11)
+    segments = [(-1.0, 1.0), (-1.0, -0.2), (0.35, 1.0)]
+    segments += [tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(6)]
+    for d in (1, 2, 3, 5, 17, 64):
+        for lo, hi in segments:
+            want = np.array([C.chebval(hi, C.chebint(np.eye(d)[k]))
+                             - C.chebval(lo, C.chebint(np.eye(d)[k])) for k in range(d)])
+            assert np.abs(ca.segment_integrals(d, lo, hi) - want).max() <= 1e-14, (d, lo, hi)
+
+
+def _fht_series_reference(coeffs, x, lo, hi):
+    """The difference-quotient route, written out: b_k(x) of (p(y) - p(x))/(y - x)
+    by synthetic division, integrated against int_lo^hi T_k, plus the log
+    term with p(x) by Clenshaw.  Chunked over x to bound the (d, len(x))
+    temporary."""
+    a = np.asarray(coeffs, dtype=complex)
+    d = len(a) - 1
+    tab = C.chebint(np.eye(max(d, 1)), axis=0)          # column k: antiderivative of T_k
+    seg = (C.chebval(hi, tab) - C.chebval(lo, tab))[:d]
+    out = []
+    for xs in np.array_split(x, max(1, len(x) // 256)):
+        b = np.zeros((d + 2, len(xs)), dtype=complex)
+        for n in range(d, 0, -1):
+            b[n - 1] = 2 * a[n] + 2 * xs * b[n] - b[n + 1]
+        b[0] /= 2.0
+        smooth = seg @ b[:d]
+        out.append((smooth + C.chebval(xs, a) * np.log(np.abs((hi - xs) / (lo - xs)))) / np.pi)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 7, 64, 511, 2048])
+def test_fht_series_matches_difference_quotient_route(deg):
+    rng = np.random.default_rng(deg)
+    coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    on_nodes = ca.chebyshev_nodes(max(deg + 1, 32))           # the DCT-III path
+    off_nodes = np.linspace(-0.98, 0.98, 97) + 1e-3            # the Clenshaw path
+    for lo, hi in ((-1.0, 1.0), (-0.3, 0.45), (0.2, 1.0)):
+        for x in (on_nodes, off_nodes):
+            got = ca.fht_series(coeffs, x, lo, hi)
+            want = _fht_series_reference(coeffs, x, lo, hi)
+            logs = np.abs(np.log(np.abs((hi - x) / (lo - x))))
+            scale = np.sum(np.abs(coeffs)) * (1.0 + logs.max())
+            assert np.abs(got - want).max() <= 1e-13 * scale, (deg, lo, hi, len(x))
+
+
+@settings(max_examples=12, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+       ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       t=st.floats(-0.95, 0.95))
+def test_fht_series_against_pv_oracle(coeffs, ends, t):
+    lo, hi = sorted(ends)
+    assume(hi - lo > 0.05 and min(abs(t - lo), abs(t - hi)) > 0.02)
+
+    def piece(y):
+        y = np.asarray(y, dtype=float)
+        return np.where((y > lo) & (y < hi), C.chebval(y, coeffs), 0.0)
+
+    want = pv_oracle(piece, t, singular=(lo, hi))
+    got = ca.fht_series(coeffs, np.array([t]), lo, hi)[0]
+    assert abs(got - want) <= 1e-8 * max(1.0, np.sum(np.abs(coeffs)))

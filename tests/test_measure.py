@@ -295,6 +295,22 @@ def test_exhaustive_keeps_first_of_tied_maxima_across_blocks(monkeypatch):
     assert np.array_equal(signs, want_signs) and signs[-1] == 1.0
 
 
+def test_block_norms_shared_buffers_match_fresh_blocks():
+    # greedy steps pass patterns of differing counts through one set of
+    # block buffers; each block must equal a fresh norms_batch of its samples
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 128)
+    basis, _ = cell_basis(f, FULL, 6)
+    rng = np.random.default_rng(2)
+    for space in SEARCH_SPACES + (fh.SpaceSpec.lp(3),):
+        pattern_norms = fh.measure._BlockNorms(7, basis, f.nodes, f.weights, space)
+        for count in (20, 3, 7, 15):
+            patterns = rng.choice([-1.0, 1.0], (count, len(basis)))
+            want = np.concatenate([
+                fh.norms_batch(patterns[i:i + 7] @ basis, f.nodes, f.weights, space)[0]
+                for i in range(0, count, 7)])
+            assert np.array_equal(pattern_norms(patterns), want)
+
+
 def test_semivariation_rejects_unknown_search(one):
     with pytest.raises(ValueError):
         fh.semivariation(one, ivals((0.0, 0.5)), fh.SpaceSpec.lp(2), search="bogus")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import finhilbert as fh
 from finhilbert.profiles import PiecewiseProfile
+from finhilbert.spaces import NormWorkspace
 
 
 def step_function(edges, vals, n=512):
@@ -217,6 +218,33 @@ def test_norms_batch_flags_differ_by_space():
     rows = batch_rows(f.nodes)[4:5]
     flags = [bool(fh.norms_batch(rows, f.nodes, f.weights, sp)[2][0]) for sp in BATCH_SPACES]
     assert flags == [False, True, True, False]
+
+
+REUSE_SPACES = (fh.SpaceSpec.lp(3), fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.weak_lp(2))
+
+
+@pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
+def test_norms_batch_shared_workspace_matches_fresh_calls(space):
+    # blocks of varying height and magnitude through one workspace, a short
+    # last block included: stale rows of an earlier, larger block must not
+    # leak into any result, and earlier results must not change afterwards
+    f = fh.poly_fn([1.0], 256)
+    rng = np.random.default_rng(17)
+    peaks = batch_rows(f.nodes)
+    work = NormWorkspace(16, len(f))
+    results = []
+    for count, scale in ((16, 1e6), (12, 0.0), (16, 1e-6), (1, 3.0), (5, 0.0), (3, 1.0)):
+        # scale 0 leaves the bare peaked rows, whose flags hinge on the
+        # blow-up gate (the mild zero-padded peak must stay unengaged)
+        block = scale * (rng.normal(size=(count, len(f))) + 1j * rng.normal(size=(count, len(f))))
+        block += peaks[(np.arange(count) + count) % len(peaks)]
+        got = fh.norms_batch(block, f.nodes, f.weights, space, work)
+        results.append((block, got))
+        want = fh.norms_batch(block.copy(), f.nodes, f.weights, space)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for block, got in results:
+        want = fh.norms_batch(block, f.nodes, f.weights, space)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # --------------------------------------------------------------------- dilation

@@ -17,8 +17,6 @@ def test_pvconfig_validation():
     with pytest.raises(ValueError):
         fh.PVConfig(epsilon_floor=0.0)
     with pytest.raises(ValueError):
-        fh.PVConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
         fh.PVConfig(method="midpoint")
 
 
