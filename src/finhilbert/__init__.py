@@ -32,7 +32,6 @@ from .airfoil import (
 from .grid import (
     ChebyshevSeries,
     GridFunction,
-    cheb_eval,
     cheb_fit,
     const_fn,
     from_callable,

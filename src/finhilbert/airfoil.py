@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
 from .grid import GridFunction, cheb_fit, integrate
-from .profiles import _W2, LogMixProfile, PiecewiseProfile, PolyProfile
+from .profiles import _W2, Profile
 from .transform import fht_grid, fht_over_w_point, fht_times_w_point
 
 HIGH_INDEX = "HighIndex"
@@ -70,19 +71,21 @@ def right_inverse(f):
     Three routes, by the structure of f:
 
     * polynomial: the exact coefficient identity T(w U_k) = -T_{k+1};
-    * log-mix (e.g. a transform image T(p), which carries ln(1 -+ x)):
-      exact, as T(f w) = T((f w^2)/w) with the closed-form weighted log
-      kernel of :meth:`LogMixProfile.fht_over_w_values`;
+    * a profile with log terms (e.g. a transform image T(p), which carries
+      ln(1 -+ x)): exact, as T(f w) = T((f w^2)/w) with the closed-form
+      weighted log kernel of :meth:`Profile.fht_over_w_values`;
     * anything else: endpoint-graded cos(theta) panel quadrature on the
       interpolant.
     """
     w = semicircle_weight(f.nodes)
-    if _is_plain_poly(f):
-        img = ca.fht_times_w_series(_series_of(f))   # T(p w), a polynomial
-        return f.with_values(-ca.chebval(f.nodes, img) / w, PolyProfile(-img, wpow=-1))
-    if isinstance(f.profile, LogMixProfile):
-        vals = -f.profile.times_poly(_W2).fht_over_w_values(f.nodes) / w
-        return f.with_values(vals, None)
+    p = _plain_series(f)
+    if p is not None:
+        img = ca.fht_times_w_series(p)               # T(p w), a polynomial
+        return f.with_values(-_cheb.chebval(f.nodes, img) / w, Profile.poly(-img, wpow=-1))
+    if f.profile is not None and f.profile.logs:
+        vals = f.profile.times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
+        if vals is not None:
+            return f.with_values(-vals / w, None)
     vals = -np.array(
         [fht_times_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
     ) / w
@@ -93,39 +96,40 @@ def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
     The same three routes as :func:`right_inverse`: T(T_n / w) = U_{n-1} for
-    polynomials, :meth:`LogMixProfile.fht_over_w_values` for log-mix
-    profiles, quadrature otherwise.
+    polynomials, :meth:`Profile.fht_over_w_values` for profiles with log
+    terms, quadrature otherwise.
     """
     w = semicircle_weight(f.nodes)
-    if _is_plain_poly(f):
-        img = ca.fht_over_w_series(_series_of(f))    # T(p/w), a polynomial
-        return f.with_values(-w * ca.chebval(f.nodes, img), PolyProfile(-img, wpow=1))
-    if isinstance(f.profile, LogMixProfile):
-        return f.with_values(-w * f.profile.fht_over_w_values(f.nodes), None)
+    p = _plain_series(f)
+    if p is not None:
+        img = ca.fht_over_w_series(p)                # T(p/w), a polynomial
+        return f.with_values(-w * _cheb.chebval(f.nodes, img), Profile.poly(-img, wpow=1))
+    if f.profile is not None and f.profile.logs:
+        vals = f.profile.fht_over_w_values(f.nodes)
+        if vals is not None:
+            return f.with_values(-w * vals, None)
     vals = -w * np.array(
         [fht_over_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
     )
     return f.with_values(vals, None)
 
 
-def _is_plain_poly(f):
-    return isinstance(f.profile, PolyProfile) and f.profile.wpow == 0
+def _plain_series(f):
+    """Coefficients of f when its profile is a plain series on (-1, 1), else None."""
+    return f.profile.series() if f.profile is not None else None
 
 
 def kernel_projection(f):
     """P(f) = ((1/pi) int f du) * (1/w); rank-one projection onto the kernel."""
     c = integrate(f) / np.pi
     w = semicircle_weight(f.nodes)
-    return f.with_values(c / w, PolyProfile((c,), wpow=-1))
+    return f.with_values(c / w, Profile.poly((c,), wpow=-1))
 
 
 def range_defect(g):
     """|int g/w du|, the low-index range obstruction; +inf when divergent."""
     if g.profile is not None:
-        try:
-            return abs(g.profile.integral_over_w())
-        except NotImplementedError:
-            pass
+        return abs(g.profile.integral_over_w())
     # cos(theta) substitution on the interpolant:  int g/w = int g(cos th) d th
     theta = np.linspace(0.0, np.pi, 2049)
     mid = (theta[1:] + theta[:-1]) / 2.0
@@ -134,9 +138,8 @@ def range_defect(g):
 
 
 def _series_of(f):
-    if isinstance(f.profile, PolyProfile) and f.profile.wpow == 0:
-        return np.asarray(f.profile.coeffs, dtype=complex)
-    return cheb_fit(f).asarray()
+    p = _plain_series(f)
+    return p if p is not None else cheb_fit(f).asarray()
 
 
 # ------------------------------------------------------------------- solutions
@@ -180,11 +183,11 @@ def inversion_residuals(f, space, sample_points=None):
     if sample_points is None:
         sample_points = np.linspace(-0.9, 0.9, 61)
     series = _series_of(f)
-    fvals = ca.chebval(sample_points, series)
+    fvals = _cheb.chebval(sample_points, series)
     out = {}
     if regime == HIGH_INDEX:
         q = -ca.fht_times_w_series(series)   # right inverse is q/w
-        tr = np.array([fht_over_w_point(lambda x: ca.chebval(x, q), t) for t in sample_points])
+        tr = np.array([fht_over_w_point(lambda x: _cheb.chebval(x, q), t) for t in sample_points])
         out["T o rightinv - id"] = _residual_report(tr - fvals)
 
         img = fht_grid(f)                    # T(f), log-mix image
@@ -235,13 +238,12 @@ def rybakov_functional(n=None):
 
     n = n or DEFAULT_NODES
     nodes, weights = make_grid(n)
-    sigma_over_w = PiecewiseProfile(((-1.0, 0.0, (-1.0,)), (0.0, 1.0, (1.0,))), wpow=-1)
+    sigma_over_w = Profile(((-1.0, 0.0, (-1.0,), -1), (0.0, 1.0, (1.0,), -1)))
     t_vals = sigma_over_w.fht_values(nodes)
     w = semicircle_weight(nodes)
     vals = -w * t_vals
     # structural decomposition: g0 = smooth + (2/pi) ln|x|
     smooth_samples = vals - (2.0 / np.pi) * np.log(np.abs(nodes))
-    profile = LogMixProfile(
-        ca.fit_chebyshev(smooth_samples), ((0.0, (2.0 / np.pi,)),)
-    )
+    profile = Profile(((-1.0, 1.0, ca.fit_chebyshev(smooth_samples), 0),),
+                      ((0.0, (2.0 / np.pi,)),))
     return GridFunction(nodes, vals, weights, "chebyshev-gauss", profile)

@@ -97,14 +97,6 @@ def fit_chebyshev(values):
     return out
 
 
-def chebval(x, coeffs):
-    return _cheb.chebval(x, coeffs)
-
-
-def chebmul(a, b):
-    return _cheb.chebmul(a, b)
-
-
 def trim(coeffs, tol=0.0):
     c = np.asarray(coeffs)
     nz = np.nonzero(np.abs(c) > tol)[0]
@@ -253,25 +245,72 @@ def fht_times_w_series(coeffs):
 
 # -------------------------------------------------- weighted / log closed forms
 
+def segment_integrals_over_w(d, lo, hi):
+    """Vector of ``int_lo^hi T_k(y)/w(y) dy`` for k = 0..d-1.
+
+    With y = cos(theta): theta_lo - theta_hi for k = 0 and
+    (sin(k theta_lo) - sin(k theta_hi))/k for k >= 1.
+    """
+    th_lo, th_hi = np.arccos(lo), np.arccos(hi)     # th_lo > th_hi
+    k = np.arange(1, d)
+    return np.concatenate([[th_lo - th_hi], (np.sin(k * th_lo) - np.sin(k * th_hi)) / k])[:d]
+
+
 def integral_over_w(coeffs, lo=-1.0, hi=1.0):
     """int_lo^hi p(x)/w(x) dx via x = cos(theta); exact for series p."""
     a = np.asarray(coeffs, dtype=complex)
-    th_lo, th_hi = np.arccos(lo), np.arccos(hi)     # th_lo > th_hi
-    total = a[0] * (th_lo - th_hi)
-    n = np.arange(1, len(a))
-    if len(n):
-        total = total + np.sum(a[1:] * (np.sin(n * th_lo) - np.sin(n * th_hi)) / n)
-    return complex(total)
+    return complex(a @ segment_integrals_over_w(len(a), lo, hi))
+
+
+def log_over_w_moments(d, a_pt):
+    """Vector of ``int_-1^1 T_k(x) ln|x - a| / w(x) dx`` for k = 0..d-1, a in [-1, 1].
+
+    From the expansion of ln|x - a| in the module docstring: -pi ln 2 for
+    k = 0 and -pi T_k(a)/k for k >= 1.
+    """
+    k = np.arange(1, d)
+    out = np.concatenate([[-np.pi * np.log(2.0)],
+                          -np.pi * (np.cos(k * np.arccos(a_pt)) / k)])
+    return out[:d]
 
 
 def integral_log_over_w(coeffs, a_pt):
     """int_-1^1 p(x) ln|x - a| / w(x) dx, a in [-1, 1]; fully closed form."""
     a = np.asarray(coeffs, dtype=complex)
-    total = -a[0] * np.pi * np.log(2.0)
-    n = np.arange(1, len(a))
-    if len(n):
-        total = total - np.pi * np.sum(a[1:] * np.cos(n * np.arccos(a_pt)) / n)
-    return complex(total)
+    return complex(a @ log_over_w_moments(len(a), a_pt))
+
+
+def log_moments(d, a_pt):
+    """Vector of ``int_-1^1 T_k(x) ln|x - a| dx`` for k = 0..d-1, a in [-1, 1].
+
+    Parts against the antiderivative A_k of T_k shifted to vanish at a:
+
+        mu_k = [(A_k - A_k(a)) ln|x - a|]_-1^1 - int_-1^1 (A_k(x) - A_k(a))/(x - a) dx
+
+    with A_0 = T_1, A_1 = T_2/4 and A_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)).
+    By the Cauchy identity of the module docstring,
+    R_m = int_-1^1 (T_m(x) - T_m(a))/(x - a) dx = 2 sum'_{j<m} T_j(a) int U_{m-1-j},
+    one convolution, as int_-1^1 U_i = 2/(i+1) for even i and 0 for odd i.
+    A boundary term whose log vanishes (a = +-1) is exactly zero.
+    """
+    if d <= 0:
+        return np.zeros(0)
+    m = np.arange(d + 1)
+    t = np.cos(m * np.arccos(a_pt))                  # T_m(a)
+    head = t[:d].copy()
+    head[0] = 0.5
+    u = np.where(m[:d] % 2 == 0, 4.0 / (m[:d] + 1), 0.0)
+    g = -np.concatenate([[0.0], np.convolve(head, u)[:d]])      # -R_m, m = 0..d
+    if a_pt < 1.0:
+        g += (1.0 - t) * np.log(1.0 - a_pt)
+    if a_pt > -1.0:
+        g -= ((-1.0) ** m - t) * np.log(1.0 + a_pt)
+    out = np.empty(d)
+    out[0] = g[1]
+    out[1:2] = g[2:3] / 4.0
+    k = np.arange(2, d)
+    out[2:] = g[k + 1] / (2.0 * (k + 1)) - g[k - 1] / (2.0 * (k - 1))
+    return out
 
 
 def integral_log(coeffs, a_pt, lo=-1.0, hi=1.0):

@@ -228,14 +228,14 @@ def cmd_solve(args, parser):
 
 
 def _solution_residual(particular, g):
-    from .profiles import PolyProfile
+    from numpy.polynomial import chebyshev as _cheb
+
     from .transform import fht_over_w_point
-    from . import chebalg as ca
 
     pts = np.linspace(-0.9, 0.9, 41)
-    if isinstance(particular.profile, PolyProfile) and particular.profile.wpow == -1:
-        q = np.asarray(particular.profile.coeffs)
-        outer = np.array([fht_over_w_point(lambda x: ca.chebval(x, q), float(t))
+    q = particular.profile.series(-1) if particular.profile is not None else None
+    if q is not None:
+        outer = np.array([fht_over_w_point(lambda x: _cheb.chebval(x, q), float(t))
                           for t in pts])
     else:
         outer = np.array([

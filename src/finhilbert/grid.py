@@ -6,8 +6,8 @@ integration over (-1, 1).  Values are immutable after construction; all
 operations return new objects, so everything here is safe to share between
 threads.  A function may additionally carry a :mod:`profile
 <finhilbert.profiles>` describing its exact structure; operations use it for
-closed-form integration and transforms whenever possible and silently fall
-back to sample arithmetic otherwise.
+closed-form integration and transforms whenever possible and fall back to
+sample arithmetic where an operation leaves the profile algebra.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
 from .intervals import IntervalSet
-from .profiles import PiecewiseProfile, PolyProfile, product_profile
+from .profiles import Profile
 
 CHEBYSHEV = "chebyshev-gauss"
 UNIFORM = "uniform"
@@ -41,7 +42,7 @@ class ChebyshevSeries:
         object.__setattr__(self, "coefficients", tuple(c))
 
     def __call__(self, x):
-        return ca.chebval(np.asarray(x, dtype=float), np.asarray(self.coefficients))
+        return _cheb.chebval(np.asarray(x, dtype=float), np.asarray(self.coefficients))
 
     def __len__(self):
         return len(self.coefficients)
@@ -90,7 +91,7 @@ class GridFunction:
         if self.profile is not None:
             return self.profile.eval(x)
         if self.node_family == CHEBYSHEV:
-            return ca.chebval(x, self._interpolant)
+            return _cheb.chebval(x, self._interpolant)
         re = np.interp(x, self.nodes, self.values.real)
         im = np.interp(x, self.nodes, self.values.imag)
         return re + 1j * im
@@ -112,8 +113,6 @@ class GridFunction:
         prof = None
         if self.profile is not None and other.profile is not None:
             prof = self.profile.plus(other.profile)
-            if prof is None:
-                prof = other.profile.plus(self.profile)
         return self.with_values(self.values + other.values, prof)
 
     def __sub__(self, other):
@@ -122,9 +121,10 @@ class GridFunction:
     def __mul__(self, c):
         if isinstance(c, GridFunction):
             self._check_aligned(c)
-            return self.with_values(
-                self.values * c.values, product_profile(self.profile, c.profile)
-            )
+            prof = None
+            if self.profile is not None and c.profile is not None:
+                prof = self.profile.times(c.profile)
+            return self.with_values(self.values * c.values, prof)
         prof = self.profile.scaled(c) if self.profile is not None else None
         return self.with_values(self.values * c, prof)
 
@@ -226,7 +226,7 @@ def poly_fn(coeffs, n=DEFAULT_NODES, family=CHEBYSHEV, basis="power"):
     """Polynomial sum c_k x^k (basis="power") or sum c_k T_k (basis="chebyshev")."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     cheb = np.polynomial.chebyshev.poly2cheb(c) if basis == "power" else c
-    return from_profile(PolyProfile(cheb, 0), n, family)
+    return from_profile(Profile.poly(cheb), n, family)
 
 
 def const_fn(c=1.0, n=DEFAULT_NODES, family=CHEBYSHEV):
@@ -237,23 +237,23 @@ def indicator_fn(interval_set, n=DEFAULT_NODES, family=CHEBYSHEV):
     if isinstance(interval_set, tuple) and len(interval_set) == 2 \
             and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
-    prof = PiecewiseProfile(tuple((a, b, (1.0,)) for a, b in interval_set))
+    prof = Profile(tuple((a, b, (1.0,), 0) for a, b in interval_set))
     return from_profile(prof, n, family)
 
 
 def weight_fn(n=DEFAULT_NODES, family=CHEBYSHEV):
     """w(x) = sqrt(1 - x^2)."""
-    return from_profile(PolyProfile((1.0,), wpow=1), n, family)
+    return from_profile(Profile.poly((1.0,), wpow=1), n, family)
 
 
 def inv_weight_fn(n=DEFAULT_NODES, family=CHEBYSHEV):
     """1/w(x); the kernel direction of the transform in the high-index regime."""
-    return from_profile(PolyProfile((1.0,), wpow=-1), n, family)
+    return from_profile(Profile.poly((1.0,), wpow=-1), n, family)
 
 
 def sign_fn(n=DEFAULT_NODES, family=CHEBYSHEV):
     """sigma = -1 on (-1,0), +1 on (0,1)."""
-    prof = PiecewiseProfile(((-1.0, 0.0, (-1.0,)), (0.0, 1.0, (1.0,))))
+    prof = Profile(((-1.0, 0.0, (-1.0,), 0), (0.0, 1.0, (1.0,), 0)))
     return from_profile(prof, n, family)
 
 
@@ -267,20 +267,14 @@ def integrate(f):
     whose error is O(N^-k) for smooth integrands on the built-in families.
     """
     if f.profile is not None:
-        try:
-            return complex(f.profile.integral(-1.0, 1.0))
-        except NotImplementedError:
-            pass
+        return f.profile.integral(-1.0, 1.0)
     return complex(f.weights @ f.values)
 
 
 def integrate_interval(f, lo, hi):
     """Integral over a subinterval; falls back to clipped-cell weights."""
     if f.profile is not None:
-        try:
-            return complex(f.profile.integral(lo, hi))
-        except NotImplementedError:
-            pass
+        return f.profile.integral(lo, hi)
     cells = _cell_edges(f.nodes)
     overlap = np.maximum(
         0.0, np.minimum(cells[1:], hi) - np.maximum(cells[:-1], lo)
@@ -324,7 +318,3 @@ def cheb_fit(f_or_values, degree=None):
             raise ValueError("degree exceeds what the node count can resolve")
         coeffs = coeffs[: degree + 1]
     return ChebyshevSeries(coeffs)
-
-
-def cheb_eval(series, x):
-    return series(x)

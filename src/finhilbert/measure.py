@@ -31,7 +31,7 @@ from .grid import (
     pairing,
 )
 from .intervals import IntervalSet
-from .profiles import PiecewiseProfile, PolyProfile
+from .profiles import Profile
 from .spaces import (NormWorkspace, SpaceSpec, norm, norm_info, norms_batch,
                      rearrangement_decay)
 from .transform import PVConfig, fht_grid, fht_indicator, fht_product_indicator
@@ -58,7 +58,7 @@ def vector_measure(interval_set, n=None):
     if interval_set.is_empty():
         nodes, weights = make_grid(n)
         return GridFunction(nodes, np.zeros(n, dtype=complex), weights,
-                            "chebyshev-gauss", PolyProfile((0.0,)))
+                            "chebyshev-gauss", Profile.poly((0.0,)))
     return fht_grid(indicator_fn(interval_set, n))
 
 
@@ -141,26 +141,15 @@ class OptNormEstimate:
 def _transform_basis(f, edges):
     """T(f chi_cell) stacked per cell, evaluated on f's own grid.
 
-    Respects a piecewise structure of f itself (its pieces are intersected
-    with each cell), so restricted functions keep their exact cuts.
+    The profile of f is restricted to each cell, so piecewise inputs keep
+    their exact cuts; a function without a profile, or whose profile has log
+    terms, is first replaced by its Chebyshev fit of degree up to 32.
     """
-    rows = []
-    if isinstance(f.profile, PiecewiseProfile) and f.profile.wpow == 0:
-        for a, b in zip(edges[:-1], edges[1:]):
-            prof = f.profile.restricted(IntervalSet(((a, b),)))
-            rows.append(prof.fht_values(f.nodes))
-        return np.array(rows)
-    series = _series_for_search(f)
-    for a, b in zip(edges[:-1], edges[1:]):
-        prof = PiecewiseProfile(((a, b, tuple(series)),))
-        rows.append(prof.fht_values(f.nodes))
-    return np.array(rows)
-
-
-def _series_for_search(f):
-    if isinstance(f.profile, PolyProfile) and f.profile.wpow == 0:
-        return np.asarray(f.profile.coeffs, dtype=complex)
-    return cheb_fit(f, degree=min(len(f) - 1, 32)).asarray()
+    prof = f.profile
+    if prof is None or prof.logs:
+        prof = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 32)).asarray())
+    return np.array([prof.restricted(IntervalSet(((a, b),))).fht_values(f.nodes)
+                     for a, b in zip(edges[:-1], edges[1:])])
 
 
 def _block_rows(n):
@@ -371,7 +360,7 @@ def dual_dictionary(space, size=64, n=None, seed=0):
     for k in range(min(16, size)):
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
-        normalized(from_profile(PolyProfile(coeffs), n))
+        normalized(from_profile(Profile.poly(coeffs), n))
     normalized(rybakov_functional(n))
     rng = np.random.default_rng(seed)
     while len(out) < size:
@@ -516,7 +505,7 @@ def invw_membership_evidence(samples=6, seed=3, n=None):
     rows = []
     for _ in range(samples):
         A = random_interval_set(rng)
-        prof = PiecewiseProfile(tuple((a, b, (1.0,)) for a, b in A), wpow=-1)
+        prof = Profile(tuple((a, b, (1.0,), -1) for a, b in A))
         img_vals = prof.fht_values(make_grid(n)[0])
         nodes, weights = make_grid(n)
         img = GridFunction(nodes, img_vals, weights)

@@ -1,22 +1,46 @@
-"""Structural descriptions of grid functions that admit closed-form integrals.
+"""The exact structure a sampled function may carry: one profile algebra.
 
-A profile records what a sampled function *is* -- a Chebyshev series times a
-power of the endpoint weight w, a piecewise series, or a series plus
-logarithmic terms c(x) ln|x - a|.  Each profile knows how to evaluate
-itself, integrate itself over subintervals, integrate itself against 1/w,
-and apply the finite Hilbert transform in closed form.  Log terms use the
-two log kernels of :mod:`chebalg`: the dilogarithm form of
+A :class:`Profile` describes
+
+    f(x) = sum_j p_j(x) w(x)^{s_j} chi_(lo_j, hi_j)(x) + sum_i c_i(x) ln|x - a_i|
+
+with Chebyshev series p_j and c_i, the endpoint weight w(x) = sqrt(1 - x^2)
+and weight powers s_j in {-1, 0, 1}.  That one shape covers simple
+functions, polynomials, the kernel direction 1/w, the transform images
+T(p) and T(chi_A), and the Rybakov functional.
+
+The constructor establishes one invariant, which every method relies on:
+
+* pieces are sorted by (weight power, lo), and pieces of one power never
+  overlap: overlapping ones are summed on the cells cut by all their ends;
+* a w^{+1} piece that stops short of -1 or 1 is stored as
+  (p (1 - x^2), -1), the form its transform takes;
+* log terms are merged per location, and zero terms are dropped.
+
+Each method is one loop over the pieces and the log terms.  Log terms use
+the two log kernels of :mod:`chebalg`: the dilogarithm form of
 T(ln|. - a|) for T(f), and the arccos form of T(ln|. - a| / w) for T(f/w),
-which :meth:`LogMixProfile.fht_over_w_values` provides for the exact airfoil
-inverses.  Operations that cannot preserve structure simply drop the
-profile; all consumers fall back to sample-based rules in that case.
+which :meth:`Profile.fht_over_w_values` provides for the exact airfoil
+inverses.  Results that leave the algebra are None, and callers fall back
+to sample-based rules:
+
+* :meth:`Profile.fht_profile` with log terms or a partial w^{-1} piece;
+* :meth:`Profile.fht_over_w_values` with a w^{-1} piece (1/w^2 is not
+  integrable);
+* :meth:`Profile.restricted` with log terms;
+* :meth:`Profile.times` for ln x ln, a log term times anything but a plain
+  series on all of (-1, 1), and w^{-1} x w^{-1};
+* the queries :meth:`Profile.series` and :meth:`Profile.steps` when the
+  profile does not have the asked-for shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
 
@@ -24,361 +48,292 @@ from . import chebalg as ca
 _W2 = np.array([0.5, 0.0, -0.5])
 
 
-def _aspoly(c):
-    return np.atleast_1d(np.asarray(c, dtype=complex))
+def _coeffs(c):
+    """Read-only complex coefficient array; such arrays are shared, not copied."""
+    if isinstance(c, np.ndarray) and c.dtype == complex and not c.flags.writeable:
+        return c
+    a = np.array(c, dtype=complex, ndmin=1)
+    a.setflags(write=False)
+    return a
 
 
-# --------------------------------------------------------------------- profiles
-
-@dataclass(frozen=True)
-class PolyProfile:
-    """f(x) = p(x) * w(x)**wpow with p a Chebyshev series, wpow in {-1, 0, 1}."""
-
-    coeffs: tuple
-    wpow: int = 0
-
-    def __init__(self, coeffs, wpow=0):
-        if wpow not in (-1, 0, 1):
-            raise ValueError("wpow must be -1, 0 or 1")
-        object.__setattr__(self, "coeffs", tuple(_aspoly(coeffs)))
-        object.__setattr__(self, "wpow", int(wpow))
-
-    @property
-    def _c(self):
-        return np.asarray(self.coeffs, dtype=complex)
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = ca.chebval(x, self._c)
-        if self.wpow:
-            out = out * np.sqrt(1.0 - x * x) ** self.wpow
-        return out
-
-    def fht_values(self, x):
-        if self.wpow == 0:
-            return ca.fht_series(self._c, x)
-        if self.wpow == -1:
-            return ca.chebval(np.asarray(x, dtype=float), ca.fht_over_w_series(self._c))
-        return ca.chebval(np.asarray(x, dtype=float), ca.fht_times_w_series(self._c))
-
-    def fht_profile(self):
-        if self.wpow == -1:
-            return PolyProfile(ca.fht_over_w_series(self._c), 0)
-        if self.wpow == 1:
-            return PolyProfile(ca.fht_times_w_series(self._c), 0)
-        c = self._c
-        # T(p)(x) = (1/pi) * [ D(x) + p(x) ln(1-x) - p(x) ln(1+x) ],  D poly
-        return LogMixProfile(ca.fht_smooth_coeffs(c) / np.pi,
-                             ((1.0, c / np.pi), (-1.0, -c / np.pi)))
-
-    def integral(self, lo, hi):
-        if self.wpow == 0:
-            seg = ca.segment_integrals(len(self.coeffs), lo, hi)
-            return complex(self._c @ seg)
-        if self.wpow == 1:
-            return ca.integral_over_w(ca.chebmul(self._c, _W2), lo, hi)
-        return ca.integral_over_w(self._c, lo, hi)
-
-    def integral_over_w(self):
-        if self.wpow == 0:
-            return ca.integral_over_w(self._c)
-        if self.wpow == 1:
-            seg = ca.segment_integrals(len(self.coeffs), -1.0, 1.0)
-            return complex(self._c @ seg)
-        # p / w^2 has non-integrable endpoint singularities unless p(+-1) = 0
-        scale = max(np.max(np.abs(self._c)), 1e-300)
-        if max(abs(ca.chebval(1.0, self._c)), abs(ca.chebval(-1.0, self._c))) > 1e-12 * scale:
-            return complex(np.inf)
-        q = _deflate_w2(self._c)
-        return ca.integral_over_w(q)
-
-    def restricted(self, interval_set):
-        if self.wpow != 0:
-            return None
-        return PiecewiseProfile(tuple((a, b, self.coeffs) for a, b in interval_set))
-
-    def times_poly(self, coeffs):
-        return PolyProfile(ca.chebmul(self._c, _aspoly(coeffs)), self.wpow)
-
-    def scaled(self, c):
-        return PolyProfile(self._c * c, self.wpow)
-
-    def plus(self, other):
-        if isinstance(other, PolyProfile) and other.wpow == self.wpow:
-            return PolyProfile(_padd(self._c, other._c), self.wpow)
-        if self.wpow == 0 and isinstance(other, LogMixProfile):
-            return other.plus(self)
-        return None
+def _full(lo, hi):
+    return lo == -1.0 and hi == 1.0
 
 
-@dataclass(frozen=True)
-class PiecewiseProfile:
-    """f(x) = sum over pieces (lo, hi, series) of p_j(x) chi_(lo,hi)(x) * w^wpow."""
+@dataclass(frozen=True, eq=False)   # identity semantics: ndarray fields
+class Profile:
+    """Weighted series pieces plus log terms; see the module docstring.
+
+    ``pieces`` is ``((lo, hi, coeffs, wpow), ...)`` and ``logs`` is
+    ``((a, coeffs), ...)``, coefficients in the first-kind Chebyshev basis.
+    """
 
     pieces: tuple
-    wpow: int = 0
+    logs: tuple = ()
 
-    def __init__(self, pieces, wpow=0):
-        if wpow not in (-1, 0):
-            raise ValueError("piecewise profiles support wpow in {-1, 0}")
-        norm = tuple((float(a), float(b), tuple(_aspoly(c))) for a, b, c in pieces if a < b)
-        object.__setattr__(self, "pieces", norm)
-        object.__setattr__(self, "wpow", int(wpow))
+    def __init__(self, pieces=(), logs=()):
+        out = []
+        for lo, hi, c, s in pieces:
+            if s not in (-1, 0, 1):
+                raise ValueError("weight powers must be -1, 0 or 1")
+            lo, hi = max(float(lo), -1.0), min(float(hi), 1.0)
+            if not lo < hi:
+                continue
+            if s == 1 and not _full(lo, hi):
+                c, s = _cheb.chebmul(c, _W2), -1
+            out.append((lo, hi, _coeffs(c), int(s)))
+        if len(out) > 1:
+            out.sort(key=lambda p: (p[3], p[0], p[1]))
+            if any(p[3] == q[3] and q[0] < p[1] for p, q in zip(out, out[1:])):
+                out = _refine(out)
+        terms = [(float(a), _coeffs(c)) for a, c in logs]
+        if len({a for a, _ in terms}) < len(terms):
+            terms = _merge(terms)
+        object.__setattr__(self, "pieces", tuple(out))
+        object.__setattr__(self, "logs", tuple(t for t in terms if t[1].any()))
+
+    @classmethod
+    def poly(cls, coeffs, wpow=0):
+        """p(x) w(x)^wpow on all of (-1, 1)."""
+        return cls(((-1.0, 1.0, coeffs, wpow),))
+
+    # --------------------------------------------------------------- queries
+    def series(self, wpow=0):
+        """The coefficients of p when the profile is p w^wpow on all of
+        (-1, 1) with no log terms, else None."""
+        if self.logs or len(self.pieces) != 1:
+            return None
+        lo, hi, c, s = self.pieces[0]
+        return c if s == wpow and _full(lo, hi) else None
 
     def breakpoints(self):
-        pts = set()
-        for a, b, _ in self.pieces:
-            pts.update((a, b))
-        return sorted(pts)
+        """The piece ends inside (-1, 1), sorted."""
+        return sorted({e for lo, hi, _, _ in self.pieces for e in (lo, hi) if -1.0 < e < 1.0})
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for a, b, c in self.pieces:
-            m = (x > a) & (x < b)
-            if m.any():
-                out[m] += ca.chebval(x[m], np.asarray(c))
-        if self.wpow:
-            out = out * np.sqrt(1.0 - x * x) ** self.wpow
-        return out
-
-    def fht_values(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        for a, b, c in self.pieces:
-            c = np.asarray(c, dtype=complex)
-            if self.wpow == 0:
-                out += ca.fht_series(c, x, a, b)
-            else:
-                bq = ca.difference_quotient(c, x)
-                seg = _segment_integrals_over_w(bq.shape[0], a, b)
-                out += (seg @ bq) / np.pi if bq.shape[0] else 0.0
-                out += ca.chebval(x, c) * ca.fht_indicator_over_w(a, b, x)
-        return out
-
-    def fht_profile(self):
-        if self.wpow != 0:
+    def steps(self):
+        """``(values, lengths)`` of a step function, the rest of (-1, 1) as one
+        zero step; None unless every piece is an unweighted constant and
+        there are no log terms."""
+        if self.logs or any(s or len(c) > 1 for _, _, c, s in self.pieces):
             return None
-        smooth = np.zeros(1, dtype=complex)
-        logs = {}
-        for a, b, c in self.pieces:
-            c = np.asarray(c, dtype=complex)
-            smooth = _padd(smooth, ca.fht_smooth_coeffs(c, a, b))
-            for loc, sgn in ((b, 1.0), (a, -1.0)):
-                logs[loc] = _padd(logs.get(loc, np.zeros(1, dtype=complex)), sgn * c / np.pi)
-        terms = tuple((loc, cc) for loc, cc in sorted(logs.items()) if np.any(np.abs(cc) > 0))
-        return LogMixProfile(smooth / np.pi, terms)
+        values = np.array([c[0] for _, _, c, _ in self.pieces], dtype=complex)
+        lengths = np.array([hi - lo for lo, hi, _, _ in self.pieces])
+        rest = 2.0 - lengths.sum()
+        if rest > 1e-12:
+            values, lengths = np.append(values, 0.0), np.append(lengths, rest)
+        return values, lengths
 
-    def integral(self, lo, hi):
-        total = 0.0 + 0.0j
-        for a, b, c in self.pieces:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 >= b2:
-                continue
-            c = np.asarray(c, dtype=complex)
-            if self.wpow == 0:
-                total += c @ ca.segment_integrals(len(c), a2, b2)
-            else:
-                total += ca.integral_over_w(c, a2, b2)
-        return complex(total)
-
-    def integral_over_w(self):
-        if self.wpow == -1:
-            eps = 1e-12
-            if any(a <= -1 + eps or b >= 1 - eps for a, b, _ in self.pieces):
-                return complex(np.inf)
-        total = 0.0 + 0.0j
-        for a, b, c in self.pieces:
-            c = np.asarray(c, dtype=complex)
-            if self.wpow == 0:
-                total += ca.integral_over_w(c, a, b)
-            else:
-                total += ca.integrate_panels(
-                    lambda y: ca.chebval(y, c) / (1.0 - y * y), np.array([a, b]), order=48
-                )
-        return complex(total)
-
-    def restricted(self, interval_set):
-        out = []
-        for a, b, c in self.pieces:
-            for lo, hi in interval_set:
-                a2, b2 = max(a, lo), min(b, hi)
-                if a2 < b2:
-                    out.append((a2, b2, c))
-        return PiecewiseProfile(tuple(out), self.wpow)
-
-    def times_poly(self, coeffs):
-        q = _aspoly(coeffs)
-        return PiecewiseProfile(
-            tuple((a, b, ca.chebmul(np.asarray(c, dtype=complex), q)) for a, b, c in self.pieces),
-            self.wpow,
-        )
-
-    def scaled(self, c):
-        return PiecewiseProfile(
-            tuple((a, b, np.asarray(cc, dtype=complex) * c) for a, b, cc in self.pieces),
-            self.wpow,
-        )
-
-    def plus(self, other):
-        # summed pieces may overlap: evaluation/integration always sums contributions
-        if isinstance(other, PiecewiseProfile) and other.wpow == self.wpow:
-            return PiecewiseProfile(self.pieces + other.pieces, self.wpow)
-        if self.wpow == 0 and isinstance(other, PolyProfile) and other.wpow == 0:
-            return PiecewiseProfile(self.pieces + ((-1.0, 1.0, other.coeffs),), self.wpow)
-        return None
-
-    def is_constantwise(self):
-        return all(len(c) == 1 for _, _, c in self.pieces)
-
-
-@dataclass(frozen=True)
-class LogMixProfile:
-    """f(x) = smooth(x) + sum_i c_i(x) ln|x - a_i| with Chebyshev smooth, c_i."""
-
-    smooth: tuple
-    logs: tuple          # ((location, coeffs), ...)
-
-    def __init__(self, smooth, logs=()):
-        object.__setattr__(self, "smooth", tuple(_aspoly(smooth)))
-        object.__setattr__(
-            self, "logs", tuple((float(a), tuple(_aspoly(c))) for a, c in logs)
-        )
-
-    @property
-    def _s(self):
-        return np.asarray(self.smooth, dtype=complex)
-
+    # ------------------------------------------------------------ evaluation
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        out = ca.chebval(x, self._s).astype(complex)
+        out = np.zeros(x.shape, dtype=complex)
+        for lo, hi, c, s in self.pieces:
+            m = ... if _full(lo, hi) else (x > lo) & (x < hi)
+            xm = x[m]
+            term = _cheb.chebval(xm, c)
+            if s:
+                term = term * np.sqrt(1.0 - xm * xm) ** s
+            out[m] += term
         for a, c in self.logs:
             # floor keeps quadrature nodes that round onto the singular
             # location finite; their panel weight is vanishing at that scale
             dist = np.maximum(np.abs(x - a), 1e-30)
-            out += ca.chebval(x, np.asarray(c)) * np.log(dist)
+            out += _cheb.chebval(x, c) * np.log(dist)
         return out
 
     def fht_values(self, x):
+        """T(f) at x, exact."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = ca.fht_series(self._s, x).astype(complex)
+        out = np.zeros(x.shape, dtype=complex)
+        for lo, hi, c, s in self.pieces:
+            _add_piece_fht(out, x, lo, hi, c, s)
         for a, c in self.logs:
-            c = np.asarray(c, dtype=complex)
-            out += ca.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
-            out += _log_moments(ca.integral_log, c, a, x)
+            out += _cheb.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
+            out += _log_moments(ca.log_moments, c, a, x)
         return out
 
     def fht_over_w_values(self, x):
-        """T(f/w) at x, exact: T(T_n/w) = U_{n-1} on the smooth part, and per
-        log term c(t) J_a(t) plus the regular remainder
-        (1/pi) int (c(y) - c(t))/(y - t) ln|y - a| / w(y) dy."""
+        """T(f/w) at x, exact, or None when a piece carries w^{-1}.
+
+        Each piece's power drops by one; a log term gives c(t) J_a(t) plus the
+        regular remainder (1/pi) int (c(y) - c(t))/(y - t) ln|y - a| / w(y) dy.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = ca.chebval(x, ca.fht_over_w_series(self._s)).astype(complex)
+        out = np.zeros(x.shape, dtype=complex)
+        for lo, hi, c, s in self.pieces:
+            if s < 0:
+                return None
+            _add_piece_fht(out, x, lo, hi, c, s - 1)
         for a, c in self.logs:
-            c = np.asarray(c, dtype=complex)
-            out += ca.chebval(x, c) * ca.fht_log_over_w_kernel(a, x)
-            out += _log_moments(ca.integral_log_over_w, c, a, x)
+            out += _cheb.chebval(x, c) * ca.fht_log_over_w_kernel(a, x)
+            out += _log_moments(ca.log_over_w_moments, c, a, x)
         return out
 
     def fht_profile(self):
-        return None
+        """Profile of T(f), or None with log terms or a partial w^{-1} piece.
 
+        pi T(p chi_(lo,hi)) = D + p ln|hi - x| - p ln|lo - x| with D a series;
+        T(p/w) and T(p w) on all of (-1, 1) are series.
+        """
+        if self.logs:
+            return None
+        cauchy, weighted, logs = np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), []
+        for lo, hi, c, s in self.pieces:
+            if s == 0:
+                cauchy = _padd(cauchy, ca.fht_smooth_coeffs(c, lo, hi))
+                logs += [(hi, c / np.pi), (lo, -c / np.pi)]
+            elif _full(lo, hi):
+                series = ca.fht_over_w_series(c) if s < 0 else ca.fht_times_w_series(c)
+                weighted = _padd(weighted, series)
+            else:
+                return None
+        return Profile(((-1.0, 1.0, _padd(cauchy / np.pi, weighted), 0),), logs)
+
+    # ------------------------------------------------------------- integrals
     def integral(self, lo, hi):
-        total = complex(self._s @ ca.segment_integrals(len(self.smooth), lo, hi))
+        """Integral of f over (lo, hi)."""
+        total = 0.0 + 0.0j
+        for a, b, c, s in self.pieces:
+            a2, b2 = max(a, lo), min(b, hi)
+            if a2 >= b2:
+                continue
+            if s == 0:
+                total += c @ ca.segment_integrals(len(c), a2, b2)
+            elif s < 0:
+                total += ca.integral_over_w(c, a2, b2)
+            else:
+                total += ca.integral_over_w(_cheb.chebmul(c, _W2), a2, b2)
         for a, c in self.logs:
-            total += ca.integral_log(np.asarray(c, dtype=complex), a, lo, hi)
-        return total
-
-    def integral_over_w(self):
-        total = ca.integral_over_w(self._s)
-        for a, c in self.logs:
-            total += ca.integral_log_over_w(np.asarray(c, dtype=complex), a)
+            total += ca.integral_log(c, a, lo, hi)
         return complex(total)
 
+    def integral_over_w(self):
+        """Integral of f/w over (-1, 1); +inf when a w^{-1} piece reaches -1
+        or 1 and its series does not vanish there."""
+        total = 0.0 + 0.0j
+        for lo, hi, c, s in self.pieces:
+            if s == 0:
+                total += ca.integral_over_w(c, lo, hi)
+            elif s > 0:
+                total += c @ ca.segment_integrals(len(c), lo, hi)
+            else:
+                total += _integral_over_w2(c, lo, hi)
+        for a, c in self.logs:
+            total += ca.integral_log_over_w(c, a)
+        return complex(total)
+
+    # ------------------------------------------------------------- algebra
     def restricted(self, interval_set):
-        return None
+        """Profile of f chi_A, or None when f has log terms."""
+        if self.logs:
+            return None
+        return Profile(tuple((max(a, lo), min(b, hi), c, s)
+                             for a, b, c, s in self.pieces for lo, hi in interval_set))
 
-    def times_poly(self, coeffs):
-        q = _aspoly(coeffs)
-        return LogMixProfile(
-            ca.chebmul(self._s, q),
-            tuple((a, ca.chebmul(np.asarray(c, dtype=complex), q)) for a, c in self.logs),
-        )
-
-    def scaled(self, c):
-        return LogMixProfile(self._s * c, tuple((a, np.asarray(cc) * c) for a, cc in self.logs))
+    def scaled(self, k):
+        return Profile(tuple((lo, hi, c * k, s) for lo, hi, c, s in self.pieces),
+                       tuple((a, c * k) for a, c in self.logs))
 
     def plus(self, other):
-        if isinstance(other, LogMixProfile):
-            logs = {}
-            for a, c in self.logs + other.logs:
-                logs[a] = _padd(logs.get(a, np.zeros(1, dtype=complex)), np.asarray(c))
-            terms = tuple((a, c) for a, c in sorted(logs.items()))
-            return LogMixProfile(_padd(self._s, other._s), terms)
-        if isinstance(other, PolyProfile) and other.wpow == 0:
-            return LogMixProfile(_padd(self._s, np.asarray(other.coeffs)), self.logs)
-        return None
+        return Profile(self.pieces + other.pieces, self.logs + other.logs)
+
+    def times(self, other):
+        """Profile of the pointwise product, or None when it leaves the algebra."""
+        pieces = []
+        for lo, hi, c, s in self.pieces:
+            for lo2, hi2, c2, s2 in other.pieces:
+                a, b, wpow = max(lo, lo2), min(hi, hi2), s + s2
+                if a >= b:
+                    continue
+                if wpow == -2:
+                    return None
+                prod = _cheb.chebmul(c, c2)
+                if wpow == 2:
+                    prod, wpow = _cheb.chebmul(prod, _W2), 0
+                pieces.append((a, b, prod, wpow))
+        logs = []
+        for mine, theirs in ((self, other), (other, self)):
+            if not mine.logs:
+                continue
+            if theirs.logs or any(s or not _full(lo, hi) for lo, hi, _, s in theirs.pieces):
+                return None
+            logs += [(a, _cheb.chebmul(cl, c)) for a, cl in mine.logs
+                     for _, _, c, _ in theirs.pieces]
+        return Profile(pieces, logs)
 
 
 # -------------------------------------------------------------------- helpers
 
 def _padd(a, b):
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if len(a) < len(b):
         a, b = b, a
-    out = a.copy()
+    out = np.array(a, dtype=complex)
     out[: len(b)] += b
     return out
 
 
-def _log_moments(moment, c, a, x):
-    """(1/pi) sum_k b_k(x) moment(T_k, a) with b = difference_quotient(c, x):
+def _refine(pieces):
+    """Pieces of each power summed on the cells cut by all their ends."""
+    out = []
+    for wpow in sorted({p[3] for p in pieces}):
+        group = [p for p in pieces if p[3] == wpow]
+        ends = sorted({e for p in group for e in p[:2]})
+        for a, b in zip(ends, ends[1:]):
+            cover = [c for lo, hi, c, _ in group if lo <= a and b <= hi]
+            if cover:
+                out.append((a, b, _coeffs(reduce(_padd, cover)), wpow))
+    return out
+
+
+def _merge(terms):
+    merged = {}
+    for a, c in terms:
+        merged[a] = _padd(merged[a], c) if a in merged else c
+    return [(a, _coeffs(c)) for a, c in merged.items()]
+
+
+def _add_piece_fht(out, x, lo, hi, c, s):
+    """out += T(p w^s chi_(lo,hi))(x); partial pieces have s in {-1, 0}."""
+    if s == 0:
+        out += ca.fht_series(c, x, lo, hi)
+    elif _full(lo, hi):
+        series = ca.fht_over_w_series(c) if s < 0 else ca.fht_times_w_series(c)
+        out += _cheb.chebval(x, series)
+    else:
+        # (1/pi) int (p(y) - p(x))/(y - x) / w(y) dy + p(x) T(chi/w)(x)
+        b = ca.difference_quotient(c, x)
+        if b.shape[0]:
+            out += ca.segment_integrals_over_w(b.shape[0], lo, hi) @ b / np.pi
+        out += _cheb.chebval(x, c) * ca.fht_indicator_over_w(lo, hi, x)
+
+
+def _log_moments(moments, c, a, x):
+    """(1/pi) sum_k b_k(x) moments(T_k, a) with b = difference_quotient(c, x):
     the regular part of a log term's transform once c(x) times the log
     kernel is split off."""
     b = ca.difference_quotient(c, x)
     if not b.shape[0]:
         return 0.0
-    lam = np.array([moment(_unit(k, k + 1), a) for k in range(b.shape[0])])
-    return (lam @ b) / np.pi
+    return moments(b.shape[0], a) @ b / np.pi
 
 
-def _unit(k, n):
-    c = np.zeros(n, dtype=complex)
-    c[k] = 1.0
-    return c[: k + 1]
+def _integral_over_w2(c, lo, hi):
+    """int_lo^hi p(y)/(1 - y^2) dy, closed form.
 
-
-def _deflate_w2(coeffs):
-    """q with p = (1 - x^2) q, valid when p vanishes at both endpoints."""
-    from numpy.polynomial import chebyshev as _c
-
-    q, r = _c.chebdiv(np.asarray(coeffs, dtype=complex), _W2)
-    return q
-
-
-def _segment_integrals_over_w(d, lo, hi):
-    """Vector of int_lo^hi T_k(y)/w(y) dy for k < d."""
-    out = np.zeros(d, dtype=complex)
-    for k in range(d):
-        out[k] = ca.integral_over_w(_unit(k, k + 1), lo, hi)
-    return out
-
-
-def product_profile(pa, pb):
-    """Profile of a pointwise product, or None when structure is lost."""
-    if pa is None or pb is None:
-        return None
-    if isinstance(pa, PolyProfile) and isinstance(pb, PolyProfile):
-        wp = pa.wpow + pb.wpow
-        prod = ca.chebmul(np.asarray(pa.coeffs), np.asarray(pb.coeffs))
-        if wp == 0:
-            return PolyProfile(prod, 0)
-        if wp in (-1, 1):
-            return PolyProfile(prod, wp)
-        if wp == 2:
-            return PolyProfile(ca.chebmul(prod, _W2), 0)
-        return None
-    for first, second in ((pa, pb), (pb, pa)):
-        if isinstance(first, PolyProfile) and first.wpow == 0:
-            return second.times_poly(np.asarray(first.coeffs))
-    return None
+    With p = (1 - y^2) q + r, r linear, the integral is int q plus the
+    partial fractions of r: p(1)/2 ln((1 - lo)/(1 - hi)) and
+    p(-1)/2 ln((1 + hi)/(1 + lo)).  +inf where the piece reaches +-1 and p
+    does not vanish there (to 1e-12 of its largest coefficient).
+    """
+    q = _cheb.chebdiv(c, _W2)[0]
+    total = complex(q @ ca.segment_integrals(len(q), lo, hi))
+    tol = 1e-12 * max(np.max(np.abs(c)), 1e-300)
+    for value, near, far in ((_cheb.chebval(1.0, c), 1.0 - hi, 1.0 - lo),
+                             (_cheb.chebval(-1.0, c), 1.0 + lo, 1.0 + hi)):
+        if near <= 0.0:
+            if abs(value) > tol:
+                return complex(np.inf)
+            continue
+        total += value / 2.0 * np.log(far / near)
+    return total

@@ -3,7 +3,7 @@
 Supported norms: Lebesgue L^p, Lorentz L^{p,q} (quasinorm convention
 ``( int_0^2 (t^{1/p} f*(t))^q dt/t )^{1/q}`` without renormalization) and
 weak-L^p = L^{p,infinity}.  The decreasing rearrangement is computed from
-the weighted samples; for piecewise-constant profiles it is exact.
+the weighted samples; for step-function profiles it is exact.
 
 Dilation operators E_s f(x) = f(sx) (zero when sx leaves the interval) give
 dictionary lower bounds for operator norms; on these families
@@ -20,7 +20,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .grid import pairing  # noqa: F401  (re-exported: the dual pairing lives with the norms)
 from .intervals import IntervalSet
-from .profiles import PiecewiseProfile, PolyProfile
+from .profiles import Profile
 
 LP = "Lp"
 LORENTZ = "Lorentz"
@@ -83,8 +83,9 @@ def distribution(f, lam):
     """mu{ |f| > lam }, approximated by the weight sum over exceeding nodes."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if isinstance(f.profile, PiecewiseProfile) and f.profile.is_constantwise():
-        return float(sum(b - a for (a, b, c) in f.profile.pieces if abs(c[0]) > lam))
+    steps = _steps(f)
+    if steps is not None:
+        return float(sum(length for value, length in zip(*steps) if abs(value) > lam))
     return float(f.weights @ (np.abs(f.values) > lam))
 
 
@@ -137,18 +138,22 @@ class Rearrangement:
 
 def rearrangement(f):
     """Sort-based decreasing rearrangement of |f| with its quadrature weights."""
-    if isinstance(f.profile, PiecewiseProfile) and f.profile.is_constantwise():
-        vals = np.array([abs(c[0]) for _, _, c in f.profile.pieces])
-        lens = np.array([b - a for a, b, _ in f.profile.pieces])
-        covered = lens.sum()
-        if covered < 2.0 - 1e-12:          # implicit zero outside the pieces
-            vals = np.concatenate([vals, [0.0]])
-            lens = np.concatenate([lens, [2.0 - covered]])
-        order = np.argsort(-vals, kind="stable")
-        return Rearrangement(np.cumsum(lens[order]), vals[order])
+    steps = _steps(f)
+    if steps is not None:
+        return _step_rearrangement(*steps)
     mags = np.abs(f.values)
     order = np.argsort(-mags, kind="stable")
     return Rearrangement(np.cumsum(f.weights[order]), mags[order])
+
+
+def _steps(f):
+    return f.profile.steps() if f.profile is not None else None
+
+
+def _step_rearrangement(values, lengths):
+    mags = np.abs(values)
+    order = np.argsort(-mags, kind="stable")
+    return Rearrangement(np.cumsum(lengths[order]), mags[order])
 
 
 # ------------------------------------------------------------------------ norms
@@ -177,10 +182,10 @@ def norm_info(f, space):
     """
     vals, limited, divergent = norms_batch(f.values[None, :], f.nodes, f.weights, space)
     info = NormInfo(float(vals[0]), bool(limited[0]), bool(divergent[0]))
-    if info.divergent or not (isinstance(f.profile, PiecewiseProfile)
-                              and f.profile.is_constantwise()):
+    steps = _steps(f)
+    if info.divergent or steps is None:
         return info
-    return NormInfo(_stepwise_norm(f, space), info.resolution_limited, False)
+    return NormInfo(_stepwise_norm(steps, space), info.resolution_limited, False)
 
 
 class NormWorkspace:
@@ -282,12 +287,12 @@ def _lorentz_staircase(breakpoints, plateaus, space, scratch=None):
     return np.sum(summands, axis=1) ** (1.0 / space.q)
 
 
-def _stepwise_norm(f, space):
-    """Exact norm of a declared step function, from its pieces."""
+def _stepwise_norm(steps, space):
+    """Exact norm of a declared step function, from its (values, lengths)."""
     if space.kind == LP:
-        return float(sum(abs(c[0]) ** space.p * (b - a)
-                         for a, b, c in f.profile.pieces) ** (1.0 / space.p))
-    r = rearrangement(f)
+        return float(sum(abs(value) ** space.p * length
+                         for value, length in zip(*steps)) ** (1.0 / space.p))
+    r = _step_rearrangement(*steps)
     if space.kind == LORENTZ:
         return float(_lorentz_staircase(r.breakpoints[None, :], r.plateaus[None, :], space)[0])
     return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))
@@ -335,19 +340,10 @@ def dilate(f, t):
 
 
 def _dilate_profile(profile, t):
-    if profile is None:
+    if profile is None or profile.logs or any(s for *_, s in profile.pieces):
         return None
-    if isinstance(profile, PolyProfile) and profile.wpow == 0:
-        pieces = ((-1.0, 1.0, profile.coeffs),)
-        profile = PiecewiseProfile(pieces)
-    if not isinstance(profile, PiecewiseProfile) or profile.wpow != 0:
-        return None
-    out = []
-    for a, b, c in profile.pieces:
-        lo, hi = max(-1.0, a / t), min(1.0, b / t)
-        if lo < hi:
-            out.append((lo, hi, _compose_linear(np.asarray(c, dtype=complex), t)))
-    return PiecewiseProfile(tuple(out))
+    return Profile(tuple((a / t, b / t, _compose_linear(c, t), 0)
+                         for a, b, c, _ in profile.pieces))
 
 
 def _compose_linear(cheb_coeffs, t):

@@ -26,7 +26,7 @@ from scipy.integrate import IntegrationWarning, quad
 from . import chebalg as ca
 from .grid import CHEBYSHEV, GridFunction, ChebyshevSeries, cheb_fit
 from .intervals import IntervalSet
-from .profiles import PiecewiseProfile, PolyProfile
+from .profiles import Profile
 
 SUBTRACT = "subtract-singularity"
 SPECTRAL = "spectral"
@@ -93,14 +93,15 @@ def fht_grid(f, cfg=_DEFAULT):
 
 def _grid_transform_values(f, pts, cfg):
     if f.profile is not None:
-        if cfg.method == SUBTRACT and isinstance(f.profile, PiecewiseProfile):
+        cuts = f.profile.breakpoints()
+        if cfg.method == SUBTRACT and cuts:
             raise MethodError(
                 "integrand is discontinuous; use the closed-form interval splitting "
                 "(method='closed-form-auto') instead of singularity subtraction"
             )
-        if isinstance(f.profile, PiecewiseProfile):
+        if cuts:
             guard = max(cfg.epsilon_floor, 1e-14)
-            bad = [p for p in f.profile.breakpoints() for x in pts if abs(x - p) < guard]
+            bad = [p for p in cuts for x in pts if abs(x - p) < guard]
             if bad:
                 raise SingularEvaluationError(
                     f"evaluation at discontinuity point(s) {sorted(set(bad))}"
@@ -135,11 +136,10 @@ def fht_product_indicator(f, interval_set, cfg=_DEFAULT):
     if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
     if interval_set.is_empty():
-        return f.with_values(np.zeros(len(f), dtype=complex),
-                             PiecewiseProfile(()))
+        return f.with_values(np.zeros(len(f), dtype=complex), Profile(()))
     prof = f.profile.restricted(interval_set) if f.profile is not None else None
     if prof is None:
-        base = PolyProfile(cheb_fit(f, degree=min(len(f) - 1, 48)).asarray(), 0)
+        base = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 48)).asarray())
         prof = base.restricted(interval_set)
     restricted = f.with_values(prof.eval(f.nodes), prof)
     return fht_grid(restricted, cfg)
@@ -201,13 +201,17 @@ def _complexish(fn):
 
 def _theta_edges(tt, extra_splits, grade_endpoints):
     edges = {0.0, tt, np.pi}
-    edges |= {np.arccos(np.clip(s, -1.0, 1.0)) for s in extra_splits}
+    # geometric refinement toward theta = 0 and pi absorbs the mild
+    # (logarithmic) endpoint behaviour of transform images, and toward each
+    # split the interior log singularity there; the floor keeps cos(theta)
+    # strictly inside (-1, 1) in floating point
+    steps = np.pi * 0.5 ** np.arange(2, 26)
+    steps = steps[steps > 1e-7]
+    for s in extra_splits:
+        split = np.arccos(np.clip(s, -1.0, 1.0))
+        edges |= {e for e in np.concatenate([split - steps, [split], split + steps])
+                  if 0.0 <= e <= np.pi}
     if grade_endpoints:
-        # geometric refinement toward theta = 0 and pi absorbs the mild
-        # (logarithmic) endpoint behaviour of transform images; the floor
-        # keeps cos(theta) strictly inside (-1, 1) in floating point
-        steps = np.pi * 0.5 ** np.arange(2, 26)
-        steps = steps[steps > 1e-7]
         edges |= set(steps)
         edges |= set(np.pi - steps)
     srt = sorted(edges)

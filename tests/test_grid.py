@@ -204,7 +204,7 @@ def test_cheb_roundtrip_polynomial():
     series = fh.cheb_fit(f)
     xs = np.linspace(-0.99, 0.99, 40)
     truth = 0.2 - xs + 0.7 * xs**3 + 0.1 * xs**4
-    assert np.abs(fh.cheb_eval(series, xs) - truth).max() <= 1e-12
+    assert np.abs(series(xs) - truth).max() <= 1e-12
 
 
 def test_cheb_fit_degree_guard():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finhilbert as fh
-from finhilbert.profiles import PiecewiseProfile
+from finhilbert.profiles import Profile
 from finhilbert.spaces import NormWorkspace
 
 
 def step_function(edges, vals, n=512):
-    prof = PiecewiseProfile(tuple((edges[i], edges[i + 1], (vals[i],))
-                                  for i in range(len(vals))))
+    prof = Profile(tuple((edges[i], edges[i + 1], (vals[i],), 0) for i in range(len(vals))))
     return fh.from_profile(prof, n)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finhilbert as fh
+from finhilbert.profiles import Profile
 
 
 def ivals(*pairs):
@@ -73,9 +74,7 @@ def test_grid_kernel_sup(invw):
 
 def test_grid_w_times_u1():
     # f = w U_1, U_1(x) = 2x: T(f)(t) = -T_2(t) = -(2t^2 - 1)
-    f = fh.from_profile(
-        __import__("finhilbert.profiles", fromlist=["PolyProfile"]).PolyProfile(
-            (0.0, 2.0), wpow=1), 256)
+    f = fh.from_profile(Profile.poly((0.0, 2.0), wpow=1), 256)
     img = fh.fht_grid(f)
     want = -(2 * img.nodes**2 - 1)
     assert np.abs(img.values - want).max() <= 1e-6
