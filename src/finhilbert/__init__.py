@@ -86,6 +86,7 @@ from .spaces import (
 )
 from .transform import (
     MethodError,
+    OracleConvergenceError,
     PVConfig,
     SingularEvaluationError,
     TransformDomainError,

@@ -194,12 +194,25 @@ def _write_csv(fh, rows):
 # ------------------------------------------------------------------- families
 
 def make_grid(n=DEFAULT_NODES, family=CHEBYSHEV):
-    """Nodes and weights of a built-in family; weights sum to 2 exactly."""
+    """Nodes and weights of a built-in family; weights sum to 2 exactly.
+
+    The arrays are read-only and shared: each (n, family) is computed once
+    and kept in a bounded cache.
+    """
+    return _family_grid(int(n), family)
+
+
+@functools.lru_cache(maxsize=32)
+def _family_grid(n, family):
     if family == CHEBYSHEV:
-        return ca.chebyshev_nodes(n), ca.fejer1_weights(n)
-    if family == UNIFORM:
-        return ca.uniform_nodes(n), np.full(n, 2.0 / n)
-    raise ValueError(f"unknown node family: {family}")
+        nodes, weights = ca.chebyshev_nodes(n), ca.fejer1_weights(n)
+    elif family == UNIFORM:
+        nodes, weights = ca.uniform_nodes(n), np.full(n, 2.0 / n)
+    else:
+        raise ValueError(f"unknown node family: {family}")
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
 
 
 def from_callable(fn, n=DEFAULT_NODES, family=CHEBYSHEV, profile=None):

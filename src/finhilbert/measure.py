@@ -371,13 +371,19 @@ def dual_dictionary(space, size=64, n=None, seed=0):
     return tuple(out)
 
 
-def matched_dual(f, space, cells=12):
+def matched_dual(f, space, cells=12, estimate=None):
     """Norming function of T(h*) for the best sign-pattern witness h* of f.
 
     Adding it to a dual dictionary guarantees the scalar-measure estimate
     dominates the sign-search estimate, up to transform quadrature error.
+    ``estimate`` is the exhaustive ``optdomain_norm(f, space, cells)`` when
+    the caller already has it; otherwise it is computed here.
     """
-    est = optdomain_norm(f, space, cells=cells, search=EXHAUSTIVE)
+    est = estimate
+    if est is None:
+        est = optdomain_norm(f, space, cells=cells, search=EXHAUSTIVE)
+    elif est.cells != int(cells):
+        raise ValueError("the estimate was searched on a different number of cells")
     edges = np.linspace(-1.0, 1.0, est.cells + 1)
     basis = _transform_basis(f, edges)
     img_vals = np.asarray(est.witness.coefficients) @ basis
@@ -506,9 +512,8 @@ def invw_membership_evidence(samples=6, seed=3, n=None):
     for _ in range(samples):
         A = random_interval_set(rng)
         prof = Profile(tuple((a, b, (1.0,), -1) for a, b in A))
-        img_vals = prof.fht_values(make_grid(n)[0])
         nodes, weights = make_grid(n)
-        img = GridFunction(nodes, img_vals, weights)
+        img = GridFunction(nodes, prof.fht_values(nodes), weights)
         est = rearrangement_decay(img, 2.0)
         rows.append({"measure": A.measure(), "decay": est.value, "resolved": est.resolved})
     return {"label": "heuristic evidence", "rows": rows}

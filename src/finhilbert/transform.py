@@ -17,11 +17,10 @@ integrand:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
 from .grid import CHEBYSHEV, GridFunction, ChebyshevSeries, cheb_fit
@@ -100,12 +99,7 @@ def _grid_transform_values(f, pts, cfg):
                 "(method='closed-form-auto') instead of singularity subtraction"
             )
         if cuts:
-            guard = max(cfg.epsilon_floor, 1e-14)
-            bad = [p for p in cuts for x in pts if abs(x - p) < guard]
-            if bad:
-                raise SingularEvaluationError(
-                    f"evaluation at discontinuity point(s) {sorted(set(bad))}"
-                )
+            _guard_cuts(cuts, pts, max(cfg.epsilon_floor, 1e-14))
         if cfg.method != SUBTRACT:
             return f.profile.fht_values(pts)
         return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
@@ -113,6 +107,21 @@ def _grid_transform_values(f, pts, cfg):
         return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
     # profile-free samples on the Chebyshev family: spectral via the interpolant
     return ca.fht_series(ca.fit_chebyshev(f.values), np.asarray(pts, dtype=float))
+
+
+def _guard_cuts(cuts, pts, guard):
+    """Raise if a point lies within ``guard`` of a sorted cut.
+
+    Binary search finds the cuts in a window of twice the guard around each
+    point; the few points with a cut there are tested exactly.
+    """
+    x = np.asarray(pts, dtype=float)
+    lo = np.searchsorted(cuts, x - 2 * guard)
+    hi = np.searchsorted(cuts, x + 2 * guard, side="right")
+    bad = {p for k in np.flatnonzero(hi > lo) for p in cuts[lo[k]:hi[k]]
+           if abs(x[k] - p) < guard}
+    if bad:
+        raise SingularEvaluationError(f"evaluation at discontinuity point(s) {sorted(bad)}")
 
 
 def fht_indicator(interval_set, x):
@@ -258,42 +267,117 @@ def fht_times_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
 
 # ----------------------------------------------------------------------- oracle
 
+class OracleConvergenceError(ValueError):
+    """The oracle's adaptive quadrature did not reach its target precision."""
+
+
+_ORACLE_LIMIT = 200     # subintervals; the verify suite and the tests need at most 21
+
+
 def pv_oracle(f, t, eps=1e-3, singular=(), weight=None):
     """Independent check value: symmetric-exclusion PV quadrature with
     two-level Richardson extrapolation in the exclusion radius.
 
-    ``f`` may be a callable or a GridFunction (its interpolant is used).
-    ``weight`` in {None, "over_w", "times_w"} multiplies f by w^{-1} or w.
-    Error is O(eps^5) for integrands smooth near t.
+    ``f`` may be a callable or a GridFunction (its interpolant or profile
+    is evaluated); the oracle evaluates ``f`` and nothing else, so it shares
+    no closed form, profile transform or :mod:`chebalg` routine with the
+    evaluators it checks.  ``weight`` in {None, "over_w", "times_w"}
+    multiplies f by w^{-1} or w.  Complex values of ``f`` are kept.  Error is
+    O(eps^5) for integrands smooth near t.
+
+    A scalar ``t`` returns a scalar, an array ``t`` an array of the same
+    shape.  ``singular`` lists the jumps of f: either one sequence shared by
+    every point, or a 2-D array with one row per point (rows of unequal
+    length padded with NaN), so that each point's sides are split at its own
+    jumps.  Entries outside (-1, 1) are ignored; a jump within ``eps`` of its
+    point raises ValueError.  ``f`` is called with arrays of shape
+    (points, nodes), row i holding the nodes of point i, so a family of
+    integrands, one per point, can broadcast its parameters as a column; an
+    elementwise ``f`` needs no care.
+
+    All points, the three exclusion radii eps, eps/2, eps/4 and both sides
+    [-1, t - e] and [t + e, 1] form one vector integrand of a single
+    ``scipy.integrate.quad_vec`` call.  Each side is cut at the point's
+    jumps into a fixed number of segments (splits that fall outside a side
+    give zero-length segments, which contribute 0), and each segment is
+    mapped to u in [0, 1]: linearly in the interior, and by
+    x = a + L u^2 (a = -1) or x = a - L u^2 (a = 1) on the segment that
+    touches an endpoint, which absorbs endpoint singularities such as 1/w.
+    The Jacobian of the graded map is computed from the rounded node,
+    2 sqrt(L |x - a|), not as 2 L u: the integrand then is a function of
+    the node actually evaluated, so an endpoint factor such as 1/sqrt(1 + x)
+    cancels against the Jacobian consistently.  With 2 L u, the rounding of
+    a + L u^2 near the endpoint is noise that the error estimate cannot
+    shrink, and the quadrature stalls at its subdivision limit.
+
+    Raises :class:`OracleConvergenceError` when the quadrature stops at its
+    subdivision limit or meets non-finite values, instead of returning an
+    unconverged value.
     """
-    t = float(t)
-    _check_interior(t)
-    fn = f.eval_at if isinstance(f, GridFunction) else f
+    scalar = np.ndim(t) == 0
+    tt = _check_interior(t).ravel()
+    if np.any(np.abs(tt) + eps >= 1.0):
+        raise ValueError("the exclusion radius must keep t - eps and t + eps inside (-1, 1)")
+    if weight not in (None, "over_w", "times_w"):
+        raise ValueError(f"unknown weighting tag: {weight}")
+    fn = f
+    if isinstance(f, GridFunction):
+        def fn(x):
+            return f.eval_at(x.ravel()).reshape(x.shape)
 
-    if weight == "over_w":
-        def integrand(x):
-            return np.asarray(fn(x)) / (np.sqrt(1.0 - x * x) * (x - t))
-    elif weight == "times_w":
-        def integrand(x):
-            return np.asarray(fn(x)) * np.sqrt(1.0 - x * x) / (x - t)
-    else:
-        def integrand(x):
-            return np.asarray(fn(x)) / (x - t)
+    n = len(tt)
+    e = eps * np.array([1.0, 0.5, 0.25])
+    # side ends, shape (n, 3 radii, 2 sides): left [-1, t - e], right [t + e, 1]
+    lo_end = np.stack([np.full((n, 3), -1.0), tt[:, None] + e], axis=-1)
+    hi_end = np.stack([tt[:, None] - e, np.ones((n, 3))], axis=-1)
+    splits = _oracle_splits(singular, tt, eps)[:, None, None, :]
+    cuts = np.sort(np.clip(splits, lo_end[..., None], hi_end[..., None]), axis=-1)
+    edges = np.concatenate([lo_end[..., None], cuts, hi_end[..., None]], axis=-1)
+    shape = edges[..., 1:].shape                              # (n, 3, 2, segments)
+    length = (edges[..., 1:] - edges[..., :-1]).reshape(n, -1)
+    graded = np.zeros(shape, dtype=bool)
+    graded[:, :, 0, 0] = graded[:, :, 1, -1] = True           # touches -1 / +1
+    anchor = edges[..., :-1].copy()
+    anchor[:, :, 1, -1] = 1.0
+    anchor, graded = anchor.reshape(n, -1), graded.reshape(n, -1)
+    # x = anchor + lin u + sq u^2: linear inside, -1 + L u^2 and 1 - L u^2 at the ends
+    lin = np.where(graded, 0.0, length)
+    sq = np.where(graded, np.where(anchor < 0.0, length, -length), 0.0)
+    pt = tt[:, None]
 
-    def scalar(x):
-        return float(np.asarray(integrand(np.atleast_1d(x))).real[0])
+    def integrand(u):
+        x = anchor + lin * u + sq * (u * u)
+        # Jacobian from the rounded node, see the docstring
+        jac = np.where(graded, 2.0 * np.sqrt(length * np.abs(x - anchor)), length)
+        fv = np.broadcast_to(np.asarray(fn(x)), x.shape)
+        if weight == "over_w":
+            fv = fv / np.sqrt((1.0 - x) * (1.0 + x))
+        elif weight == "times_w":
+            fv = fv * np.sqrt((1.0 - x) * (1.0 + x))
+        return (fv * jac / (x - pt)).ravel()
 
-    pts = [p for p in singular if -1.0 < p < 1.0]
-
-    def excluded(e):
-        left = quad(scalar, -1.0, t - e, points=[p for p in pts if p < t - e], limit=400)[0]
-        right = quad(scalar, t + e, 1.0, points=[p for p in pts if p > t + e], limit=400)[0]
-        return left + right
-
-    with warnings.catch_warnings():
-        # endpoint-singular integrands make QUADPACK noisy; the Richardson
-        # combination below is verified against closed forms in the tests
-        warnings.simplefilter("ignore", IntegrationWarning)
-        i0, i1, i2 = excluded(eps), excluded(eps / 2), excluded(eps / 4)
+    res, _, info = quad_vec(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12,
+                            norm="max", limit=_ORACLE_LIMIT, full_output=True)
+    if info.status in (1, 3):           # subdivision limit, non-finite values
+        raise OracleConvergenceError(f"pv_oracle quadrature failed: {info.message}")
+    i0, i1, i2 = np.moveaxis(res.reshape(shape).sum(axis=(-2, -1)), -1, 0)
     r1, r2 = 2 * i1 - i0, 2 * i2 - i1          # kill the O(eps) term
-    return (8 * r2 - r1) / 7 / np.pi           # kill the O(eps^3) term
+    out = (8 * r2 - r1) / 7 / np.pi            # kill the O(eps^3) term
+    return out[0] if scalar else out.reshape(np.shape(t))
+
+
+def _oracle_splits(singular, tt, eps):
+    """Jumps as an (n, k) array, one row per point.  Entries outside (-1, 1)
+    and NaN padding move to the point itself, where clipping to a side makes
+    them zero-length segments.  A jump inside a point's exclusion radius
+    breaks the extrapolation, so it is refused."""
+    s = np.asarray(singular, dtype=float)
+    if s.ndim == 2:
+        if len(s) != len(tt):
+            raise ValueError("per-point splits need one row per evaluation point")
+    else:
+        s = np.broadcast_to(s.reshape(1, -1), (len(tt), s.size))
+    inside = np.abs(s) < 1.0
+    if np.any(inside & (np.abs(s - tt[:, None]) <= eps)):
+        raise ValueError("a jump lies within eps of an evaluation point")
+    return np.where(inside, s, tt[:, None])

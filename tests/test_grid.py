@@ -63,6 +63,34 @@ def test_builtin_weights_sum_to_two(n):
         assert np.all(w >= 0)
 
 
+@pytest.mark.parametrize("family", ["chebyshev-gauss", "uniform"])
+def test_make_grid_returns_shared_read_only_arrays(family):
+    from finhilbert import chebalg as ca
+
+    nodes, weights = fh.make_grid(96, family)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    fresh = ((ca.chebyshev_nodes(96), ca.fejer1_weights(96)) if family == "chebyshev-gauss"
+             else (ca.uniform_nodes(96), np.full(96, 2.0 / 96)))
+    assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+    again = fh.make_grid(96, family)
+    assert again[0] is nodes and again[1] is weights
+    with pytest.raises(ValueError):
+        fh.make_grid(96, "legendre")
+
+
+def test_grid_function_on_cached_grid_takes_new_values():
+    nodes, weights = fh.make_grid(64)
+    f = fh.GridFunction(nodes, np.cos(nodes), weights)
+    g = f.with_values(np.sin(nodes))
+    assert g.nodes is nodes and g.weights is weights
+    assert np.allclose(g.eval_at(np.array([0.3])), np.sin(0.3), atol=1e-13)
+    # the weights are calibrated on w, which perturbs them by about 1e-6 at n = 64
+    assert fh.integrate(f).real == pytest.approx(2 * math.sin(1.0), abs=1e-5)
+    assert np.array_equal(fh.make_grid(64)[0], fh.poly_fn([0, 1], 64).values.real)
+
+
 def test_values_are_immutable(one):
     with pytest.raises(ValueError):
         one.values[0] = 5.0

@@ -345,6 +345,15 @@ def test_estimator_consistency_sample():
     assert abs(wn - on) / max(wn, on) <= 0.25
 
 
+def test_matched_dual_reuses_a_given_estimate():
+    f = fh.poly_fn([0.3, 1, 1, 0, 1], 256)
+    est = fh.optdomain_norm(f, LP15, cells=12)
+    given = fh.matched_dual(f, LP15, cells=12, estimate=est)
+    assert np.array_equal(given.values, fh.matched_dual(f, LP15, cells=12).values)
+    with pytest.raises(ValueError):
+        fh.matched_dual(f, LP15, cells=10, estimate=est)
+
+
 # -------------------------------------------------------------------- parseval
 
 def test_parseval_examples(xfun):

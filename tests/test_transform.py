@@ -210,3 +210,163 @@ def test_oracle_on_known_value():
     # T(chi_(0,1))(-0.5) = ln(3)/pi with a jump declared at 0
     val = fh.pv_oracle(lambda y: (y > 0).astype(float), -0.5, singular=(0.0,))
     assert val == pytest.approx(math.log(3.0) / math.pi, abs=1e-10)
+
+
+# ----------------------------------------------------------- vectorized oracle
+
+def _kernel_probe():
+    nodes = fh.make_grid(512)[0]
+    inner = nodes[np.abs(nodes) <= 0.9]
+    return inner[:: max(1, len(inner) // 32)]
+
+
+def _invw(x):
+    return 1.0 / np.sqrt(1.0 - x * x)
+
+
+def _monomial_transform(k, t):
+    # x^k/(x - t) = t^k/(x - t) + sum_j t^j x^(k-1-j), and int x^m = 2/(m+1), m even
+    regular = sum(t**j * 2.0 / (k - j) for j in range(k) if (k - 1 - j) % 2 == 0)
+    return (t**k * np.log((1 - t) / (1 + t)) + regular) / math.pi
+
+
+def test_oracle_keeps_imaginary_part():
+    val = fh.pv_oracle(lambda x: 1j * x * x, 0.3)
+    assert val == pytest.approx(0.17325176471291j, abs=1e-12)
+    assert val == pytest.approx(fh.fht_point(lambda x: 1j * x * x, 0.3), abs=1e-10)
+    g = fh.from_callable(lambda x: np.exp(1j * x) + x, 64)    # complex samples, no profile
+    assert g.profile is None and np.abs(g.values.imag).max() > 0.5
+    ts = np.array([-0.6, 0.1, 0.7])
+    got = fh.pv_oracle(g, ts)
+    want = np.array([fh.fht_point(g, t) for t in ts])
+    assert np.abs(want.imag).min() > 0.1
+    assert np.abs(got - want).max() <= 1e-10
+
+
+def test_oracle_scalar_and_array_shapes():
+    assert np.ndim(fh.pv_oracle(_invw, 0.2)) == 0
+    ts = np.array([[-0.5, 0.1], [0.3, 0.8]])
+    assert fh.pv_oracle(_invw, ts).shape == (2, 2)
+
+
+@pytest.mark.parametrize("fn", [_invw, lambda x: 1 + x - 2 * x**3 + 0.5 * x**8,
+                                lambda x: np.exp(1j * x)])
+def test_oracle_array_matches_scalar_loop(fn):
+    probe = _kernel_probe()
+    got = fh.pv_oracle(fn, probe)
+    loop = np.array([fh.pv_oracle(fn, float(t)) for t in probe])
+    assert np.abs(got - loop).max() <= 1e-13
+
+
+def test_oracle_kernel_sup():
+    probe = _kernel_probe()
+    assert len(probe) == 34
+    assert np.abs(fh.pv_oracle(_invw, probe)).max() <= 1e-10
+
+
+def test_oracle_weights():
+    ts = np.array([-0.8, -0.2, 0.35, 0.9])
+    # T(w) = -t and T(T_2/w) = U_1 = 2t
+    got = fh.pv_oracle(lambda x: np.ones_like(x), ts, weight="times_w")
+    assert np.abs(got + ts).max() <= 1e-12
+    got = fh.pv_oracle(lambda x: 2 * x * x - 1, ts, weight="over_w")
+    assert np.abs(got - 2 * ts).max() <= 1e-12
+    with pytest.raises(ValueError):
+        fh.pv_oracle(_invw, 0.1, weight="sqrt")
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_oracle_monomials(k):
+    ts = np.array([-0.95, -0.6, -0.05, 0.3, 0.7, 0.95])
+    got = fh.pv_oracle(lambda x: x**k, ts)
+    assert np.abs(got - _monomial_transform(k, ts)).max() <= 1e-12
+
+
+def test_oracle_per_point_jumps():
+    rng = np.random.default_rng(7)
+    ts, xs = rng.uniform(-0.95, 0.95, (2, 400))
+    keep = (np.abs(ts - xs) > 0.05) & (np.minimum(1 - np.abs(ts), 1 - np.abs(xs)) > 0.05)
+    ts, xs = ts[keep][:100], xs[keep][:100]
+    got = fh.pv_oracle(lambda y: (y > ts[:, None]).astype(float), xs, singular=ts[:, None])
+    want = np.array([fh.fht_indicator(ivals((t, 1.0)), x).real for t, x in zip(ts, xs)])
+    assert len(ts) == 100
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-3)) <= 1e-10
+
+
+def test_oracle_graded_ends():
+    # T(T_1/w) = U_0 = 1: 1/w is singular at the end each side's graded segment touches
+    ts = np.array([-0.95, 0.95])
+    got = fh.pv_oracle(lambda x: x / np.sqrt(1 - x * x), ts)
+    assert np.abs(got - 1.0).max() <= 1e-10
+    got = fh.pv_oracle(lambda x: np.sign(x), ts, singular=(0.0,), weight="over_w")
+    # T(sigma/w)(t) = (2/pi) ln((1 + w(t))/|t|) / w(t), the Rybakov closed form
+    w = math.sqrt(1 - 0.95**2)
+    want = 2 / math.pi * math.log((1 + w) / 0.95) / w
+    assert np.abs(got - want).max() <= 1e-10
+
+
+def test_oracle_raises_instead_of_returning_unconverged_values():
+    with pytest.raises(fh.OracleConvergenceError, match="not reached"):
+        fh.pv_oracle(lambda x: np.sin(1e4 * x), 0.1)
+    with pytest.raises(fh.OracleConvergenceError, match="Non-finite"):
+        fh.pv_oracle(lambda x: np.where(x > 0.5, np.nan, x), 0.0)
+    with pytest.raises(ValueError, match="exclusion radius"):
+        fh.pv_oracle(_invw, 0.9995)
+    # a declared jump inside the exclusion radius would break the extrapolation
+    with pytest.raises(ValueError, match="within eps"):
+        fh.pv_oracle(lambda y: (y > 0).astype(float), np.array([0.3, 5e-4]), singular=(0.0,))
+
+
+def test_oracle_is_independent_of_the_closed_forms(monkeypatch):
+    from finhilbert import chebalg as ca
+
+    f = fh.fht_grid(fh.indicator_fn((-0.3, 0.45), 256))    # log-mix image
+    ts = np.array([-0.7, 0.1, 0.6])
+    want = np.array([fh.fht_point(f, t) for t in ts])
+    want_poly = fh.fht_point(fh.poly_fn([0.2, 1.0, 0.0, -1.0], 64), 0.4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used a library transform")
+
+    monkeypatch.setattr(Profile, "fht_values", forbidden)
+    monkeypatch.setattr(ca, "fht_series", forbidden)
+    monkeypatch.setattr(ca, "fht_log_kernel", forbidden)
+    got = fh.pv_oracle(f, ts, singular=(-0.3, 0.45))
+    assert np.abs(got - want).max() <= 1e-8
+    got = fh.pv_oracle(lambda x: 0.2 + x - x**3, 0.4)
+    assert got == pytest.approx(want_poly, abs=1e-12)
+
+
+# ------------------------------------------------------------------- cut guard
+
+def test_cut_guard_lists_the_offending_cuts():
+    prof = Profile(((-0.2, 0.5, (1.0,), 0),))
+    nodes = np.array([-0.2 - 1e-15, 0.1, 0.3, 0.5 + 5e-15])
+    f = fh.GridFunction(nodes, prof.eval(nodes), np.full(4, 0.5), "custom", prof)
+    with pytest.raises(fh.SingularEvaluationError) as err:
+        fh.fht_grid(f)
+    assert str(err.value) == "evaluation at discontinuity point(s) [-0.2, 0.5]"
+    with pytest.raises(fh.SingularEvaluationError, match=r"\[0\.5\]"):
+        fh.fht_point(fh.indicator_fn((0.0, 0.5), 64), 0.5 - 1e-14)
+    # just outside the default guard (epsilon_floor = 1e-12)
+    val = fh.fht_point(fh.indicator_fn((0.0, 0.5), 64), 0.5 - 1e-11)
+    assert val.real == pytest.approx(-math.log(0.5 / 1e-11) / math.pi, abs=1e-4)
+
+
+def test_cut_guard_matches_the_pairwise_loop():
+    from finhilbert.transform import _guard_cuts
+
+    rng = np.random.default_rng(3)
+    guard = 1e-12
+    for trial in range(200):
+        cuts = sorted(set(np.round(rng.uniform(-0.9, 0.9, rng.integers(1, 6)), 3).tolist()))
+        near = rng.choice(cuts, 2) + rng.uniform(-2, 2, 2) * guard
+        pts = np.concatenate([rng.uniform(-0.99, 0.99, 5), near])
+        want = sorted({p for p in cuts for x in pts if abs(x - p) < guard})
+        if want:
+            with pytest.raises(fh.SingularEvaluationError) as err:
+                _guard_cuts(cuts, pts, guard)
+            assert str(err.value) == f"evaluation at discontinuity point(s) {want}"
+        else:
+            _guard_cuts(cuts, pts, guard)
+
