@@ -159,7 +159,9 @@ def fht_smooth_coeffs(coeffs, lo=-1.0, hi=1.0):
     D(x) = int_lo^hi (p(y) - p(x))/(y - x) dy, so by the Cauchy identity of
     the module docstring d_k = 2 sum_{j>=0} a_{k+1+j} I_j (d_0 halved) with
     I_j = int_lo^hi U_j = (T_{j+1}(hi) - T_{j+1}(lo))/(j+1): a correlation of
-    the coefficient tail with I, computed by FFT.  At least one coefficient.
+    the coefficient tail with I, computed by FFT.  Real coefficients give
+    exactly real ones (the FFT's imaginary roundoff is dropped).  At least
+    one coefficient.
     """
     a = np.asarray(coeffs, dtype=complex)
     d = len(a) - 1
@@ -170,6 +172,8 @@ def fht_smooth_coeffs(coeffs, lo=-1.0, hi=1.0):
     size = next_fast_len(2 * d)
     out = 2.0 * ifft(fft(a[1:], size) * np.conj(fft(seg_u, size)))[:d]
     out[0] /= 2.0
+    if not np.any(a.imag):
+        out.imag = 0.0
     return out
 
 

@@ -160,15 +160,23 @@ def _block_rows(n):
 class _BlockNorms:
     """||sum_j s_j basis_j|| for rows s of sign patterns, in blocks of up to
     ``rows`` patterns.  The combined samples and the norm kernel's workspace
-    are allocated once, when a search starts, and reused by every block."""
+    are allocated once, when a search starts, and reused by every block.
+    A basis whose imaginary part is exactly zero is kept real, so real sign
+    patterns combine by a real product; the samples take the type of
+    patterns times basis."""
 
     def __init__(self, rows, basis, nodes, weights, space):
+        if not np.any(np.imag(basis)):
+            basis = np.ascontiguousarray(np.real(basis))
         self.rows, self.basis = rows, basis
         self.nodes, self.weights, self.space = nodes, weights, space
-        self.samples = np.empty((rows, basis.shape[1]), dtype=complex)
+        self.samples = np.empty((rows, basis.shape[1]), dtype=basis.dtype)
         self.work = NormWorkspace(rows, basis.shape[1])
 
     def __call__(self, patterns):
+        dtype = np.result_type(patterns, self.basis)
+        if self.samples.dtype != dtype:
+            self.samples = np.empty(self.samples.shape, dtype=dtype)
         out = np.empty(len(patterns))
         for i in range(0, len(patterns), self.rows):
             block = patterns[i:i + self.rows]

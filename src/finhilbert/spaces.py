@@ -195,11 +195,15 @@ class NormWorkspace:
     A search allocates one and passes it to every block, so its block loop
     reuses the same memory instead of allocating fresh block-sized
     temporaries, whose cost would depend on what the allocator last freed.
+    ``keys`` holds the packed sort keys of the Lorentz and weak-L^p rank
+    sort: the magnitude's bit pattern above the low ceil(log2 n) bits, which
+    carry the node index.
     """
 
     def __init__(self, rows, n):
         self.mags = np.empty((rows, n))
         self.positive = np.empty((rows, n), dtype=bool)
+        self.keys = np.empty((rows, n), dtype=np.uint64)
         self.ordered = np.empty((rows, n))
         self.gathered = np.empty((rows, n))
         self.breakpoints = np.empty((rows, n))
@@ -211,12 +215,15 @@ def norms_batch(values, nodes, weights, space, work=None):
 
     Returns ``(value, resolution_limited, divergent)`` arrays of length P,
     row by row what :func:`norm_info` reports for profile-free samples.  One
-    descending sort of the magnitudes per block (stable, so tied values keep
-    their node order in the rearrangement) serves both the rearrangement and
-    the nonzero-median gate of the blow-up diagnosis; the power-law fit runs
-    only on the rows that gate engages.  Block-sized intermediates live in
-    ``work``, a :class:`NormWorkspace` of at least P rows (a fresh one when
-    omitted); the returned arrays are always new.
+    descending sort of the magnitudes per block serves both the
+    rearrangement and the nonzero-median gate of the blow-up diagnosis; the
+    power-law fit (:func:`_blowup_exponents`) runs once, on the rows that
+    gate engages.  The Lorentz and weak-L^p rearrangement is the stable
+    descending one (tied values keep their node order): a row sorted by its
+    packed key (:func:`_rank_sort`) whose magnitudes come out non-increasing
+    is exactly that, and any other row is argsorted stably.  Block-sized
+    intermediates live in ``work``, a :class:`NormWorkspace` of at least P
+    rows (a fresh one when omitted); the returned arrays are always new.
     """
     values = np.asarray(values)
     rows, n = values.shape
@@ -234,18 +241,16 @@ def norms_batch(values, nodes, weights, space, work=None):
         ordered.sort(axis=1)
         ordered = ordered[:, ::-1]
     else:
-        order = np.argsort(np.negative(mags, out=scratch), axis=1, kind="stable")
-        np.take(weights, order, out=work.gathered[:rows], mode="clip")
-        order += (n * np.arange(rows))[:, None]
-        np.take(mags.reshape(-1), order, out=ordered, mode="clip")
+        _rank_sort(mags, weights, work)
 
     # blow-up gate: the peak must dwarf the median of the nonzero magnitudes,
     # which sit first in the descending order
     nonzero = np.count_nonzero(np.greater(mags, 0, out=work.positive[:rows]), axis=1)
     r = np.arange(rows)
     median = (ordered[r, np.maximum(nonzero - 1, 0) // 2] + ordered[r, nonzero // 2]) / 2.0
-    for i in np.flatnonzero((nonzero > 0) & (ordered[:, 0] > 30.0 * median)):
-        beta[i] = _blowup_exponent(nodes, mags[i])
+    gated = np.flatnonzero((nonzero > 0) & (ordered[:, 0] > 30.0 * median))
+    if len(gated):
+        beta[gated] = _blowup_exponents(nodes, mags[gated])
     pb = space.p * beta
     divergent = pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99
     limited = divergent | (beta > 0.1)
@@ -267,6 +272,45 @@ def norms_batch(values, nodes, weights, space, work=None):
             vals = np.max(scratch, axis=1)
     vals[divergent] = np.inf
     return vals, limited, divergent
+
+
+def _rank_sort(mags, weights, work):
+    """Stable descending rearrangement of the rows of ``mags[P, N]``: the
+    sorted magnitudes go to ``work.ordered`` and their weights to
+    ``work.gathered``.
+
+    Each key is the complemented bit pattern of a nonnegative magnitude
+    (which orders like the value, reversed) with its low ceil(log2 N) bits
+    replaced by the node index, so one in-place integer sort orders a row by
+    value and then by node.  Dropping the low bits can merge nearly tied
+    values, which then come out in node order; a row whose gathered
+    magnitudes are not non-increasing (such a near tie out of order, or a
+    NaN) is argsorted stably instead.  A single row (``norm_info``) is
+    argsorted directly, which costs less than packing its keys.
+    """
+    rows, n = mags.shape
+    gathered, ordered = work.gathered[:rows], work.ordered[:rows]
+    if rows == 1:
+        unsorted = [0]
+    else:
+        shift = (n - 1).bit_length()
+        low = np.uint64((1 << shift) - 1)
+        keys = np.invert(mags.view(np.uint64), out=work.keys[:rows])
+        keys &= ~low
+        keys |= np.arange(n, dtype=np.uint64)
+        keys.sort(axis=1)
+        keys &= low
+        order = keys.view(np.int64)
+        np.take(weights, order, out=gathered, mode="clip")
+        order += (n * np.arange(rows))[:, None]
+        np.take(mags.reshape(-1), order, out=ordered, mode="clip")
+        descending = np.greater_equal(ordered[:, :-1], ordered[:, 1:],
+                                      out=work.positive[:rows, :-1]).all(axis=1)
+        unsorted = np.flatnonzero(~descending)
+    for i in unsorted:
+        exact = np.argsort(-mags[i], kind="stable")
+        gathered[i] = weights[exact]
+        ordered[i] = mags[i, exact]
 
 
 def _lorentz_staircase(breakpoints, plateaus, space, scratch=None):
@@ -298,32 +342,37 @@ def _stepwise_norm(steps, space):
     return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))
 
 
-def _blowup_exponent(nodes, mags):
-    """Least-squares exponent of |f| ~ dist^{-beta} near its strongest peak.
+def _blowup_exponents(nodes, mags):
+    """Least-squares exponents of |f| ~ dist^{-beta} near each row's
+    strongest peak, for the rows of ``mags[G, N]`` sampled at ``nodes``.
 
-    Called only when the peak dwarfs the bulk of the function (a genuine
-    power singularity at grid resolution); an interior peak, which a local
-    fit cannot tell from a mild singularity, reports beta = 0.
+    Called only on rows whose peak dwarfs the bulk of the function (a
+    genuine power singularity at grid resolution).  Interior peaks report
+    beta = 0: the singular location falls between nodes, so a power fit
+    against node distances is unreliable; only endpoint blow-up (where the
+    node family clusters) is diagnosed.  An endpoint row fits log|f|
+    against log dist over its 24 usable nodes nearest that endpoint (dist >
+    0 and |f| above 1e-14 of the peak); with fewer than 6 it reports 0.
     """
-    mmax = mags.max()
-    x0 = nodes[int(np.argmax(mags))]
-    if x0 > 0.9:
-        dist = 1.0 - nodes
-    elif x0 < -0.9:
-        dist = 1.0 + nodes
-    else:
-        # interior peaks: the singular location falls between nodes, so a
-        # power fit against node distances is unreliable; only endpoint
-        # blow-up (where the node family clusters) is diagnosed
-        return 0.0
-    sel = (dist > 0) & (mags > 1e-14 * mmax)
-    dist, m = dist[sel], mags[sel]
-    order = np.argsort(dist)
-    dist, m = dist[order[:24]], m[order[:24]]
-    if len(dist) < 6:
-        return 0.0
-    slope = np.polyfit(np.log(dist), np.log(m), 1)[0]
-    return max(0.0, -float(slope))
+    beta = np.zeros(len(mags))
+    x0 = nodes[np.argmax(mags, axis=1)]
+    for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
+        if not len(rows):
+            continue
+        dist = 1.0 - side * nodes
+        near = np.argsort(dist, kind="stable")
+        dist = dist[near]
+        m = mags[rows][:, near]
+        usable = (dist > 0) & (m > 1e-14 * m.max(axis=1, keepdims=True))
+        usable &= np.cumsum(usable, axis=1) <= 24
+        count = np.count_nonzero(usable, axis=1)
+        logd = np.log(dist, where=dist > 0, out=np.zeros_like(dist))
+        logm = np.log(m, where=usable, out=np.zeros_like(m))
+        mean = (logd * usable).sum(axis=1) / np.maximum(count, 1)
+        xc = np.where(usable, logd - mean[:, None], 0.0)
+        slope = (xc * logm).sum(axis=1) / np.maximum((xc * xc).sum(axis=1), 1e-300)
+        beta[rows] = np.where(count >= 6, np.maximum(0.0, -slope), 0.0)
+    return beta
 
 
 # -------------------------------------------------------------------- dilation

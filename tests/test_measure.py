@@ -311,6 +311,33 @@ def test_block_norms_shared_buffers_match_fresh_blocks():
             assert np.array_equal(pattern_norms(patterns), want)
 
 
+def test_sign_search_keeps_the_fast_path(monkeypatch):
+    # the transform basis of a real polynomial is exactly real, and a
+    # quarter of the 2^11 patterns on x^4 engage the endpoint blow-up fit,
+    # which must run batched, without a per-row polyfit
+    f = fh.poly_fn([0.0, 0.0, 0.0, 0.0, 1.0], 512)
+    space = fh.SpaceSpec.lorentz(3, 1)
+    made = []
+
+    class Recording(fh.measure._BlockNorms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("per-row polyfit in the sign search")
+
+    monkeypatch.setattr(fh.measure, "_BlockNorms", Recording)
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    est = fh.optdomain_norm(f, space, cells=12)
+    assert est.value == pytest.approx(2.6805983362690506, rel=1e-12)
+    assert [b.basis.dtype for b in made] == [np.dtype(float)]
+    # complex phases combine the same real basis into complex samples
+    est4 = fh.optdomain_norm(f, space, cells=6, phases=4)
+    assert est4.value == pytest.approx(2.2874183316983183, rel=1e-12)
+    assert made[-1].samples.dtype == np.dtype(complex)
+
+
 def test_semivariation_rejects_unknown_search(one):
     with pytest.raises(ValueError):
         fh.semivariation(one, ivals((0.0, 0.5)), fh.SpaceSpec.lp(2), search="bogus")

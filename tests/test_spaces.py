@@ -1,6 +1,7 @@
 """Rearrangements, norms, dilation operators and Boyd indices."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +245,116 @@ def test_norms_batch_shared_workspace_matches_fresh_calls(space):
     for block, got in results:
         want = fh.norms_batch(block, f.nodes, f.weights, space)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+SORT_SPACES = (fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.lorentz(2, 3), fh.SpaceSpec.weak_lp(2))
+SORT_SIZES = (1, 2, 3, 7, 64, 512, 2048)
+
+
+def stable_staircase_norms(rows, weights, space):
+    """The staircase norms from the stable descending argsort, in the
+    kernel's order of operations."""
+    mags = np.abs(rows)
+    order = np.argsort(-mags, axis=1, kind="stable")
+    v = np.take_along_axis(mags, order, axis=1)
+    u = np.cumsum(weights[order], axis=1)
+    if space.kind == "Lorentz":
+        chunks = np.diff(np.power(u, space.q / space.p), axis=1, prepend=0.0)
+        chunks *= space.p / space.q
+        return np.sum(np.power(v, space.q) * chunks, axis=1) ** (1.0 / space.q)
+    return np.max(np.power(u, 1.0 / space.p) * np.concatenate([v[:, 1:], v[:, -1:]], axis=1),
+                  axis=1)
+
+
+def rank_sort_rows(n, rng):
+    """Rows the packed key orders exactly, and rows with one-ulp near ties
+    placed ascending in node order, which the key truncation merges."""
+    mirrored = rng.random((n + 1) // 2)
+    exact = [np.round(rng.normal(size=n), 1),
+             np.concatenate([mirrored, mirrored[::-1][n % 2:]]),
+             np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0),
+             np.zeros(n)]
+    shift = (n - 1).bit_length()
+    near = []
+    for j in 2 * list(range(0, n - 1, max(1, n // 3))):   # blocks of 2+ rows
+        row = rng.random(n) + 1.0
+        row.view(np.uint64)[:] &= ~np.uint64((1 << shift) - 1)
+        row[j + 1] = np.nextafter(row[j], np.inf)
+        near.append(row)
+    return np.array(exact), np.array(near).reshape(-1, n)
+
+
+@pytest.mark.parametrize("space", SORT_SPACES, ids=lambda sp: sp.label())
+def test_packed_rank_sort_matches_stable_argsort(space, monkeypatch):
+    rng = np.random.default_rng(41)
+    fallbacks = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_rank_sort":
+            fallbacks.append(1)
+        return argsort(*args, **kwargs)
+
+    for n in SORT_SIZES:
+        # distinct positive weights, so a misplaced row shows in the gather
+        nodes = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        weights = rng.random(n) + 0.5
+        for rows, near_ties in zip(rank_sort_rows(n, rng), (False, True)):
+            want = stable_staircase_norms(rows, weights, space)
+            work = NormWorkspace(len(rows), n)
+            del fallbacks[:]
+            monkeypatch.setattr(np, "argsort", counting_argsort)
+            vals, _, divergent = fh.norms_batch(rows, nodes, weights, space, work)
+            monkeypatch.setattr(np, "argsort", argsort)
+            assert len(fallbacks) == (len(rows) if near_ties else 0)
+            assert not divergent.any()
+            assert np.array_equal(vals, want)
+            mags = np.abs(rows)
+            order = argsort(-mags, axis=1, kind="stable")
+            assert np.array_equal(work.ordered[:len(rows)], np.take_along_axis(mags, order, 1))
+            assert np.array_equal(work.gathered[:len(rows)], weights[order])
+
+
+def polyfit_exponent(nodes, mags):
+    """The per-row power-law fit of the blow-up diagnosis, written out."""
+    x0 = nodes[np.argmax(mags)]
+    if x0 > 0.9:
+        dist = 1.0 - nodes
+    elif x0 < -0.9:
+        dist = 1.0 + nodes
+    else:
+        return 0.0
+    sel = (dist > 0) & (mags > 1e-14 * mags.max())
+    dist, m = dist[sel], mags[sel]
+    near = np.argsort(dist, kind="stable")[:24]
+    if len(near) < 6:
+        return 0.0
+    return max(0.0, -float(np.polyfit(np.log(dist[near]), np.log(m[near]), 1)[0]))
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_blowup_exponents_match_polyfit(n):
+    x, _ = fh.make_grid(n)
+    right = (1.0 - x) ** -0.7
+    few = np.where(x >= np.sort(x)[-4], right, 0.0)      # 4 usable nodes
+    faint = np.where(np.arange(n) % 2, right, 1e-16)     # half below 1e-14 max
+    rows = np.array([
+        right,
+        (1.0 + x) ** -0.4,
+        np.abs(x - 0.3) ** -0.5,                         # interior peak
+        np.abs(np.log((1.0 - x) / 2.0)),                 # endpoint log peak
+        few,
+        faint,
+        faint[::-1] * (1.0 + 0.1 * x),
+        (1.0 - x) ** -1.2 + 3.0,
+    ])
+    got = fh.spaces._blowup_exponents(x, rows)
+    want = [polyfit_exponent(x, row) for row in rows]
+    assert got[2] == 0.0 and got[4] == 0.0
+    assert got[0] > 0.5 and got[1] > 0.3
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+    assert len(fh.spaces._blowup_exponents(x, rows[:0])) == 0
 
 
 # --------------------------------------------------------------------- dilation

@@ -66,6 +66,18 @@ def test_grid_of_zero_is_zero():
     assert np.all(img.values == 0)
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_grid_of_real_function_is_exactly_real(n):
+    # the series route drops the FFT's imaginary roundoff for real
+    # coefficients, so the searches can keep their bases real
+    inputs = (fh.poly_fn([0.3, 1.0, -0.6, 0.8, 0.1], n),
+              fh.from_callable(lambda x: 0.3 + x - 2 * x**3 + np.exp(x), n),
+              fh.indicator_fn(ivals((-0.3, 0.4), (0.5, 0.9)), n),
+              fh.rybakov_functional(n))
+    for f in inputs:
+        assert np.all(fh.fht_grid(f).values.imag == 0)
+
+
 def test_grid_kernel_sup(invw):
     img = fh.fht_grid(invw)
     mask = np.abs(img.nodes) <= 0.9
