@@ -86,9 +86,7 @@ def right_inverse(f):
         vals = f.profile.times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
         if vals is not None:
             return f.with_values(-vals / w, None)
-    vals = -np.array(
-        [fht_times_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
-    ) / w
+    vals = -fht_times_w_point(f.eval_at, f.nodes, grade_endpoints=True) / w
     return f.with_values(vals, None)
 
 
@@ -108,9 +106,7 @@ def left_inverse(f):
         vals = f.profile.fht_over_w_values(f.nodes)
         if vals is not None:
             return f.with_values(-w * vals, None)
-    vals = -w * np.array(
-        [fht_over_w_point(f.eval_at, t, grade_endpoints=True) for t in f.nodes]
-    )
+    vals = -w * fht_over_w_point(f.eval_at, f.nodes, grade_endpoints=True)
     return f.with_values(vals, None)
 
 
@@ -187,30 +183,27 @@ def inversion_residuals(f, space, sample_points=None):
     out = {}
     if regime == HIGH_INDEX:
         q = -ca.fht_times_w_series(series)   # right inverse is q/w
-        tr = np.array([fht_over_w_point(lambda x: _cheb.chebval(x, q), t) for t in sample_points])
+        tr = fht_over_w_point(lambda x: _cheb.chebval(x, q), sample_points)
         out["T o rightinv - id"] = _residual_report(tr - fvals)
 
         img = fht_grid(f)                    # T(f), log-mix image
-        that_vals = np.array(
-            [-fht_times_w_point(img.eval_at, t, grade_endpoints=True) for t in sample_points]
-        ) / semicircle_weight(sample_points)
+        that_vals = -fht_times_w_point(img.eval_at, sample_points, grade_endpoints=True) \
+            / semicircle_weight(sample_points)
         proj = kernel_projection(f)
         out["rightinv o T - (id - P)"] = _residual_report(
             that_vals - (fvals - proj.eval_at(sample_points))
         )
     else:
         img = fht_grid(f)                    # h = T(f) lies in the range
-        tc_vals = -semicircle_weight(sample_points) * np.array(
-            [fht_over_w_point(img.eval_at, t, grade_endpoints=True) for t in sample_points]
-        )
+        tc_vals = -semicircle_weight(sample_points) * fht_over_w_point(
+            img.eval_at, sample_points, grade_endpoints=True)
         out["leftinv o T - id"] = _residual_report(tc_vals - fvals)
 
         # T(leftinv(h)) - h with leftinv(h) recovered by quadrature, then
         # transformed exactly from its (polynomial) interpolant
         mid_nodes = ca.chebyshev_nodes(96)
-        u_vals = -semicircle_weight(mid_nodes) * np.array(
-            [fht_over_w_point(img.eval_at, t, grade_endpoints=True) for t in mid_nodes]
-        )
+        u_vals = -semicircle_weight(mid_nodes) * fht_over_w_point(
+            img.eval_at, mid_nodes, grade_endpoints=True)
         u_series = ca.fit_chebyshev(u_vals)
         ttc = ca.fht_series(u_series, sample_points)
         out["T o leftinv - id on range"] = _residual_report(ttc - img.eval_at(sample_points))

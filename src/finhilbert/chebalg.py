@@ -402,12 +402,36 @@ def _gl_rule(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+_PANEL_BLOCK = 2 ** 16      # quadrature nodes per call of the integrand
+
+
 def integrate_panels(f, edges, order=24):
-    """Composite Gauss-Legendre quadrature of a vectorized callable."""
+    """Composite Gauss-Legendre quadrature over rows of panels.
+
+    ``edges`` holds one increasing sequence of panel edges per row; the
+    result holds one sum per row.  ``f(rows, theta)`` returns the integrand
+    at nodes ``theta`` of shape (len of the slice ``rows``, panels, order),
+    row i of ``theta`` belonging to row ``rows.start + i``.  Rows with fewer
+    panels than the longest are padded with zero-length panels inside their
+    first panel, evaluated but never summed.  Rows go to ``f`` in blocks of
+    at most ``_PANEL_BLOCK`` nodes.  Each row's terms are summed on their
+    own, in the order a one-row call sums them, so a row's value does not
+    depend on the other rows.
+    """
     z, w = _gl_rule(order)
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
+    counts = [len(e) - 1 for e in edges]
+    width = max(counts, default=1)
+    lo, hi = np.empty((len(edges), width)), np.empty((len(edges), width))
+    for i, e in enumerate(edges):
+        e, k = np.asarray(e, dtype=float), counts[i]
+        lo[i, :k], hi[i, :k] = e[:-1], e[1:]
+        lo[i, k:] = hi[i, k:] = (e[0] + e[1]) / 2.0
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    pts = mid[:, None] + half[:, None] * z[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return np.sum(half[:, None] * w[None, :] * vals)
+    sums = np.empty(len(edges), dtype=complex)
+    step = max(1, _PANEL_BLOCK // (width * order))
+    for b in range(0, len(edges), step):
+        rows = slice(b, b + step)
+        terms = half[rows, :, None] * w * f(rows, mid[rows, :, None] + half[rows, :, None] * z)
+        for i, k in enumerate(counts[rows]):
+            sums[b + i] = np.sum(terms[i, :k])
+    return sums

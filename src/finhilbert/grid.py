@@ -136,22 +136,27 @@ class GridFunction:
 
     # ------------------------------------------------------------ persistence
     def to_csv(self, path_or_buf):
-        rows = zip(self.nodes, self.values.real, self.values.imag, self.weights)
+        rows = zip(self.nodes.tolist(), self.values.real.tolist(),
+                   self.values.imag.tolist(), self.weights.tolist())
         if hasattr(path_or_buf, "write"):
             _write_csv(path_or_buf, rows)
         else:
             with open(path_or_buf, "w", newline="") as fh:
                 _write_csv(fh, rows)
 
-    def to_json(self, path=None):
-        payload = {
+    def to_dict(self):
+        """The JSON payload: ``node_family`` and the ``node``, ``re``, ``im``
+        and ``weight`` lists, as Python floats that round-trip exactly."""
+        return {
             "node_family": self.node_family,
-            "node": [float(x) for x in self.nodes],
-            "re": [float(v) for v in self.values.real],
-            "im": [float(v) for v in self.values.imag],
-            "weight": [float(w) for w in self.weights],
+            "node": self.nodes.tolist(),
+            "re": self.values.real.tolist(),
+            "im": self.values.imag.tolist(),
+            "weight": self.weights.tolist(),
         }
-        text = json.dumps(payload, sort_keys=True)
+
+    def to_json(self, path=None):
+        text = json.dumps(self.to_dict(), sort_keys=True)
         if path is None:
             return text
         with open(path, "w") as fh:
@@ -185,10 +190,10 @@ class GridFunction:
 
 
 def _write_csv(fh, rows):
+    # rows of Python floats: csv writes str(v), which is repr(v)
     writer = csv.writer(fh)
     writer.writerow(["node", "re", "im", "weight"])
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
+    writer.writerows(rows)
 
 
 # ------------------------------------------------------------------- families

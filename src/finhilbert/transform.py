@@ -240,29 +240,54 @@ def fht_over_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
     The substitution removes both the endpoint singularities of 1/w and the
     principal value: the identity pv int d(theta)/(cos(theta) - t) = 0 turns
     the integral into a regular one.
+
+    ``t`` is a point of (-1, 1) or an array of them: a scalar returns a
+    complex, an array a complex array of the same shape.  All points share
+    the calls of ``h`` (blocks of :func:`chebalg.integrate_panels`), which
+    receives 1-D arrays and must act elementwise; each point's value is the
+    one a call with that point alone returns.
     """
-    t = float(t)
-    ht = complex(np.asarray(h(np.array([t]))).ravel()[0])
+    tt, ht = _point_values(h, t)
 
-    def g(theta):
+    def g(rows, theta):
         x = np.cos(theta)
-        return (np.asarray(h(x)) - ht) / (x - t)
+        return (_eval_shaped(h, x) - ht[rows, None, None]) / (x - tt[rows, None, None])
 
-    edges = _theta_edges(np.arccos(t), extra_splits, grade_endpoints)
-    return complex(ca.integrate_panels(g, edges, order=order)) / np.pi
+    return _theta_panels(g, t, tt, extra_splits, order, grade_endpoints)
 
 
 def fht_times_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
-    """T(h*w)(t) for a callable h via the cos(theta) substitution."""
-    t = float(t)
-    Ht = complex(np.asarray(h(np.array([t]))).ravel()[0]) * (1.0 - t * t)
+    """T(h*w)(t) for a callable h via the cos(theta) substitution; scalar or
+    array ``t`` as in :func:`fht_over_w_point`."""
+    tt, ht = _point_values(h, t)
+    Ht = ht * (1.0 - tt * tt)
 
-    def g(theta):
+    def g(rows, theta):
         x = np.cos(theta)
-        return (np.asarray(h(x)) * np.sin(theta) ** 2 - Ht) / (x - t)
+        return ((_eval_shaped(h, x) * np.sin(theta) ** 2 - Ht[rows, None, None])
+                / (x - tt[rows, None, None]))
 
-    edges = _theta_edges(np.arccos(t), extra_splits, grade_endpoints)
-    return complex(ca.integrate_panels(g, edges, order=order)) / np.pi
+    return _theta_panels(g, t, tt, extra_splits, order, grade_endpoints)
+
+
+def _point_values(h, t):
+    tt = np.asarray(t, dtype=float).ravel()
+    return tt, _eval_vec(h, tt)[1].astype(complex)
+
+
+def _eval_shaped(h, x):
+    return _eval_vec(h, x.ravel())[1].reshape(x.shape)
+
+
+def _theta_panels(g, t, tt, extra_splits, order, grade_endpoints):
+    """Each point's panel sum over its own theta edges, divided by pi."""
+    edges = [_theta_edges(np.arccos(x), extra_splits, grade_endpoints) for x in tt.tolist()]
+    sums = ca.integrate_panels(g, edges, order=order)
+    # componentwise, as complex / float divides: a complex numpy division
+    # multiplies by 1/pi instead
+    out = np.empty(sums.shape, dtype=complex)
+    out.real, out.imag = sums.real / np.pi, sums.imag / np.pi
+    return complex(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 # ----------------------------------------------------------------------- oracle

@@ -123,6 +123,89 @@ def test_solve_high_index_writes_artifact(tmp_path, capsys):
     assert len(sol) == 256
 
 
+def _elementwise_payload(f):
+    # the solution payload as it was written float by float from numpy scalars
+    return {"node_family": f.node_family,
+            "node": [float(x) for x in f.nodes],
+            "re": [float(v) for v in f.values.real],
+            "im": [float(v) for v in f.values.imag],
+            "weight": [float(w) for w in f.weights]}
+
+
+def _point_loop_residual(sol, g):
+    q = sol.particular.profile.series(-1)
+    pts = np.linspace(-0.9, 0.9, 41)
+    outer = np.array([fh.fht_over_w_point(lambda x: np.polynomial.chebyshev.chebval(x, q),
+                                          float(t)) for t in pts])
+    return float(np.abs(outer - g.eval_at(pts)).max())
+
+
+@pytest.mark.parametrize("nodes", [64, 2048])
+@pytest.mark.parametrize("spec", ["poly:0.3,1,-0.5,0.25", "poly:1,0,2,0,-1,0.5,0.2"])
+def test_solve_artifact_content(spec, nodes, tmp_path, capsys):
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", "--g", spec, "--space", "Lp:1.5", "--nodes", str(nodes),
+                 "--out", str(out_path)]) == EXIT_OK
+    text = out_path.read_text()
+    payload = json.loads(text)
+    assert sorted(payload) == ["kernel_note", "residual_sup_interior", "solution", "space"]
+    assert "\n" not in text and json.dumps(payload, sort_keys=True) == text
+    g = parse_function_spec(spec, nodes)
+    sol = fh.solve_airfoil(g, fh.SpaceSpec.lp(1.5))
+    assert payload["solution"] == json.loads(sol.particular.to_json())
+    assert payload["solution"] == _elementwise_payload(sol.particular)
+    back = fh.GridFunction.from_json(json.dumps(payload["solution"]))
+    assert np.array_equal(back.nodes, sol.particular.nodes)
+    assert np.array_equal(back.values, sol.particular.values)
+    assert np.array_equal(back.weights, sol.particular.weights)
+    assert abs(payload["residual_sup_interior"] - _point_loop_residual(sol, g)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", ["poly:0.3,1,-0.5,0.25", "indicator:0,0.5"])
+def test_solve_parses_no_json_and_runs_one_panel_call(spec, tmp_path, monkeypatch, capsys):
+    from finhilbert import cli, transform
+
+    calls = []
+    panels = transform.fht_over_w_point
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return panels(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve must not call this")
+
+    out_path = tmp_path / "sol.json"
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", refuse)
+        m.setattr(transform, "fht_over_w_point", counted)
+        m.setattr(cli, "fht_over_w_point", counted)
+        m.setattr(cli, "fht_point", refuse)
+        assert main(["solve", "--g", spec, "--space", "Lp:1.5", "--nodes", "32",
+                     "--out", str(out_path)]) == EXIT_OK
+    assert len(calls) == 1 and np.shape(calls[0]) == (41,)
+    assert json.loads(out_path.read_text())["residual_sup_interior"] >= 0.0
+
+
+@pytest.mark.parametrize("spec", ["indicator:0,0.5", "sigma", "w"])
+def test_profile_free_solution_residual_matches_quadpack_route(spec):
+    # T(u) for a profile-free u: theta panels on (u w)/w against the
+    # subtract-singularity route, point by point
+    from finhilbert.cli import _solution_residual
+
+    g = parse_function_spec(spec, 16)
+    u = fh.solve_airfoil(g, fh.SpaceSpec.lp(1.5)).particular
+    assert u.profile is None
+    pts = np.linspace(-0.9, 0.9, 41)
+    quadpack = np.array([fh.fht_point(u, float(t), fh.PVConfig(method="subtract-singularity"))
+                         for t in pts])
+    want = float(np.abs(quadpack - g.eval_at(pts)).max())
+    got = _solution_residual(u, g)
+    assert abs(got - want) <= 1e-12 * want
+    if spec != "w":
+        assert got > 0.1            # the solution is wrong near the jumps, and says so
+
+
 def test_solve_not_in_range(capsys):
     code = main(["solve", "--g", "poly:1", "--space", "Lp:3", "--nodes", "128"])
     err = capsys.readouterr().err

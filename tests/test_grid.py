@@ -1,5 +1,7 @@
 """Grid functions, interval sets, quadrature and serialization."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -250,6 +252,25 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(f.nodes, g.nodes)
     assert np.array_equal(f.values, g.values)
     assert np.array_equal(f.weights, g.weights)
+
+
+def test_csv_bytes_match_elementwise_writer(tmp_path):
+    nodes = np.array([-0.75, -1e-300, 0.0, 0.3, 0.9])
+    values = np.array([1.0 / 3.0 - 0.0j, -0.0 + 2.5e-17j, 1e300 - 1j, np.pi, -1e-320 + 0.1j])
+    f = fh.GridFunction(nodes, values, np.array([0.1, 0.2, 0.0, 1.7, 2.0 / 7.0]), "custom")
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["node", "re", "im", "weight"])
+    for row in zip(f.nodes, f.values.real, f.values.imag, f.weights):
+        writer.writerow([repr(float(v)) for v in row])
+    got = io.StringIO()
+    f.to_csv(got)
+    assert got.getvalue() == want.getvalue()
+    path = tmp_path / "f.csv"
+    f.to_csv(str(path))
+    assert path.read_bytes() == want.getvalue().encode()
+    g = fh.poly_fn([0.5, 1.0, -0.25], 64) * (1 - 2j)
+    assert g.to_dict()["re"] == [float(v) for v in g.values.real]
 
 
 def test_json_roundtrip():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
+from finhilbert import chebalg
 from finhilbert.profiles import Profile
 
 
@@ -216,6 +218,63 @@ def test_cos_theta_engines_match_classical_identities():
     assert got.real == pytest.approx(2 * t, abs=1e-10)
     got = fh.fht_times_w_point(lambda x: np.ones_like(x), t)   # T(w) = -t
     assert got.real == pytest.approx(-t, abs=1e-10)
+
+
+# ------------------------------------------------------- array-form theta panels
+
+_PANEL_PTS = np.concatenate([[-0.999], np.linspace(-0.9, 0.9, 13), [0.999]])
+_Q = np.array([0.3, -1.2, 0.5, 0.25, -0.7])
+
+
+def _panel_cases():
+    img = fh.fht_grid(fh.indicator_fn((-0.2, 0.4), 128))     # log peaks at -0.2, 0.4
+    splits = {"extra_splits": (-0.2, 0.4)}
+    return [
+        (fh.fht_over_w_point, lambda x: C.chebval(x, _Q), {}),
+        (fh.fht_over_w_point, lambda x: (1 + 2j) * x**3 - 1j, {"grade_endpoints": True}),
+        (fh.fht_over_w_point, img.eval_at, splits),
+        (fh.fht_times_w_point, img.eval_at, dict(splits, grade_endpoints=True)),
+        (fh.fht_times_w_point, lambda x: 1j * C.chebval(x, _Q), {}),
+    ]
+
+
+def _scaled(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("block", [None, 500])
+def test_theta_panels_array_form_matches_point_loop(block, monkeypatch):
+    # 500 nodes hold at most two points' panels, so most calls span blocks
+    if block is not None:
+        monkeypatch.setattr(chebalg, "_PANEL_BLOCK", block)
+    for fn, h, kw in _panel_cases():
+        loop = np.array([fn(h, float(t), **kw) for t in _PANEL_PTS])
+        got = fn(h, _PANEL_PTS, **kw)
+        assert got.shape == _PANEL_PTS.shape and got.dtype == complex
+        assert _scaled(got, loop) <= 1e-15
+        grid = fn(h, _PANEL_PTS.reshape(3, 5), **kw)
+        assert grid.shape == (3, 5)
+        assert _scaled(grid.ravel(), loop) <= 1e-15
+
+
+def test_theta_panels_batch_the_integrand_calls():
+    calls = []
+
+    def h(x):
+        calls.append(len(x))
+        return C.chebval(x, _Q)
+
+    fh.fht_over_w_point(h, _PANEL_PTS)
+    assert len(calls) == 2          # h(t) at the points, then one block of panels
+    assert calls[0] == len(_PANEL_PTS)
+
+
+def test_theta_panels_scalar_point_returns_complex():
+    for fn, h, kw in _panel_cases():
+        val = fn(h, 0.3, **kw)
+        assert type(val) is complex
+        assert val == fn(h, np.array([0.3]), **kw)[0]
+    assert fh.fht_over_w_point(np.cos, np.array([])).shape == (0,)
 
 
 def test_oracle_on_known_value():
