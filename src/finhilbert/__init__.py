@@ -4,10 +4,9 @@ The package evaluates T(f)(t) = (1/pi) pv int f(x)/(x-t) dx with quadrature
 matched to each singular structure, inverts the airfoil equation T(f) = g in
 both Boyd-index regimes, computes rearrangement-invariant norms
 (L^p, Lorentz, weak-L^p) with Boyd index estimation, and realizes the
-vector-measure view of the transform: scalar measures, semivariation,
-optimal-domain norms and membership diagnostics.  ``python -m finhilbert``
-or the ``finhilbert`` script expose evaluation, solving and the verification
-suite.
+vector-measure view of the transform: scalar measures, semivariation and
+optimal-domain norms.  ``python -m finhilbert`` or the ``finhilbert`` script
+expose evaluation, solving and the verification suite.
 
 All public objects are immutable and all operations are pure functions, so
 every API here is safe for concurrent use without synchronization.
@@ -30,7 +29,6 @@ from .airfoil import (
     solve_airfoil,
 )
 from .grid import (
-    ChebyshevSeries,
     GridFunction,
     cheb_fit,
     const_fn,
@@ -49,16 +47,12 @@ from .grid import (
 )
 from .intervals import IntervalSet
 from .measure import (
-    MembershipReport,
     ModulatingFunction,
     OptNormEstimate,
     blowup_witness,
     dual_dictionary,
     indefinite_integral,
-    invw_membership_evidence,
-    lp_membership,
     matched_dual,
-    membership_report,
     optdomain_norm,
     parseval_defect,
     random_interval_set,
@@ -85,12 +79,9 @@ from .spaces import (
     rearrangement_decay,
 )
 from .transform import (
-    MethodError,
     OracleConvergenceError,
-    PVConfig,
     SingularEvaluationError,
     TransformDomainError,
-    fht_chebyshev,
     fht_grid,
     fht_indicator,
     fht_point,

@@ -135,7 +135,7 @@ def range_defect(g):
 
 def _series_of(f):
     p = _plain_series(f)
-    return p if p is not None else cheb_fit(f).asarray()
+    return p if p is not None else cheb_fit(f)
 
 
 # ------------------------------------------------------------------- solutions

@@ -97,14 +97,6 @@ def fit_chebyshev(values):
     return out
 
 
-def trim(coeffs, tol=0.0):
-    c = np.asarray(coeffs)
-    nz = np.nonzero(np.abs(c) > tol)[0]
-    if len(nz) == 0:
-        return c[:1] * 0
-    return c[: nz[-1] + 1]
-
-
 def difference_quotient(coeffs, x):
     """Coefficients b_k(x) of q(y) = (p(y) - p(x)) / (y - x), vectorized in x.
 

@@ -17,6 +17,7 @@ Function specs are a tiny grammar rather than an expression parser:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,6 @@ from .intervals import IntervalSet
 from .report import write_report
 from .spaces import SpaceSpec
 from .transform import (
-    PVConfig,
     SingularEvaluationError,
     TransformDomainError,
     fht_over_w_point,
@@ -180,11 +180,10 @@ def cmd_eval(args, parser):
         parser.error(f"bad evaluation points: {args.x!r}")
     if not points:
         points = list(f.nodes[:: max(1, len(f) // 16)])
-    cfg = PVConfig(method=args.method)
     print(f"{'x':>12}  {'re T(f)(x)':>14}  {'im T(f)(x)':>14}")
     for x in points:
         try:
-            val = fht_point(f, x, cfg)
+            val = fht_point(f, x)
             print(f"{x:>12.6f}  {val.real:>14.8f}  {val.imag:>14.8f}")
         except (SingularEvaluationError, TransformDomainError) as exc:
             print(f"{x:>12.6f}  error: {exc}")
@@ -268,7 +267,10 @@ def cmd_verify(args, parser):
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURES
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="finhilbert",
         description="Finite Hilbert transform: evaluation, airfoil inversion, "
@@ -291,9 +293,6 @@ def build_parser():
                             help="evaluate T(f) at points")
     p_eval.add_argument("--f", required=True, help="function spec")
     p_eval.add_argument("--x", default="", help="comma-separated points")
-    p_eval.add_argument("--method", default="closed-form-auto",
-                        choices=("closed-form-auto", "subtract-singularity",
-                                 "spectral"))
 
     p_solve = sub.add_parser("solve", parents=[common],
                              help="solve the airfoil equation T(f) = g")

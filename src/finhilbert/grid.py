@@ -31,26 +31,6 @@ CUSTOM = "custom"
 DEFAULT_NODES = 512
 
 
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """First-kind Chebyshev coefficients a_0..a_N."""
-
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        c = np.atleast_1d(np.asarray(coefficients, dtype=complex))
-        object.__setattr__(self, "coefficients", tuple(c))
-
-    def __call__(self, x):
-        return _cheb.chebval(np.asarray(x, dtype=float), np.asarray(self.coefficients))
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def asarray(self):
-        return np.asarray(self.coefficients, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)   # identity semantics: ndarray fields
 class GridFunction:
     nodes: np.ndarray
@@ -103,9 +83,6 @@ class GridFunction:
 
     def with_values(self, values, profile=None):
         return GridFunction(self.nodes, values, self.weights, self.node_family, profile)
-
-    def map_values(self, fn):
-        return self.with_values(fn(self.values))
 
     # -------------------------------------------------------------- arithmetic
     def __add__(self, other):
@@ -300,10 +277,6 @@ def integrate_interval(f, lo, hi):
     return complex(np.sum(overlap * f.values))
 
 
-def integrate_set(f, interval_set):
-    return sum((integrate_interval(f, a, b) for a, b in interval_set), 0.0 + 0.0j)
-
-
 def _cell_edges(nodes):
     inner = (nodes[1:] + nodes[:-1]) / 2.0
     return np.concatenate([[-1.0], inner, [1.0]])
@@ -327,7 +300,8 @@ def pairing(f, g):
 
 
 def cheb_fit(f_or_values, degree=None):
-    """Chebyshev interpolant of samples taken at first-kind nodes."""
+    """Chebyshev coefficients of the interpolant of samples taken at
+    first-kind nodes, truncated after ``degree`` when given."""
     values = f_or_values.values if isinstance(f_or_values, GridFunction) else f_or_values
     values = np.asarray(values, dtype=complex)
     coeffs = ca.fit_chebyshev(values)
@@ -335,4 +309,4 @@ def cheb_fit(f_or_values, degree=None):
         if degree + 1 > len(values):
             raise ValueError("degree exceeds what the node count can resolve")
         coeffs = coeffs[: degree + 1]
-    return ChebyshevSeries(coeffs)
+    return coeffs

@@ -5,7 +5,7 @@ the ambient space; integrating simple functions against it reproduces
 T(s chi_A).  This module provides the induced scalar measures and their
 variation, the optimal-domain norm sup_{|h| <= |f|} ||T(h)||, its
 semivariation counterpart, the dual (scalarly-integrable) norm estimate,
-membership diagnostics, and the order-bound blow-up witness.
+and the order-bound blow-up witness.
 
 Supremum searches run over sign patterns on cell partitions: exhaustive
 enumeration (the exact oracle, 2^cells patterns) or greedy single-flip
@@ -15,7 +15,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +25,18 @@ from .grid import (
     cheb_fit,
     from_profile,
     indicator_fn,
-    integrate,
     integrate_interval,
     make_grid,
     pairing,
 )
 from .intervals import IntervalSet
 from .profiles import Profile
-from .spaces import (NormWorkspace, SpaceSpec, norm, norm_info, norms_batch,
-                     rearrangement_decay)
-from .transform import PVConfig, fht_grid, fht_indicator, fht_product_indicator
+from .spaces import NormWorkspace, SpaceSpec, norm, norms_batch
+from .transform import fht_grid, fht_indicator, fht_product_indicator
 from .airfoil import rybakov_functional
 
 EXHAUSTIVE = "exhaustive"
 GREEDY = "greedy-flip"
-RANDOM_RESTART = "random-restart"
 
 MAX_EXHAUSTIVE_CELLS = 20
 
@@ -96,10 +93,9 @@ def total_variation_scalar(g, levels=(4, 16, 64, 256), interval=(-1.0, 1.0)):
     return out
 
 
-def indefinite_integral(f, interval_set, cfg=None):
+def indefinite_integral(f, interval_set):
     """Integral of f over A against the vector measure: equals T(f chi_A)."""
-    cfg = cfg or PVConfig()
-    return fht_product_indicator(f, interval_set, cfg)
+    return fht_product_indicator(f, interval_set)
 
 
 # ----------------------------------------------------- modulation sign search
@@ -147,7 +143,7 @@ def _transform_basis(f, edges):
     """
     prof = f.profile
     if prof is None or prof.logs:
-        prof = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 32)).asarray())
+        prof = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 32)))
     return np.array([prof.restricted(IntervalSet(((a, b),))).fht_values(f.nodes)
                      for a, b in zip(edges[:-1], edges[1:])])
 
@@ -244,7 +240,7 @@ def _greedy_best(basis, nodes, weights, space, restarts, seed):
 def _search_best(basis, f, space, search, restarts, seed, phases=2):
     if search == EXHAUSTIVE:
         return _exhaustive_best(basis, f.nodes, f.weights, space, phases)
-    if search in (GREEDY, RANDOM_RESTART):
+    if search == GREEDY:
         return _greedy_best(basis, f.nodes, f.weights, space, restarts, seed)
     raise ValueError(f"unknown search tag: {search}")
 
@@ -401,63 +397,7 @@ def matched_dual(f, space, cells=12, estimate=None):
     return g * (1.0 / nv)
 
 
-# ------------------------------------------------------------------ membership
-
-@dataclass(frozen=True)
-class MembershipReport:
-    in_l1: bool
-    indicator_checks: tuple      # ((interval_set, norm_value, finite), ...)
-    dual_checks: tuple           # ((label, integral_value, finite), ...)
-    verdict: str                 # member | non-member | inconclusive
-    flags: tuple = field(default_factory=tuple)
-
-
-def membership_report(f, space, samples=12, seed=0, n_duals=8):
-    """Spot-check the optimal-domain membership criteria for f.
-
-    Samples random interval unions A and tests norm-finiteness of T(f chi_A),
-    plus integrability of f T(g) against dictionary duals.  The verdict is
-    "member" only when every sampled check is finite.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    flags = []
-    info_l1 = norm_info(f, SpaceSpec.lp(1.000001))
-    in_l1 = not info_l1.divergent
-    if info_l1.resolution_limited:
-        flags.append("L1 norm is resolution limited")
-
-    rng = np.random.default_rng(seed)
-    indicator_checks = []
-    all_finite = in_l1
-    for _ in range(samples):
-        A = random_interval_set(rng)
-        img = fht_product_indicator(f, A)
-        ninfo = norm_info(img, space)
-        finite = not ninfo.divergent and np.isfinite(ninfo.value)
-        indicator_checks.append((A, ninfo.value, finite))
-        all_finite &= finite
-
-    duals = dual_dictionary(space, size=n_duals, n=len(f), seed=seed)[:n_duals]
-    dual_checks = []
-    for i, g in enumerate(duals):
-        img = fht_grid(g)
-        prod = f.with_values(np.abs(f.values * img.values))
-        ninfo = norm_info(prod, SpaceSpec.lp(1.000001))
-        finite = not ninfo.divergent
-        dual_checks.append((f"dual[{i}]", float(np.real(integrate(prod))), finite))
-        all_finite &= finite
-
-    if all_finite:
-        verdict = "member"
-    elif not in_l1:
-        verdict = "non-member"
-    else:
-        verdict = "inconclusive"
-        flags.append("some sampled checks diverged at this resolution")
-    return MembershipReport(in_l1, tuple(indicator_checks), tuple(dual_checks),
-                            verdict, tuple(flags))
-
+# ------------------------------------------------------------ random sets
 
 def random_interval_set(rng, max_intervals=8, lattice=400):
     """Seeded random union of up to 8 disjoint intervals on a fixed lattice."""
@@ -491,37 +431,3 @@ def blowup_witness(t, bound):
     x = t + radius / 2.0
     attained = abs(fht_indicator(IntervalSet(((t, 1.0),)), x))
     return (lo, hi), x, float(attained)
-
-
-def lp_membership(f, p_list):
-    """L^p norms with divergence flags for each requested exponent.
-
-    f belongs to the intersection of the listed Lebesgue spaces exactly when
-    every reported norm is finite.
-    """
-    if not p_list:
-        raise ValueError("p_list must be nonempty")
-    out = {}
-    for p in p_list:
-        if not p > 1:
-            raise ValueError("exponents must exceed 1")
-        info = norm_info(f, SpaceSpec.lp(p))
-        out[float(p)] = info
-    return out
-
-
-def invw_membership_evidence(samples=6, seed=3, n=None):
-    """Heuristic evidence (never a verdict) on the open endpoint question of
-    whether 1/w integrates against the weak-L^2 vector measure: rearrangement
-    decay of T(chi_A / w) for sampled A."""
-    n = n or DEFAULT_NODES
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(samples):
-        A = random_interval_set(rng)
-        prof = Profile(tuple((a, b, (1.0,), -1) for a, b in A))
-        nodes, weights = make_grid(n)
-        img = GridFunction(nodes, prof.fht_values(nodes), weights)
-        est = rearrangement_decay(img, 2.0)
-        rows.append({"measure": A.measure(), "decay": est.value, "resolved": est.resolved})
-    return {"label": "heuristic evidence", "rows": rows}

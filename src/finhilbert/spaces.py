@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .grid import pairing  # noqa: F401  (re-exported: the dual pairing lives with the norms)
 from .intervals import IntervalSet
 from .profiles import Profile
 
@@ -131,9 +130,6 @@ class Rearrangement:
                 total += u - prev
             prev = u
         return total
-
-    def total_measure(self):
-        return float(self.breakpoints[-1]) if len(self.breakpoints) else 0.0
 
 
 def rearrangement(f):

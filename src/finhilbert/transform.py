@@ -4,32 +4,34 @@ Convention, fixed throughout the library:
 
     T(f)(t) = (1/pi) pv int_{-1}^{1} f(x) / (x - t) dx .
 
-Three families of evaluators, matched to the singular structure of the
-integrand:
+The input alone selects the evaluator:
 
-* closed forms / coefficient identities for polynomials, piecewise
-  polynomials (indicators), w-weighted series and log-mix images;
-* subtract-the-singularity adaptive quadrature for smooth callables, with
-  cos(theta) substitution variants absorbing w / (1/w) factors exactly;
-* an independent symmetric-exclusion principal-value rule with Richardson
-  extrapolation (:func:`pv_oracle`) used as the cross-checking oracle.
+* a grid function with a profile: the profile's exact transform
+  (:meth:`Profile.fht_values`: coefficient identities for polynomials,
+  piecewise polynomials and w-weighted pieces, closed-form kernels for log
+  terms), refused within 1e-12 of a cut;
+* profile-free samples on the ``chebyshev-gauss`` family: the spectral
+  transform of their interpolant (:func:`chebalg.fht_series`);
+* samples of any other family, or a callable: subtract-the-singularity
+  adaptive quadrature, point by point.
+
+Besides these, cos(theta) panel quadrature absorbs w / (1/w) factors
+exactly (:func:`fht_over_w_point`, :func:`fht_times_w_point`), and an
+independent symmetric-exclusion principal-value rule with Richardson
+extrapolation (:func:`pv_oracle`) is the cross-checking oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
-from .grid import CHEBYSHEV, GridFunction, ChebyshevSeries, cheb_fit
+from .grid import CHEBYSHEV, GridFunction, cheb_fit
 from .intervals import IntervalSet
 from .profiles import Profile
 
-SUBTRACT = "subtract-singularity"
-SPECTRAL = "spectral"
-AUTO = "closed-form-auto"
+_CUT_GUARD = 1e-12     # evaluation this close to a cut of a profile is refused
 
 
 class TransformDomainError(ValueError):
@@ -38,25 +40,6 @@ class TransformDomainError(ValueError):
 
 class SingularEvaluationError(ValueError):
     """Evaluation at a point where the transform has a genuine singularity."""
-
-
-class MethodError(ValueError):
-    """Requested quadrature method cannot handle the integrand's structure."""
-
-
-@dataclass(frozen=True)
-class PVConfig:
-    epsilon_floor: float = 1e-12
-    method: str = AUTO
-
-    def __post_init__(self):
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be positive")
-        if self.method not in (SUBTRACT, SPECTRAL, AUTO):
-            raise ValueError(f"unknown method: {self.method}")
-
-
-_DEFAULT = PVConfig()
 
 
 def _check_interior(t):
@@ -68,42 +51,28 @@ def _check_interior(t):
 
 # ----------------------------------------------------------------- entry points
 
-def fht_point(f, t, cfg=_DEFAULT):
+def fht_point(f, t):
     """Transform of a grid function or callable at a single point."""
     tt = float(np.asarray(t))
     _check_interior(tt)
     if isinstance(f, GridFunction):
-        return complex(_grid_transform_values(f, np.array([tt]), cfg)[0])
-    if cfg.method == SPECTRAL:
-        from .grid import from_callable
-
-        return fht_point(from_callable(f), tt, cfg)
+        return complex(_grid_transform_values(f, np.array([tt]))[0])
     return complex(_fht_callable(f, tt))
 
 
-def fht_grid(f, cfg=_DEFAULT):
+def fht_grid(f):
     """Transform evaluated at every node of f; nodes and weights preserved."""
-    values = _grid_transform_values(f, f.nodes, cfg)
-    prof = None
-    if cfg.method != SUBTRACT and f.profile is not None:
-        prof = f.profile.fht_profile()
-    return f.with_values(values, prof)
+    prof = f.profile.fht_profile() if f.profile is not None else None
+    return f.with_values(_grid_transform_values(f, f.nodes), prof)
 
 
-def _grid_transform_values(f, pts, cfg):
+def _grid_transform_values(f, pts):
     if f.profile is not None:
         cuts = f.profile.breakpoints()
-        if cfg.method == SUBTRACT and cuts:
-            raise MethodError(
-                "integrand is discontinuous; use the closed-form interval splitting "
-                "(method='closed-form-auto') instead of singularity subtraction"
-            )
         if cuts:
-            _guard_cuts(cuts, pts, max(cfg.epsilon_floor, 1e-14))
-        if cfg.method != SUBTRACT:
-            return f.profile.fht_values(pts)
-        return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
-    if cfg.method == SUBTRACT or f.node_family != CHEBYSHEV:
+            _guard_cuts(cuts, pts, _CUT_GUARD)
+        return f.profile.fht_values(pts)
+    if f.node_family != CHEBYSHEV:
         return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
     # profile-free samples on the Chebyshev family: spectral via the interpolant
     return ca.fht_series(ca.fit_chebyshev(f.values), np.asarray(pts, dtype=float))
@@ -140,7 +109,7 @@ def fht_indicator(interval_set, x):
     return complex(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def fht_product_indicator(f, interval_set, cfg=_DEFAULT):
+def fht_product_indicator(f, interval_set):
     """T(f * chi_A) on f's grid, with interval-split closed forms at the cuts."""
     if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
@@ -148,32 +117,10 @@ def fht_product_indicator(f, interval_set, cfg=_DEFAULT):
         return f.with_values(np.zeros(len(f), dtype=complex), Profile(()))
     prof = f.profile.restricted(interval_set) if f.profile is not None else None
     if prof is None:
-        base = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 48)).asarray())
+        base = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 48)))
         prof = base.restricted(interval_set)
     restricted = f.with_values(prof.eval(f.nodes), prof)
-    return fht_grid(restricted, cfg)
-
-
-def fht_chebyshev(series, weighted="plain"):
-    """Transform in coefficient space.
-
-    ``over_w`` and ``times_w`` are exact identities; ``plain`` refits the
-    (non-polynomial) image on a finer grid, so its accuracy near the
-    endpoints is limited by the logarithmic terms unless the input vanishes
-    there.
-    """
-    c = series.asarray() if isinstance(series, ChebyshevSeries) else np.asarray(series, dtype=complex)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("series coefficients must be finite")
-    if weighted == "over_w":
-        return ChebyshevSeries(ca.fht_over_w_series(c))
-    if weighted == "times_w":
-        return ChebyshevSeries(ca.fht_times_w_series(c))
-    if weighted != "plain":
-        raise ValueError(f"unknown weighting tag: {weighted}")
-    n = max(2 * len(c), 64)
-    xs = ca.chebyshev_nodes(n)
-    return ChebyshevSeries(ca.fit_chebyshev(ca.fht_series(c, xs)))
+    return fht_grid(restricted)
 
 
 # ------------------------------------------------------- quadrature evaluators

@@ -104,6 +104,14 @@ def test_eval_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_eval_has_no_method_flag(capsys):
+    # the input picks the evaluator; a route flag is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--f", "poly:0,1", "--x", "0.3", "--method", "spectral"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
 def test_eval_accepts_negative_point_lists(capsys):
     code = main(["eval", "--f", "w", "--x", "-0.5,0.3", "--nodes", "64"])
     out = capsys.readouterr().out
@@ -197,8 +205,7 @@ def test_profile_free_solution_residual_matches_quadpack_route(spec):
     u = fh.solve_airfoil(g, fh.SpaceSpec.lp(1.5)).particular
     assert u.profile is None
     pts = np.linspace(-0.9, 0.9, 41)
-    quadpack = np.array([fh.fht_point(u, float(t), fh.PVConfig(method="subtract-singularity"))
-                         for t in pts])
+    quadpack = np.array([fh.fht_point(u.eval_at, float(t)) for t in pts])
     want = float(np.abs(quadpack - g.eval_at(pts)).max())
     got = _solution_residual(u, g)
     assert abs(got - want) <= 1e-12 * want
@@ -268,6 +275,21 @@ def test_verify_tolerance_override_forces_failure(capsys):
                  "left-inverse=1e-15"])
     assert code == EXIT_CHECK_FAILURES
     assert "[FAIL] left-inverse" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    # the shared parser must not carry a flag or a config value to the next call
+    from finhilbert import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append(cfg) or [])
+    conf = tmp_path / "run.cfg"
+    conf.write_text("seed=5\ncells=3\n")
+    assert main(["verify", "--tol", "kernel=1", "--config", str(conf)]) == EXIT_OK
+    assert main(["verify"]) == EXIT_OK
+    assert (seen[0].tolerances, seen[0].seed, seen[0].cells) == ({"kernel": 1.0}, 5, 3)
+    assert (seen[1].tolerances, seen[1].seed, seen[1].cells) == ({}, 0, 12)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_config_file_merges(tmp_path, capsys):

@@ -398,34 +398,6 @@ def test_parseval_dictionary():
     assert worst <= 1e-6
 
 
-# ------------------------------------------------------------------ membership
-
-def test_membership_of_polynomial():
-    rep = fh.membership_report(fh.poly_fn([1, 0, 2], 256), LP15, samples=6)
-    assert rep.verdict == "member"
-    assert rep.in_l1
-
-
-def test_membership_of_blowup():
-    f = fh.from_callable(lambda x: 1.0 / (1.0 - x), 512)
-    rep = fh.membership_report(f, LP15, samples=6)
-    assert rep.verdict in ("non-member", "inconclusive")
-
-
-def test_membership_of_zero():
-    rep = fh.membership_report(fh.const_fn(0.0, 128), LP15, samples=3)
-    assert rep.verdict == "member"
-
-
-def test_membership_finite_for_finite_optdomain():
-    for coeffs in ([1.0], [0, 1, 1]):
-        f = fh.poly_fn(coeffs, 256)
-        est = fh.optdomain_norm(f, LP15, cells=6)
-        rep = fh.membership_report(f, LP15, samples=4)
-        assert np.isfinite(est.value)
-        assert rep.verdict == "member"
-
-
 # --------------------------------------------------------------------- blow-up
 
 @pytest.mark.parametrize("t,M", [(0.0, 1.0), (0.5, 2.0), (-0.3, 3.0)])
@@ -451,37 +423,6 @@ def test_blowup_validates_input():
         fh.blowup_witness(0.0, 0.0)
 
 
-# ------------------------------------------------------------- L^p membership
-
-def test_lp_membership_of_constant(one):
-    out = fh.lp_membership(one, [1.5, 2.0, 3.0])
-    for p, info in out.items():
-        assert info.value == pytest.approx(2.0 ** (1.0 / p), abs=1e-10)
-
-
-def test_lp_membership_of_invw(invw):
-    out = fh.lp_membership(invw, [1.5, 1.9, 2.0])
-    assert not out[1.5].divergent
-    assert not out[1.9].divergent
-    assert out[2.0].divergent
-
-
-def test_lp_membership_hoelder_monotone():
-    f = fh.poly_fn([0.2, 1, -1], 256)
-    out = fh.lp_membership(f, [1.5, 2.0, 4.0])
-    ps = sorted(out)
-    for p, q in zip(ps, ps[1:]):
-        scale = 2.0 ** (1.0 / p - 1.0 / q)
-        assert out[p].value <= scale * out[q].value + 1e-9
-
-
-def test_lp_membership_validates():
-    with pytest.raises(ValueError):
-        fh.lp_membership(fh.const_fn(1.0, 64), [])
-    with pytest.raises(ValueError):
-        fh.lp_membership(fh.const_fn(1.0, 64), [0.5])
-
-
 # ------------------------------------------------------------ sigma additivity
 
 def test_vector_measure_vanishes_on_shrinking_sets():
@@ -501,11 +442,3 @@ def test_random_interval_set_deterministic():
     a = fh.random_interval_set(np.random.default_rng(9))
     b = fh.random_interval_set(np.random.default_rng(9))
     assert a.intervals == b.intervals
-
-
-def test_invw_evidence_is_labelled():
-    out = fh.invw_membership_evidence(samples=2, n=256)
-    assert out["label"] == "heuristic evidence"
-    assert len(out["rows"]) == 2
-    for r in out["rows"]:
-        assert "decay" in r and "resolved" in r

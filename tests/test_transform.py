@@ -8,19 +8,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
-from finhilbert import chebalg
+from finhilbert import chebalg, transform
+from finhilbert.cli import parse_function_spec
 from finhilbert.profiles import Profile
 
 
 def ivals(*pairs):
     return fh.IntervalSet(tuple(pairs))
-
-
-def test_pvconfig_validation():
-    with pytest.raises(ValueError):
-        fh.PVConfig(epsilon_floor=0.0)
-    with pytest.raises(ValueError):
-        fh.PVConfig(method="midpoint")
 
 
 # -------------------------------------------------------------------- fht_point
@@ -44,12 +38,6 @@ def test_semicircle_point_value(wfun):
 def test_point_outside_domain_rejected(wfun):
     with pytest.raises(fh.TransformDomainError):
         fh.fht_point(wfun, 1.5)
-
-
-def test_subtract_singularity_rejects_jumps():
-    with pytest.raises(fh.MethodError):
-        fh.fht_point(fh.sign_fn(64), 0.3,
-                     fh.PVConfig(method="subtract-singularity"))
 
 
 def test_oracle_agreement_for_polynomials(rng):
@@ -106,6 +94,66 @@ def test_grid_linearity(a, b):
     rhs = a * fh.fht_grid(f) + b * fh.fht_grid(g)
     scale = 1 + abs(a) + abs(b)
     assert np.abs(lhs.values - rhs.values).max() <= 1e-10 * scale
+
+
+# ----------------------------------------------------------------------- routes
+
+def _cubic(x):
+    return x - x**3
+
+
+def _csv_samples(tmp_path):
+    path = tmp_path / "cubic.csv"
+    fh.from_callable(_cubic, 9).to_csv(str(path))
+    return parse_function_spec(f"file:{path}", 9)
+
+
+# input -> the evaluators that must not run for it
+ROUTES = {
+    "profile": (lambda tmp: fh.weight_fn(64), ("_fht_callable", "fht_series")),
+    "chebyshev-samples": (lambda tmp: fh.from_callable(_cubic, 64),
+                          ("_fht_callable", "fht_values")),
+    "uniform-samples": (lambda tmp: fh.from_callable(_cubic, 9, family="uniform"),
+                        ("fht_values", "fht_series")),
+    "file-csv": (_csv_samples, ("fht_values", "fht_series")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTES))
+def test_input_selects_the_route(kind, tmp_path, monkeypatch):
+    build, forbidden = ROUTES[kind]
+    quadrature = "_fht_callable" not in forbidden
+    f = build(tmp_path)
+    pts = (-0.55, 0.1, 0.7)
+    if kind == "profile":
+        want = [-t for t in pts]                              # T(w) = -t
+    else:
+        want = [fh.fht_point(fh.poly_fn([0, 1, 0, -1], 64), t).real for t in pts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{kind} input must not take this route")
+
+    calls = []
+    per_point = transform._fht_callable
+
+    def counted(fn, t, *args):
+        calls.append(t)
+        return per_point(fn, t, *args)
+
+    owners = {"_fht_callable": transform, "fht_series": chebalg, "fht_values": Profile}
+    with monkeypatch.context() as m:
+        for name in forbidden:
+            m.setattr(owners[name], name, refuse)
+        if quadrature:
+            m.setattr(transform, "_fht_callable", counted)
+        grid_values = fh.fht_grid(f).values
+        got = [fh.fht_point(f, t).real for t in pts]
+    assert len(grid_values) == len(f)
+    assert len(calls) == (len(f) + len(pts) if quadrature else 0)
+    # per-point quadrature integrates the piecewise-linear interpolant of
+    # 9 samples, so it only approximates the cubic's transform
+    tol = 0.05 if quadrature else 1e-12
+    assert np.abs(np.subtract(got, want)).max() <= tol
 
 
 # ---------------------------------------------------------------- fht_indicator
@@ -171,41 +219,6 @@ def test_product_indicator_finite_additivity(xfun):
     lhs = fh.fht_product_indicator(xfun, A.union(B))
     rhs = fh.fht_product_indicator(xfun, A) + fh.fht_product_indicator(xfun, B)
     assert np.abs(lhs.values - rhs.values).max() <= 1e-8
-
-
-# ---------------------------------------------------------------- fht_chebyshev
-
-def test_chebyshev_over_w_kernel():
-    out = fh.fht_chebyshev(fh.ChebyshevSeries([1.0]), "over_w")
-    assert np.abs(out.asarray()).max() <= 1e-10
-
-
-def test_chebyshev_times_w_u1():
-    out = fh.fht_chebyshev(fh.ChebyshevSeries([0.0, 2.0]), "times_w")
-    coeffs = out.asarray()
-    assert coeffs[2] == pytest.approx(-1.0, abs=1e-12)
-    assert abs(coeffs[0]) + abs(coeffs[1]) <= 1e-12
-
-
-def test_chebyshev_plain_zero():
-    out = fh.fht_chebyshev(fh.ChebyshevSeries([0.0]), "plain")
-    assert np.abs(out.asarray()).max() == 0.0
-
-
-def test_chebyshev_plain_matches_point_evaluation():
-    # smooth input vanishing at the endpoints keeps the image fit accurate
-    coeffs = np.polynomial.chebyshev.poly2cheb([0.0, 1.0, 0.0, -1.0])  # x - x^3
-    out = fh.fht_chebyshev(fh.ChebyshevSeries(coeffs), "plain")
-    f = fh.poly_fn([0.0, 1.0, 0.0, -1.0], 256)
-    for t in (-0.6, 0.0, 0.44):
-        assert out(t).real == pytest.approx(fh.fht_point(f, t).real, abs=1e-6)
-
-
-def test_chebyshev_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fh.fht_chebyshev(fh.ChebyshevSeries([np.nan]), "plain")
-    with pytest.raises(ValueError):
-        fh.fht_chebyshev(fh.ChebyshevSeries([1.0]), "weird")
 
 
 # --------------------------------------------------------------------- engines
@@ -419,7 +432,7 @@ def test_cut_guard_lists_the_offending_cuts():
     assert str(err.value) == "evaluation at discontinuity point(s) [-0.2, 0.5]"
     with pytest.raises(fh.SingularEvaluationError, match=r"\[0\.5\]"):
         fh.fht_point(fh.indicator_fn((0.0, 0.5), 64), 0.5 - 1e-14)
-    # just outside the default guard (epsilon_floor = 1e-12)
+    # just outside the cut guard (1e-12)
     val = fh.fht_point(fh.indicator_fn((0.0, 0.5), 64), 0.5 - 1e-11)
     assert val.real == pytest.approx(-math.log(0.5 / 1e-11) / math.pi, abs=1e-4)
 
