@@ -30,7 +30,6 @@ from .airfoil import (
 )
 from .grid import (
     GridFunction,
-    cheb_fit,
     const_fn,
     from_callable,
     from_profile,

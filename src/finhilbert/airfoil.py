@@ -19,14 +19,16 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
-from .grid import GridFunction, cheb_fit, integrate
+from .grid import GridFunction, integrate, sample_series
 from .profiles import _W2, Profile
-from .transform import fht_grid, fht_over_w_point, fht_times_w_point
+from .transform import _guard_cuts, fht_grid, fht_over_w_point, fht_times_w_point
 
 HIGH_INDEX = "HighIndex"
 LOW_INDEX = "LowIndex"
 
 RESIDUAL_TOL = 1e-6        # range-membership tolerance for solve_airfoil
+
+_W = Profile.poly((1.0,), wpow=1)
 
 
 class CriticalIndexError(ValueError):
@@ -68,51 +70,41 @@ def regime_of(space):
 def right_inverse(f):
     """-T(f w)/w.  Satisfies T(right_inverse(f)) = f in the high-index regime.
 
-    Three routes, by the structure of f:
-
-    * polynomial: the exact coefficient identity T(w U_k) = -T_{k+1};
-    * a profile with log terms (e.g. a transform image T(p), which carries
-      ln(1 -+ x)): exact, as T(f w) = T((f w^2)/w) with the closed-form
-      weighted log kernel of :meth:`Profile.fht_over_w_values`;
-    * anything else: endpoint-graded cos(theta) panel quadrature on the
-      interpolant.
+    Exact for every ``f.structure``, refused at its cuts: pieces times w
+    stay in the profile algebra (powers -1, 0, 1 become 0, 1, 2), and log
+    terms take T(c ln|. - a| w) = T((c w^2 ln|. - a|)/w).  A plain series p
+    keeps a profile, T(p w)/w.  Structure-free samples take theta panels.
     """
-    w = semicircle_weight(f.nodes)
-    p = _plain_series(f)
-    if p is not None:
-        img = ca.fht_times_w_series(p)               # T(p w), a polynomial
-        return f.with_values(-_cheb.chebval(f.nodes, img) / w, Profile.poly(-img, wpow=-1))
-    if f.profile is not None and f.profile.logs:
-        vals = f.profile.times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
-        if vals is not None:
-            return f.with_values(-vals / w, None)
-    vals = -fht_times_w_point(f.eval_at, f.nodes, grade_endpoints=True) / w
-    return f.with_values(vals, None)
+    w, s = semicircle_weight(f.nodes), f.structure
+    if s is None:
+        return f.with_values(-fht_times_w_point(f.eval_at, f.nodes, grade_endpoints=True) / w)
+    _guard_cuts(s.breakpoints(), f.nodes)
+    vals = (Profile(s.pieces) if s.logs else s).times(_W).fht_values(f.nodes)
+    if s.logs:
+        vals = vals + Profile((), s.logs).times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
+    p = s.series()
+    prof = Profile.poly(-ca.fht_times_w_series(p), wpow=-1) if p is not None else None
+    return f.with_values(-vals / w, prof)
 
 
 def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
-    The same three routes as :func:`right_inverse`: T(T_n / w) = U_{n-1} for
-    polynomials, :meth:`Profile.fht_over_w_values` for profiles with log
-    terms, quadrature otherwise.
+    Exact for every ``f.structure`` by :meth:`Profile.fht_over_w_values`,
+    refused at its cuts; a plain series p keeps a profile, w T(p/w).  A
+    w^{-1} piece (None there) and structure-free samples take cos(theta)
+    panel quadrature; an f/w not integrable at -1 or 1 raises ValueError.
     """
-    w = semicircle_weight(f.nodes)
-    p = _plain_series(f)
-    if p is not None:
-        img = ca.fht_over_w_series(p)                # T(p/w), a polynomial
-        return f.with_values(-w * _cheb.chebval(f.nodes, img), Profile.poly(-img, wpow=1))
-    if f.profile is not None and f.profile.logs:
-        vals = f.profile.fht_over_w_values(f.nodes)
-        if vals is not None:
-            return f.with_values(-w * vals, None)
-    vals = -w * fht_over_w_point(f.eval_at, f.nodes, grade_endpoints=True)
-    return f.with_values(vals, None)
-
-
-def _plain_series(f):
-    """Coefficients of f when its profile is a plain series on (-1, 1), else None."""
-    return f.profile.series() if f.profile is not None else None
+    w, s = semicircle_weight(f.nodes), f.structure
+    _guard_cuts(s.breakpoints() if s is not None else (), f.nodes)
+    vals = None if s is None else s.fht_over_w_values(f.nodes)
+    if vals is None:
+        if s is not None and not np.isfinite(s.integral_over_w()):
+            raise ValueError("f/w is not integrable at -1 or 1: no left inverse")
+        return f.with_values(-w * fht_over_w_point(f.eval_at, f.nodes, grade_endpoints=True))
+    p = s.series()
+    prof = Profile.poly(-ca.fht_over_w_series(p), wpow=1) if p is not None else None
+    return f.with_values(-w * vals, prof)
 
 
 def kernel_projection(f):
@@ -124,18 +116,13 @@ def kernel_projection(f):
 
 def range_defect(g):
     """|int g/w du|, the low-index range obstruction; +inf when divergent."""
-    if g.profile is not None:
-        return abs(g.profile.integral_over_w())
-    # cos(theta) substitution on the interpolant:  int g/w = int g(cos th) d th
+    if g.structure is not None:
+        return abs(g.structure.integral_over_w())
+    # structure-free samples: int g/w = int g(cos th) d th on the interpolant
     theta = np.linspace(0.0, np.pi, 2049)
     mid = (theta[1:] + theta[:-1]) / 2.0
     vals = g.eval_at(np.cos(mid))
     return abs(complex(np.sum(vals) * (theta[1] - theta[0])))
-
-
-def _series_of(f):
-    p = _plain_series(f)
-    return p if p is not None else cheb_fit(f)
 
 
 # ------------------------------------------------------------------- solutions
@@ -171,6 +158,7 @@ def inversion_residuals(f, space, sample_points=None):
     the range by construction.  The outer transforms are evaluated by the
     cos(theta) quadrature (not the coefficient identities), so the residuals
     measure the analytic identities rather than round-tripping the algebra.
+    f is read by :func:`grid.sample_series`, which may raise ValueError.
 
     Returns a dict identity-name -> {"sup_interior": ..., "lp": ...} where
     the sup is over |x| <= 0.9.
@@ -178,7 +166,7 @@ def inversion_residuals(f, space, sample_points=None):
     regime = regime_of(space)
     if sample_points is None:
         sample_points = np.linspace(-0.9, 0.9, 61)
-    series = _series_of(f)
+    series = sample_series(f)
     fvals = _cheb.chebval(sample_points, series)
     out = {}
     if regime == HIGH_INDEX:

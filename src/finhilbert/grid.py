@@ -5,9 +5,8 @@ library: complex samples at a declared node family plus weights for
 integration over (-1, 1).  Values are immutable after construction; all
 operations return new objects, so everything here is safe to share between
 threads.  A function may additionally carry a :mod:`profile
-<finhilbert.profiles>` describing its exact structure; operations use it for
-closed-form integration and transforms whenever possible and fall back to
-sample arithmetic where an operation leaves the profile algebra.
+<finhilbert.profiles>` describing its exact structure; evaluation,
+integration, transforms and inversion all read :attr:`GridFunction.structure`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
 from .intervals import IntervalSet
@@ -64,17 +62,25 @@ class GridFunction:
         return len(self.nodes)
 
     def eval_at(self, x):
-        """Values at arbitrary points: exact via the profile when present,
-        otherwise Chebyshev interpolation (chebyshev-gauss family) or linear
-        interpolation."""
+        """Values at arbitrary points: the :attr:`structure` when there is
+        one, otherwise linear interpolation of the samples."""
         x = np.asarray(x, dtype=float)
-        if self.profile is not None:
-            return self.profile.eval(x)
-        if self.node_family == CHEBYSHEV:
-            return _cheb.chebval(x, self._interpolant)
+        if self.structure is not None:
+            return self.structure.eval(x)
         re = np.interp(x, self.nodes, self.values.real)
         im = np.interp(x, self.nodes, self.values.imag)
         return re + 1j * im
+
+    @functools.cached_property
+    def structure(self):
+        """The :class:`Profile` of exactly what :meth:`eval_at` evaluates: the
+        profile; else the interpolant of ``chebyshev-gauss`` samples; else None
+        (``uniform`` and ``custom`` samples, read as linear interpolants)."""
+        if self.profile is not None:
+            return self.profile
+        if self.node_family == CHEBYSHEV:
+            return Profile.poly(self._interpolant)
+        return None
 
     @functools.cached_property
     def _interpolant(self):
@@ -159,6 +165,8 @@ class GridFunction:
         else:
             with open(text_or_path) as fh:
                 payload = json.load(fh)
+        # a ``finhilbert solve`` artifact nests the grid under "solution"
+        payload = payload.get("solution", payload)
         vals = np.array(payload["re"]) + 1j * np.array(payload["im"])
         return GridFunction(
             np.array(payload["node"]), vals, np.array(payload["weight"]),
@@ -257,12 +265,12 @@ def sign_fn(n=DEFAULT_NODES, family=CHEBYSHEV):
 def integrate(f):
     """Integral over (-1, 1).
 
-    Uses the profile's closed form when available (exact for polynomial,
-    piecewise and log-mix structure); otherwise the weighted sample sum,
-    whose error is O(N^-k) for smooth integrands on the built-in families.
+    The structure's closed form when there is one (exact for polynomial,
+    piecewise and log-mix profiles and the interpolant of Chebyshev
+    samples); otherwise the weighted sample sum.
     """
-    if f.profile is not None:
-        return f.profile.integral(-1.0, 1.0)
+    if f.structure is not None:
+        return f.structure.integral(-1.0, 1.0)
     return complex(f.weights @ f.values)
 
 
@@ -288,7 +296,7 @@ def restrict(f, interval_set):
     for a, b in interval_set:
         mask |= (f.nodes > a) & (f.nodes < b)
     vals = np.where(mask, f.values, 0.0)
-    prof = f.profile.restricted(interval_set) if f.profile is not None else None
+    prof = f.structure.restricted(interval_set) if f.structure is not None else None
     return f.with_values(vals, prof)
 
 
@@ -299,14 +307,20 @@ def pairing(f, g):
     raise ValueError("pairing requires functions on the same nodes")
 
 
-def cheb_fit(f_or_values, degree=None):
-    """Chebyshev coefficients of the interpolant of samples taken at
-    first-kind nodes, truncated after ``degree`` when given."""
-    values = f_or_values.values if isinstance(f_or_values, GridFunction) else f_or_values
-    values = np.asarray(values, dtype=complex)
-    coeffs = ca.fit_chebyshev(values)
-    if degree is not None:
-        if degree + 1 > len(values):
-            raise ValueError("degree exceeds what the node count can resolve")
-        coeffs = coeffs[: degree + 1]
-    return coeffs
+def sample_series(f):
+    """Chebyshev coefficients of f as one series: its structure's plain
+    series, else the full-degree interpolant of its samples, which only
+    ``chebyshev-gauss`` samples have (ValueError otherwise)."""
+    coeffs = f.structure.series() if f.structure is not None else None
+    if coeffs is None and f.node_family != CHEBYSHEV:
+        raise ValueError(f"{f.node_family} samples without a series profile "
+                         "cannot be read as a Chebyshev series")
+    return f._interpolant if coeffs is None else coeffs
+
+
+def cell_structure(f):
+    """A profile of f that :meth:`Profile.restricted` cuts exactly: the
+    structure without log terms, else the series of :func:`sample_series`."""
+    if f.structure is not None and not f.structure.logs:
+        return f.structure
+    return Profile.poly(sample_series(f))

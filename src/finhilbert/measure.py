@@ -22,7 +22,7 @@ import numpy as np
 from .grid import (
     DEFAULT_NODES,
     GridFunction,
-    cheb_fit,
+    cell_structure,
     from_profile,
     indicator_fn,
     integrate_interval,
@@ -137,13 +137,12 @@ class OptNormEstimate:
 def _transform_basis(f, edges):
     """T(f chi_cell) stacked per cell, evaluated on f's own grid.
 
-    The profile of f is restricted to each cell, so piecewise inputs keep
-    their exact cuts; a function without a profile, or whose profile has log
-    terms, is first replaced by its Chebyshev fit of degree up to 32.
+    :func:`grid.cell_structure` of f is restricted to each cell, so
+    piecewise inputs keep their exact cuts; a structure with log terms is
+    read as the full-degree interpolant of its samples, and structure-free
+    samples raise ValueError.
     """
-    prof = f.profile
-    if prof is None or prof.logs:
-        prof = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 32)))
+    prof = cell_structure(f)
     return np.array([prof.restricted(IntervalSet(((a, b),))).fht_values(f.nodes)
                      for a, b in zip(edges[:-1], edges[1:])])
 

@@ -4,21 +4,22 @@ Convention, fixed throughout the library:
 
     T(f)(t) = (1/pi) pv int_{-1}^{1} f(x) / (x - t) dx .
 
-The input alone selects the evaluator:
+The input alone selects the evaluator, through ``GridFunction.structure``:
 
-* a grid function with a profile: the profile's exact transform
+* a structure (a profile, or the interpolant of profile-free
+  ``chebyshev-gauss`` samples): its exact transform
   (:meth:`Profile.fht_values`: coefficient identities for polynomials,
   piecewise polynomials and w-weighted pieces, closed-form kernels for log
   terms), refused within 1e-12 of a cut;
-* profile-free samples on the ``chebyshev-gauss`` family: the spectral
-  transform of their interpolant (:func:`chebalg.fht_series`);
-* samples of any other family, or a callable: subtract-the-singularity
-  adaptive quadrature, point by point.
+* structure-free (``uniform``, ``custom``) samples, or a callable:
+  subtract-the-singularity adaptive quadrature, point by point.
 
-Besides these, cos(theta) panel quadrature absorbs w / (1/w) factors
-exactly (:func:`fht_over_w_point`, :func:`fht_times_w_point`), and an
-independent symmetric-exclusion principal-value rule with Richardson
-extrapolation (:func:`pv_oracle`) is the cross-checking oracle.
+T(f chi_A) restricts :func:`grid.cell_structure` and refuses
+structure-free samples.  Besides these, cos(theta) panel quadrature absorbs
+w / (1/w) factors exactly (:func:`fht_over_w_point`,
+:func:`fht_times_w_point`), and an independent symmetric-exclusion
+principal-value rule with Richardson extrapolation (:func:`pv_oracle`) is the
+cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
-from .grid import CHEBYSHEV, GridFunction, cheb_fit
+from .grid import GridFunction, cell_structure
 from .intervals import IntervalSet
 from .profiles import Profile
 
@@ -61,29 +62,27 @@ def fht_point(f, t):
 
 
 def fht_grid(f):
-    """Transform evaluated at every node of f; nodes and weights preserved."""
-    prof = f.profile.fht_profile() if f.profile is not None else None
+    """T(f) at every node of f, with the profile of T(f.structure) if any."""
+    prof = f.structure.fht_profile() if f.structure is not None else None
     return f.with_values(_grid_transform_values(f, f.nodes), prof)
 
 
 def _grid_transform_values(f, pts):
-    if f.profile is not None:
-        cuts = f.profile.breakpoints()
-        if cuts:
-            _guard_cuts(cuts, pts, _CUT_GUARD)
-        return f.profile.fht_values(pts)
-    if f.node_family != CHEBYSHEV:
+    if f.structure is None:
         return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
-    # profile-free samples on the Chebyshev family: spectral via the interpolant
-    return ca.fht_series(ca.fit_chebyshev(f.values), np.asarray(pts, dtype=float))
+    _guard_cuts(f.structure.breakpoints(), pts)
+    return f.structure.fht_values(pts)
 
 
-def _guard_cuts(cuts, pts, guard):
-    """Raise if a point lies within ``guard`` of a sorted cut.
+def _guard_cuts(cuts, pts, guard=_CUT_GUARD):
+    """Raise if a point lies within ``guard`` of a sorted cut (a log
+    singularity of the transforms of a profile and of profile * w^{+-1}).
 
     Binary search finds the cuts in a window of twice the guard around each
     point; the few points with a cut there are tested exactly.
     """
+    if not len(cuts):
+        return
     x = np.asarray(pts, dtype=float)
     lo = np.searchsorted(cuts, x - 2 * guard)
     hi = np.searchsorted(cuts, x + 2 * guard, side="right")
@@ -110,17 +109,16 @@ def fht_indicator(interval_set, x):
 
 
 def fht_product_indicator(f, interval_set):
-    """T(f * chi_A) on f's grid, with interval-split closed forms at the cuts."""
+    """T(f * chi_A) on f's grid, with interval-split closed forms at the cuts.
+
+    Reads :func:`grid.cell_structure`: structure-free samples raise ValueError.
+    """
     if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
     if interval_set.is_empty():
         return f.with_values(np.zeros(len(f), dtype=complex), Profile(()))
-    prof = f.profile.restricted(interval_set) if f.profile is not None else None
-    if prof is None:
-        base = Profile.poly(cheb_fit(f, degree=min(len(f) - 1, 48)))
-        prof = base.restricted(interval_set)
-    restricted = f.with_values(prof.eval(f.nodes), prof)
-    return fht_grid(restricted)
+    prof = cell_structure(f).restricted(interval_set)
+    return fht_grid(f.with_values(prof.eval(f.nodes), prof))
 
 
 # ------------------------------------------------------- quadrature evaluators

@@ -1,6 +1,10 @@
 """Inversion operators, regimes, range condition and the Rybakov functional."""
 
+import functools
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
+from finhilbert.profiles import Profile
 
 
 def test_weight_values():
@@ -123,6 +128,130 @@ def test_inverses_of_indicator_image():
                                                  grade_endpoints=True) for t in pts]) / w
     assert np.abs(left.values[idx] - quad_left).max() <= 1e-8
     assert np.abs(right.values[idx] - quad_right).max() <= 1e-8
+
+
+# --------------------------------------------------------------- exact routes
+
+@functools.cache
+def _benchmark_refs():
+    """perfbench/refs.py: the benchmark's references, which share no code
+    with the library (QUADPACK's Cauchy-weight rule for the solutions)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_refs", path)
+    refs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = refs       # its dataclasses look the module up
+    spec.loader.exec_module(refs)
+    return refs
+
+
+def _poly(x):
+    return 0.3 + x - 0.5 * x**2
+
+
+# inputs with a structure; the inverses of each take no theta panels
+STRUCTURED = {
+    "poly": lambda n: fh.poly_fn([0.3, 1.0, -0.5], n),
+    "image": lambda n: fh.fht_grid(fh.poly_fn([0.3, 1.0, -0.5, 0.25], n)),
+    "indicator": lambda n: fh.indicator_fn((-0.3, 0.45), n),
+    "sigma": fh.sign_fn,
+    "w": fh.weight_fn,
+    "invw": fh.inv_weight_fn,
+    "chebyshev-samples": lambda n: fh.from_callable(_poly, n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURED))
+def test_inverses_of_a_structure_take_no_theta_panels(kind, monkeypatch):
+    from finhilbert import airfoil
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{kind} input must not take theta panels")
+
+    monkeypatch.setattr(airfoil, "fht_times_w_point", refuse)
+    monkeypatch.setattr(airfoil, "fht_over_w_point", refuse)
+    f = STRUCTURED[kind](64)
+    assert np.all(np.isfinite(fh.right_inverse(f).values))
+    if kind == "invw":
+        # f/w = 1/w^2 is not integrable: refused before any quadrature
+        with pytest.raises(ValueError, match="not integrable"):
+            fh.left_inverse(f)
+    else:
+        assert np.all(np.isfinite(fh.left_inverse(f).values))
+
+
+PANEL_INPUTS = {
+    # structure-free samples: both inverses
+    "uniform-samples": (lambda: fh.from_callable(_poly, 33, family="uniform"),
+                        ["fht_times_w_point", "fht_over_w_point"]),
+    # w chi_(-0.5, 0.5) is a partial w^{-1} piece, outside fht_over_w_values
+    "w-on-an-interval": (lambda: fh.from_profile(Profile(((-0.5, 0.5, (1.0,), 1),)), 64),
+                         ["fht_over_w_point"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PANEL_INPUTS))
+def test_theta_panels_remain_for_samples_and_w_inverse_pieces(kind, monkeypatch):
+    from finhilbert import airfoil
+
+    build, want = PANEL_INPUTS[kind]
+    calls = []
+    for name in ("fht_times_w_point", "fht_over_w_point"):
+        def counted(h, t, _name=name, _panels=getattr(airfoil, name), **kwargs):
+            calls.append(_name)
+            return _panels(h, t, **kwargs)
+
+        monkeypatch.setattr(airfoil, name, counted)
+    f = build()
+    right, left = fh.right_inverse(f), fh.left_inverse(f)
+    assert calls == want
+    assert np.all(np.isfinite(right.values)) and np.all(np.isfinite(left.values))
+
+
+STEPS = (((0.0, 0.5, 1.0),),
+         ((-1.0, 0.0, -1.0), (0.0, 1.0, 1.0)),
+         ((-0.7, -0.2, 0.8), (0.1, 0.6, -1.3), (0.6, 0.9, 0.5)))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("steps", STEPS)
+def test_right_inverse_of_steps_matches_quadpack(steps, n):
+    refs = _benchmark_refs()
+    prof = Profile(tuple((a, b, (c,), 0) for a, b, c in steps))
+    u = fh.right_inverse(fh.from_profile(prof, n))
+    cuts = np.array(prof.breakpoints())
+    keep = np.abs(u.nodes[:, None] - cuts[None, :]).min(axis=1) >= 0.02
+    want = refs.right_inverse_pieces(steps, u.nodes[keep])
+    assert refs.scaled_error(u.values[keep], want) <= 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(-0.3, 0.45), (0.0, 0.5), (-0.9, 0.2)])
+def test_left_inverse_of_indicator_is_a_lambda_difference(a, b):
+    # left_inverse(chi_(a,b)) = (Lambda_b - Lambda_a)/pi with x = cos(theta),
+    # a = cos(alpha) and Lambda_a = ln|sin((theta + alpha)/2) / sin((theta - alpha)/2)|
+    u = fh.left_inverse(fh.indicator_fn((a, b), 256))
+    theta = np.arccos(u.nodes)
+
+    def lam(end):
+        alpha = math.acos(end)
+        return np.log(np.abs(np.sin((theta + alpha) / 2) / np.sin((theta - alpha) / 2)))
+
+    assert np.abs(u.values - (lam(b) - lam(a)) / math.pi).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_solve_of_invw_is_exact(n, lp15):
+    # -T((1/w) w)/w = -T(1)/w = -ln((1 - x)/(1 + x)) / (pi w)
+    u = fh.solve_airfoil(fh.inv_weight_fn(n), lp15).particular
+    x = u.nodes
+    want = -np.log((1 - x) / (1 + x)) / (math.pi * np.sqrt(1 - x * x))
+    assert np.abs(u.values - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+def test_inverses_refuse_a_node_on_a_cut():
+    f = fh.sign_fn(33)                  # the middle node is the jump at 0
+    for inverse in (fh.right_inverse, fh.left_inverse):
+        with pytest.raises(fh.SingularEvaluationError):
+            inverse(f)
 
 
 # ---------------------------------------------------------------- range defect

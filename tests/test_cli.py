@@ -210,7 +210,38 @@ def test_profile_free_solution_residual_matches_quadpack_route(spec):
     got = _solution_residual(u, g)
     assert abs(got - want) <= 1e-12 * want
     if spec != "w":
-        assert got > 0.1            # the solution is wrong near the jumps, and says so
+        # the solution is exact at the nodes, but the residual transforms its
+        # interpolant, which cannot resolve the log peaks at the jumps
+        assert got > 0.1
+
+
+def test_eval_reads_a_solve_artifact(tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    assert main(["solve", "--g", "poly:0,1", "--space", "Lp:1.5", "--nodes", "32",
+                 "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--f", f"file:{path}", "--x", "-0.5,0.1,0.6"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    u = fh.GridFunction.from_json(json.dumps(json.loads(path.read_text())["solution"]))
+    for row, x in zip(rows, (-0.5, 0.1, 0.6), strict=True):
+        assert float(row.split()[1]) == pytest.approx(fh.fht_point(u, x).real, abs=1e-8)
+
+
+def test_solve_of_invw_exits_ok(tmp_path, capsys):
+    # 1/w has no plain series; its solution -T(1)/w is exact and finite
+    path = tmp_path / "sol.json"
+    assert main(["solve", "--g", "invw", "--space", "Lp:1.5", "--nodes", "64",
+                 "--out", str(path)]) == EXIT_OK
+    sol = json.loads(path.read_text())["solution"]
+    x = np.array(sol["node"])
+    want = -np.log((1 - x) / (1 + x)) / (math.pi * np.sqrt(1 - x * x))
+    assert np.abs(np.array(sol["re"]) - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+def test_solve_refuses_a_node_on_a_jump(capsys):
+    # 33 Chebyshev nodes put one on the jump of sigma, where the solution is infinite
+    assert main(["solve", "--g", "sigma", "--space", "Lp:1.5", "--nodes", "33"]) == EXIT_USAGE
+    assert "discontinuity" in capsys.readouterr().err
 
 
 def test_solve_not_in_range(capsys):

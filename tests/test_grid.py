@@ -52,6 +52,25 @@ def test_eval_at_fits_the_interpolant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_structure_is_what_eval_at_reads():
+    import dataclasses
+
+    prof = fh.poly_fn([0.2, -1.0, 0.5], 64)
+    cheb = fh.from_callable(np.exp, 64)
+    uniform = fh.from_callable(np.exp, 64, family="uniform")
+    assert prof.structure is prof.profile
+    assert cheb.structure is cheb.structure          # cached
+    assert np.array_equal(cheb.structure.series(), cheb._interpolant)
+    assert uniform.structure is None
+    xs = np.linspace(-0.95, 0.95, 7)
+    for f in (prof, cheb):
+        assert np.array_equal(f.eval_at(xs), f.structure.eval(xs))
+    linear = np.interp(xs, uniform.nodes, np.exp(uniform.nodes))
+    assert np.array_equal(uniform.eval_at(xs).real, linear)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cheb.structure = None
+
+
 def test_weights_nonnegative():
     with pytest.raises(ValueError):
         fh.GridFunction(np.array([0.0, 0.5]), np.zeros(2), np.array([0.5, -0.1]))
@@ -209,34 +228,35 @@ def test_from_callable_rejects_shape_mismatch():
 
 # ------------------------------------------------------------- Chebyshev series
 
+def _fit(f):
+    """Chebyshev coefficients of f's samples: the structure of the same
+    samples without their profile."""
+    return f.with_values(f.values).structure.series()
+
+
 def test_cheb_fit_constant():
-    coeffs = fh.cheb_fit(fh.const_fn(1.0, 32))
+    coeffs = _fit(fh.const_fn(1.0, 32))
     assert coeffs[0] == pytest.approx(1.0, abs=1e-13)
     assert np.abs(coeffs[1:]).max() <= 1e-13
 
 
 def test_cheb_fit_linear():
-    coeffs = fh.cheb_fit(fh.poly_fn([0, 1], 32))
+    coeffs = _fit(fh.poly_fn([0, 1], 32))
     assert coeffs[1] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cheb_fit_t2():
-    coeffs = fh.cheb_fit(fh.poly_fn([-1, 0, 2], 32))   # 2x^2 - 1 = T_2
+    coeffs = _fit(fh.poly_fn([-1, 0, 2], 32))   # 2x^2 - 1 = T_2
     assert coeffs[2] == pytest.approx(1.0, abs=1e-13)
     assert abs(coeffs[0]) + abs(coeffs[1]) <= 1e-13
 
 
 def test_cheb_roundtrip_polynomial():
     f = fh.poly_fn([0.2, -1.0, 0.0, 0.7, 0.1], 64)
-    coeffs = fh.cheb_fit(f)
+    coeffs = _fit(f)
     xs = np.linspace(-0.99, 0.99, 40)
     truth = 0.2 - xs + 0.7 * xs**3 + 0.1 * xs**4
     assert np.abs(np.polynomial.chebyshev.chebval(xs, coeffs) - truth).max() <= 1e-12
-
-
-def test_cheb_fit_degree_guard():
-    with pytest.raises(ValueError):
-        fh.cheb_fit(fh.const_fn(1.0, 8), degree=20)
 
 
 # ---------------------------------------------------------------- serialization

@@ -175,6 +175,12 @@ def test_semivariation_matches_restricted_optdomain(rng):
         od = fh.optdomain_norm(fh.restrict(f, A), LP15, cells=8,
                                search="exhaustive")
         assert sv.value == pytest.approx(od.value, rel=1e-6)
+    # profile-free samples: both routes cut the same interpolant
+    f = fh.from_callable(lambda x: 0.3 + x + x**2, 256)
+    A = ivals((-0.6, 0.1), (0.3, 0.8))
+    sv = fh.semivariation(f, A, LP15, cells=8, search="exhaustive")
+    od = fh.optdomain_norm(fh.restrict(f, A), LP15, cells=8, search="exhaustive")
+    assert sv.value == pytest.approx(od.value, rel=1e-6)
 
 
 def test_semivariation_monotone(one):
@@ -442,3 +448,39 @@ def test_random_interval_set_deterministic():
     a = fh.random_interval_set(np.random.default_rng(9))
     b = fh.random_interval_set(np.random.default_rng(9))
     assert a.intervals == b.intervals
+
+
+# ------------------------------------------------------------ sample readers
+
+_COEFFS = [0.3, 1.0, 0.0, -0.5, 0.25]
+_SET = ivals((-0.6, 0.1), (0.3, 0.8))
+
+# each reader of a function cut into cells or read as one series
+READERS = {
+    "optdomain_norm": lambda f: fh.optdomain_norm(f, LP15, cells=8).value,
+    "semivariation": lambda f: fh.semivariation(f, _SET, LP15, cells=8).value,
+    "fht_product_indicator": lambda f: fh.fht_product_indicator(f, _SET).values,
+    "inversion_residuals-high": lambda f: [
+        r["sup_interior"] for r in fh.inversion_residuals(f, LP15).values()],
+    "inversion_residuals-low": lambda f: [
+        r["sup_interior"] for r in fh.inversion_residuals(f, fh.SpaceSpec.lp(3)).values()],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_refuse_uniform_samples(reader):
+    # a Chebyshev fit would read them as if they sat on Chebyshev nodes
+    f = fh.from_callable(lambda x: np.polynomial.polynomial.polyval(x, _COEFFS), 64,
+                         family="uniform")
+    with pytest.raises(ValueError, match="uniform samples"):
+        READERS[reader](f)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_of_chebyshev_samples_match_the_profile(reader, n):
+    f = fh.poly_fn(_COEFFS, n)
+    samples = f.with_values(f.values)            # the same samples, no profile
+    assert samples.profile is None
+    got, want = READERS[reader](samples), READERS[reader](f)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12

@@ -108,11 +108,12 @@ def _csv_samples(tmp_path):
     return parse_function_spec(f"file:{path}", 9)
 
 
-# input -> the evaluators that must not run for it
+# input -> the evaluators that must not run for it; an input with a
+# structure (a profile, or the interpolant of Chebyshev samples) runs
+# Profile.fht_values, structure-free samples run _fht_callable
 ROUTES = {
     "profile": (lambda tmp: fh.weight_fn(64), ("_fht_callable", "fht_series")),
-    "chebyshev-samples": (lambda tmp: fh.from_callable(_cubic, 64),
-                          ("_fht_callable", "fht_values")),
+    "chebyshev-samples": (lambda tmp: fh.from_callable(_cubic, 64), ("_fht_callable",)),
     "uniform-samples": (lambda tmp: fh.from_callable(_cubic, 9, family="uniform"),
                         ("fht_values", "fht_series")),
     "file-csv": (_csv_samples, ("fht_values", "fht_series")),
@@ -134,11 +135,15 @@ def test_input_selects_the_route(kind, tmp_path, monkeypatch):
         raise AssertionError(f"{kind} input must not take this route")
 
     calls = []
-    per_point = transform._fht_callable
+    per_point, exact = transform._fht_callable, Profile.fht_values
 
     def counted(fn, t, *args):
         calls.append(t)
         return per_point(fn, t, *args)
+
+    def counted_exact(prof, x):
+        calls.append(x)
+        return exact(prof, x)
 
     owners = {"_fht_callable": transform, "fht_series": chebalg, "fht_values": Profile}
     with monkeypatch.context() as m:
@@ -146,10 +151,13 @@ def test_input_selects_the_route(kind, tmp_path, monkeypatch):
             m.setattr(owners[name], name, refuse)
         if quadrature:
             m.setattr(transform, "_fht_callable", counted)
+        else:
+            m.setattr(Profile, "fht_values", counted_exact)
         grid_values = fh.fht_grid(f).values
         got = [fh.fht_point(f, t).real for t in pts]
     assert len(grid_values) == len(f)
-    assert len(calls) == (len(f) + len(pts) if quadrature else 0)
+    # one call per node and point, or one per fht_grid / fht_point call
+    assert len(calls) == (len(f) + len(pts) if quadrature else 1 + len(pts))
     # per-point quadrature integrates the piecewise-linear interpolant of
     # 9 samples, so it only approximates the cubic's transform
     tol = 0.05 if quadrature else 1e-12
