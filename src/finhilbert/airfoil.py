@@ -70,15 +70,13 @@ def regime_of(space):
 def right_inverse(f):
     """-T(f w)/w.  Satisfies T(right_inverse(f)) = f in the high-index regime.
 
-    Exact for every ``f.structure``, refused at its cuts: pieces times w
-    stay in the profile algebra (powers -1, 0, 1 become 0, 1, 2), and log
-    terms take T(c ln|. - a| w) = T((c w^2 ln|. - a|)/w).  A plain series p
-    keeps a profile, T(p w)/w.  Structure-free samples take theta panels.
+    Exact for every ``f.structure``, kinks included, refused at its jumps:
+    pieces times w stay in the profile algebra (powers -1, 0, 1 become 0, 1,
+    2), and log terms take T(c ln|. - a| w) = T((c w^2 ln|. - a|)/w).  A
+    plain series p keeps a profile, T(p w)/w.
     """
     w, s = semicircle_weight(f.nodes), f.structure
-    if s is None:
-        return f.with_values(-fht_times_w_point(f.eval_at, f.nodes, grade_endpoints=True) / w)
-    _guard_cuts(s.breakpoints(), f.nodes)
+    _guard_cuts(s, f.nodes)
     vals = (Profile(s.pieces) if s.logs else s).times(_W).fht_values(f.nodes)
     if s.logs:
         vals = vals + Profile((), s.logs).times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
@@ -91,15 +89,15 @@ def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
     Exact for every ``f.structure`` by :meth:`Profile.fht_over_w_values`,
-    refused at its cuts; a plain series p keeps a profile, w T(p/w).  A
-    w^{-1} piece (None there) and structure-free samples take cos(theta)
-    panel quadrature; an f/w not integrable at -1 or 1 raises ValueError.
+    kinks included, refused at its jumps; a plain series p keeps a profile,
+    w T(p/w).  Only a w^{-1} piece (None there) takes cos(theta) panels; an
+    f/w not integrable at -1 or 1 raises ValueError.
     """
     w, s = semicircle_weight(f.nodes), f.structure
-    _guard_cuts(s.breakpoints() if s is not None else (), f.nodes)
-    vals = None if s is None else s.fht_over_w_values(f.nodes)
+    _guard_cuts(s, f.nodes)
+    vals = s.fht_over_w_values(f.nodes)
     if vals is None:
-        if s is not None and not np.isfinite(s.integral_over_w()):
+        if not np.isfinite(s.integral_over_w()):
             raise ValueError("f/w is not integrable at -1 or 1: no left inverse")
         return f.with_values(-w * fht_over_w_point(f.eval_at, f.nodes, grade_endpoints=True))
     p = s.series()
@@ -115,14 +113,8 @@ def kernel_projection(f):
 
 
 def range_defect(g):
-    """|int g/w du|, the low-index range obstruction; +inf when divergent."""
-    if g.structure is not None:
-        return abs(g.structure.integral_over_w())
-    # structure-free samples: int g/w = int g(cos th) d th on the interpolant
-    theta = np.linspace(0.0, np.pi, 2049)
-    mid = (theta[1:] + theta[:-1]) / 2.0
-    vals = g.eval_at(np.cos(mid))
-    return abs(complex(np.sum(vals) * (theta[1] - theta[0])))
+    """|int g/w du| of ``g.structure``, the low-index range obstruction."""
+    return abs(g.structure.integral_over_w())
 
 
 # ------------------------------------------------------------------- solutions

@@ -175,7 +175,8 @@ def fht_series(coeffs, x, lo=-1.0, hi=1.0):
     Exact (to roundoff) for any x in (-1,1) away from {lo, hi}, whether or
     not x lies inside the segment; the principal value is built into the
     log term.  The result is (D(x) + p(x) ln|(hi-x)/(lo-x)|)/pi with D from
-    :func:`fht_smooth_coeffs`.  When x is exactly the first-kind node set
+    :func:`fht_smooth_coeffs`; at x = lo or hi the finite part drops its
+    p ln 0 term.  When x is exactly the first-kind node set
     ``chebyshev_nodes(len(x))`` with ``len(x) >= len(coeffs)``, D and p are
     evaluated there by one DCT-III; at other points by Clenshaw.
     """
@@ -191,7 +192,8 @@ def fht_series(coeffs, x, lo=-1.0, hi=1.0):
         dx, px = ((dct(both, type=3, axis=1) + both[:, :1]) / 2.0)[:, ::-1]
     else:
         dx, px = _cheb.chebval(x, d), _cheb.chebval(x, c)
-    return (dx + px * np.log(np.abs((hi - x) / (lo - x)))) / np.pi
+    ratio = np.where(x == hi, 1.0, hi - x) / np.where(x == lo, 1.0, lo - x)
+    return (dx + px * np.log(np.abs(ratio))) / np.pi
 
 
 def t_to_u(coeffs):
@@ -328,18 +330,18 @@ def integral_log(coeffs, a_pt, lo=-1.0, hi=1.0):
 
 
 def fht_indicator_over_w(lo, hi, t):
-    """(1/pi) pv int_lo^hi dy / (w(y)(y - t)); exact antiderivative in theta."""
+    """(1/pi) pv int_lo^hi dy / (w(y)(y - t)) in theta; the finite part at lo, hi."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     wt = np.sqrt(1.0 - t * t)
     alpha = np.sqrt((1.0 - t) / (1.0 + t))
 
-    def G(theta):
+    def G(theta, end):
         if theta >= np.pi - 1e-14:
             return np.zeros_like(t)
         u = np.tan(theta / 2.0)
-        return np.log(np.abs((alpha + u) / (alpha - u)))
+        return np.log(np.abs((alpha + u) / np.where(t == end, 1.0, alpha - u)))
 
-    return (G(np.arccos(lo)) - G(np.arccos(hi))) / (np.pi * wt)
+    return (G(np.arccos(lo), lo) - G(np.arccos(hi), hi)) / (np.pi * wt)
 
 
 def fht_log_kernel(a_pt, t):

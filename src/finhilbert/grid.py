@@ -62,25 +62,19 @@ class GridFunction:
         return len(self.nodes)
 
     def eval_at(self, x):
-        """Values at arbitrary points: the :attr:`structure` when there is
-        one, otherwise linear interpolation of the samples."""
-        x = np.asarray(x, dtype=float)
-        if self.structure is not None:
-            return self.structure.eval(x)
-        re = np.interp(x, self.nodes, self.values.real)
-        im = np.interp(x, self.nodes, self.values.imag)
-        return re + 1j * im
+        """Values at arbitrary points: those of the :attr:`structure`."""
+        return self.structure.eval(x)
 
     @functools.cached_property
     def structure(self):
         """The :class:`Profile` of exactly what :meth:`eval_at` evaluates: the
-        profile; else the interpolant of ``chebyshev-gauss`` samples; else None
-        (``uniform`` and ``custom`` samples, read as linear interpolants)."""
+        profile; else the interpolant of ``chebyshev-gauss`` samples; else
+        that of ``uniform`` and ``custom`` ones, :meth:`Profile.linear`."""
         if self.profile is not None:
             return self.profile
         if self.node_family == CHEBYSHEV:
             return Profile.poly(self._interpolant)
-        return None
+        return Profile.linear(self.nodes, self.values)
 
     @functools.cached_property
     def _interpolant(self):
@@ -263,15 +257,9 @@ def sign_fn(n=DEFAULT_NODES, family=CHEBYSHEV):
 # ------------------------------------------------------------------ operations
 
 def integrate(f):
-    """Integral over (-1, 1).
-
-    The structure's closed form when there is one (exact for polynomial,
-    piecewise and log-mix profiles and the interpolant of Chebyshev
-    samples); otherwise the weighted sample sum.
-    """
-    if f.structure is not None:
-        return f.structure.integral(-1.0, 1.0)
-    return complex(f.weights @ f.values)
+    """Integral over (-1, 1), the structure's closed form (on ``uniform``
+    samples, whose interpolant is piecewise linear: the midpoint rule)."""
+    return f.structure.integral(-1.0, 1.0)
 
 
 def integrate_interval(f, lo, hi):
@@ -296,8 +284,7 @@ def restrict(f, interval_set):
     for a, b in interval_set:
         mask |= (f.nodes > a) & (f.nodes < b)
     vals = np.where(mask, f.values, 0.0)
-    prof = f.structure.restricted(interval_set) if f.structure is not None else None
-    return f.with_values(vals, prof)
+    return f.with_values(vals, f.structure.restricted(interval_set))
 
 
 def pairing(f, g):
@@ -311,7 +298,7 @@ def sample_series(f):
     """Chebyshev coefficients of f as one series: its structure's plain
     series, else the full-degree interpolant of its samples, which only
     ``chebyshev-gauss`` samples have (ValueError otherwise)."""
-    coeffs = f.structure.series() if f.structure is not None else None
+    coeffs = f.structure.series()
     if coeffs is None and f.node_family != CHEBYSHEV:
         raise ValueError(f"{f.node_family} samples without a series profile "
                          "cannot be read as a Chebyshev series")
@@ -321,6 +308,4 @@ def sample_series(f):
 def cell_structure(f):
     """A profile of f that :meth:`Profile.restricted` cuts exactly: the
     structure without log terms, else the series of :func:`sample_series`."""
-    if f.structure is not None and not f.structure.logs:
-        return f.structure
-    return Profile.poly(sample_series(f))
+    return Profile.poly(sample_series(f)) if f.structure.logs else f.structure

@@ -32,7 +32,7 @@ from .grid import (
 from .intervals import IntervalSet
 from .profiles import Profile
 from .spaces import NormWorkspace, SpaceSpec, norm, norms_batch
-from .transform import fht_grid, fht_indicator, fht_product_indicator
+from .transform import SingularEvaluationError, fht_grid, fht_indicator, fht_product_indicator
 from .airfoil import rybakov_functional
 
 EXHAUSTIVE = "exhaustive"
@@ -139,9 +139,11 @@ def _transform_basis(f, edges):
 
     :func:`grid.cell_structure` of f is restricted to each cell, so
     piecewise inputs keep their exact cuts; a structure with log terms is
-    read as the full-degree interpolant of its samples, and structure-free
-    samples raise ValueError.
+    read as the full-degree interpolant of its samples.  A node exactly on
+    an inner cell edge raises :class:`SingularEvaluationError`.
     """
+    if len(hit := np.intersect1d(edges[1:-1], f.nodes)):
+        raise SingularEvaluationError(f"nodes on search cell edge(s) {hit.tolist()}")
     prof = cell_structure(f)
     return np.array([prof.restricted(IntervalSet(((a, b),))).fht_values(f.nodes)
                      for a, b in zip(edges[:-1], edges[1:])])

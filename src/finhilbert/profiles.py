@@ -21,8 +21,12 @@ Each method is one loop over the pieces and the log terms.  Log terms use
 the two log kernels of :mod:`chebalg`: the dilogarithm form of
 T(ln|. - a|) for T(f), and the arccos form of T(ln|. - a| / w) for T(f/w),
 which :meth:`Profile.fht_over_w_values` provides for the exact airfoil
-inverses.  Results that leave the algebra are None, and callers fall back
-to sample-based rules:
+inverses.  At a piece end :meth:`Profile.eval` reads the mean of the two
+one-sided limits, and the transforms take the finite part: each piece drops
+its p(end) ln 0 term, which at a kink cancels against the neighbour's; at a
+jump (:meth:`Profile.jumps`) they diverge and callers refuse the point.
+Results that leave the algebra are None, and callers fall back to
+sample-based rules:
 
 * :meth:`Profile.fht_profile` with log terms or a partial w^{-1} piece;
 * :meth:`Profile.fht_over_w_values` with a w^{-1} piece (1/w^2 is not
@@ -46,6 +50,8 @@ from . import chebalg as ca
 
 #: Chebyshev coefficients of w(x)^2 = 1 - x^2.
 _W2 = np.array([0.5, 0.0, -0.5])
+
+_JUMP_TOL = 1e-12      # relative size below which two values count as equal
 
 
 def _coeffs(c):
@@ -98,6 +104,13 @@ class Profile:
         """p(x) w(x)^wpow on all of (-1, 1)."""
         return cls(((-1.0, 1.0, coeffs, wpow),))
 
+    @classmethod
+    def linear(cls, x, v):
+        """The np.interp interpolant of v at x: linear between nodes, constant beyond."""
+        m = np.diff(v) / np.diff(x)
+        inner = [(a, b, (va - ma * a, ma), 0) for a, b, va, ma in zip(x, x[1:], v, m)]
+        return cls([(-1.0, x[0], v[:1], 0)] + inner + [(x[-1], 1.0, v[-1:], 0)])
+
     # --------------------------------------------------------------- queries
     def series(self, wpow=0):
         """The coefficients of p when the profile is p w^wpow on all of
@@ -126,21 +139,22 @@ class Profile:
 
     # ------------------------------------------------------------ evaluation
     def eval(self, x):
+        """f at x; at a piece end, the mean of the one-sided limits."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for lo, hi, c, s in self.pieces:
-            m = ... if _full(lo, hi) else (x > lo) & (x < hi)
-            xm = x[m]
-            term = _cheb.chebval(xm, c)
-            if s:
-                term = term * np.sqrt(1.0 - xm * xm) ** s
-            out[m] += term
+        out = _sides(self.pieces, x.ravel())[0].reshape(x.shape)
         for a, c in self.logs:
             # floor keeps quadrature nodes that round onto the singular
             # location finite; their panel weight is vanishing at that scale
             dist = np.maximum(np.abs(x - a), 1e-30)
             out += _cheb.chebval(x, c) * np.log(dist)
         return out
+
+    def jumps(self, x):
+        """Whether f(x-), f(x+) differ by over ``_JUMP_TOL`` of the pieces' sizes at x."""
+        x = np.asarray(x, dtype=float).ravel()
+        step = _sides(self.pieces, x)[1]
+        size = _sides([(lo, hi, (np.abs(c).sum(),), s) for lo, hi, c, s in self.pieces], x)[0]
+        return np.abs(step) > _JUMP_TOL * size.real
 
     def fht_values(self, x):
         """T(f) at x, exact."""
@@ -308,6 +322,32 @@ def _add_piece_fht(out, x, lo, hi, c, s):
         out += _cheb.chebval(x, c) * ca.fht_indicator_over_w(lo, hi, x)
 
 
+def _sides(pieces, x):
+    """Rows (f(x-) + f(x+))/2 and f(x+) - f(x-) of the pieces at 1-D x; each
+    partial piece takes its run of the sorted points by binary search."""
+    cut = not all(_full(lo, hi) for lo, hi, _, _ in pieces)
+    order = np.argsort(x, kind="stable") if cut and not np.all(x[:-1] <= x[1:]) else None
+    xs, out = x if order is None else x[order], np.zeros((2, len(x)), dtype=complex)
+    for lo, hi, c, s in pieces:
+        # points in [a, d) lie in [lo, hi]: those in [a, b) on lo, in [e, d) on hi
+        a, e = (0, len(x)) if _full(lo, hi) else xs.searchsorted((lo, hi))
+        b, d = (0, len(x)) if _full(lo, hi) else xs.searchsorted((lo, hi), "right")
+        if a < d:
+            xm = xs[a:d]
+            term = _cheb.chebval(xm, c)
+            if s:
+                term = term * np.sqrt(1.0 - xm * xm) ** s
+            if a < b or e < d:
+                out[1, a:b] += term[:b - a]
+                out[1, e:d] -= term[e - a:]
+                term[:b - a] *= 0.5
+                term[e - a:] *= 0.5
+            out[0, a:d] += term
+    if order is not None:
+        out[:, order] = out.copy()
+    return out
+
+
 def _log_moments(moments, c, a, x):
     """(1/pi) sum_k b_k(x) moments(T_k, a) with b = difference_quotient(c, x):
     the regular part of a log term's transform once c(x) times the log
@@ -324,11 +364,11 @@ def _integral_over_w2(c, lo, hi):
     With p = (1 - y^2) q + r, r linear, the integral is int q plus the
     partial fractions of r: p(1)/2 ln((1 - lo)/(1 - hi)) and
     p(-1)/2 ln((1 + hi)/(1 + lo)).  +inf where the piece reaches +-1 and p
-    does not vanish there (to 1e-12 of its largest coefficient).
+    does not vanish there (to ``_JUMP_TOL`` of its largest coefficient).
     """
     q = _cheb.chebdiv(c, _W2)[0]
     total = complex(q @ ca.segment_integrals(len(q), lo, hi))
-    tol = 1e-12 * max(np.max(np.abs(c)), 1e-300)
+    tol = _JUMP_TOL * max(np.max(np.abs(c)), 1e-300)
     for value, near, far in ((_cheb.chebval(1.0, c), 1.0 - hi, 1.0 - lo),
                              (_cheb.chebval(-1.0, c), 1.0 + lo, 1.0 + hi)):
         if near <= 0.0:

@@ -4,19 +4,17 @@ Convention, fixed throughout the library:
 
     T(f)(t) = (1/pi) pv int_{-1}^{1} f(x) / (x - t) dx .
 
-The input alone selects the evaluator, through ``GridFunction.structure``:
+The input alone selects the evaluator:
 
-* a structure (a profile, or the interpolant of profile-free
-  ``chebyshev-gauss`` samples): its exact transform
-  (:meth:`Profile.fht_values`: coefficient identities for polynomials,
-  piecewise polynomials and w-weighted pieces, closed-form kernels for log
-  terms), refused within 1e-12 of a cut;
-* structure-free (``uniform``, ``custom``) samples, or a callable:
-  subtract-the-singularity adaptive quadrature, point by point.
+* a grid function: the exact transform of its ``GridFunction.structure``
+  (a profile, or the interpolant of profile-free samples, piecewise linear
+  on ``uniform`` and ``custom`` nodes) by :meth:`Profile.fht_values`'s
+  coefficient identities and log kernels, refused within 1e-12 of a jump;
+  at a kink the finite parts of the two pieces sum to the true value;
+* a callable: subtract-the-singularity adaptive quadrature, point by point.
 
-T(f chi_A) restricts :func:`grid.cell_structure` and refuses
-structure-free samples.  Besides these, cos(theta) panel quadrature absorbs
-w / (1/w) factors exactly (:func:`fht_over_w_point`,
+T(f chi_A) restricts :func:`grid.cell_structure`.  Besides these, cos(theta)
+panel quadrature absorbs w / (1/w) factors exactly (:func:`fht_over_w_point`,
 :func:`fht_times_w_point`), and an independent symmetric-exclusion
 principal-value rule with Richardson extrapolation (:func:`pv_oracle`) is the
 cross-checking oracle.
@@ -32,7 +30,7 @@ from .grid import GridFunction, cell_structure
 from .intervals import IntervalSet
 from .profiles import Profile
 
-_CUT_GUARD = 1e-12     # evaluation this close to a cut of a profile is refused
+_CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
 
 
 class TransformDomainError(ValueError):
@@ -63,33 +61,28 @@ def fht_point(f, t):
 
 def fht_grid(f):
     """T(f) at every node of f, with the profile of T(f.structure) if any."""
-    prof = f.structure.fht_profile() if f.structure is not None else None
-    return f.with_values(_grid_transform_values(f, f.nodes), prof)
+    return f.with_values(_grid_transform_values(f, f.nodes), f.structure.fht_profile())
 
 
 def _grid_transform_values(f, pts):
-    if f.structure is None:
-        return np.array([_fht_callable(f.eval_at, float(x)) for x in pts])
-    _guard_cuts(f.structure.breakpoints(), pts)
+    _guard_cuts(f.structure, pts)
     return f.structure.fht_values(pts)
 
 
-def _guard_cuts(cuts, pts, guard=_CUT_GUARD):
-    """Raise if a point lies within ``guard`` of a sorted cut (a log
-    singularity of the transforms of a profile and of profile * w^{+-1}).
-
-    Binary search finds the cuts in a window of twice the guard around each
-    point; the few points with a cut there are tested exactly.
-    """
-    if not len(cuts):
+def _guard_cuts(prof, pts, guard=_CUT_GUARD):
+    """Raise if a point lies within ``guard`` of a jump of the profile, a log
+    singularity of the transforms of prof and prof * w^{+-1}.  Binary search
+    finds the few cuts near the points; only those ask :meth:`Profile.jumps`."""
+    cuts = prof.breakpoints()
+    if not cuts:
         return
     x = np.asarray(pts, dtype=float)
     lo = np.searchsorted(cuts, x - 2 * guard)
     hi = np.searchsorted(cuts, x + 2 * guard, side="right")
-    bad = {p for k in np.flatnonzero(hi > lo) for p in cuts[lo[k]:hi[k]]
-           if abs(x[k] - p) < guard}
-    if bad:
-        raise SingularEvaluationError(f"evaluation at discontinuity point(s) {sorted(bad)}")
+    hit = sorted({p for k in np.flatnonzero(hi > lo) for p in cuts[lo[k]:hi[k]]
+                  if abs(x[k] - p) < guard})
+    if hit and (bad := [p for p, jump in zip(hit, prof.jumps(hit)) if jump]):
+        raise SingularEvaluationError(f"evaluation at discontinuity point(s) {bad}")
 
 
 def fht_indicator(interval_set, x):
@@ -109,10 +102,7 @@ def fht_indicator(interval_set, x):
 
 
 def fht_product_indicator(f, interval_set):
-    """T(f * chi_A) on f's grid, with interval-split closed forms at the cuts.
-
-    Reads :func:`grid.cell_structure`: structure-free samples raise ValueError.
-    """
+    """T(f * chi_A) on f's grid: :func:`grid.cell_structure` cut at A, exactly."""
     if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
         interval_set = IntervalSet((interval_set,))
     if interval_set.is_empty():
@@ -131,7 +121,7 @@ def _eval_vec(fn, x):
     return xv, fv
 
 
-def _fht_callable(fn, t, singular=()):
+def _fht_callable(fn, t):
     """Subtract-the-singularity adaptive quadrature for a smooth callable."""
     ft = complex(_eval_vec(fn, np.array([t]))[1][0])
 
@@ -139,11 +129,10 @@ def _fht_callable(fn, t, singular=()):
         xv, fv = _eval_vec(fn, x)
         return (fv - ft) / (xv - t)
 
-    pts = sorted(p for p in set(singular) | {t} if -1.0 < p < 1.0)
-    re = quad(lambda x: float(quotient(x).real[0]), -1.0, 1.0, points=pts, limit=300)[0]
+    re = quad(lambda x: float(quotient(x).real[0]), -1.0, 1.0, points=[t], limit=300)[0]
     im = 0.0
     if ft.imag != 0.0 or _complexish(fn):
-        im = quad(lambda x: float(quotient(x).imag[0]), -1.0, 1.0, points=pts, limit=300)[0]
+        im = quad(lambda x: float(quotient(x).imag[0]), -1.0, 1.0, points=[t], limit=300)[0]
     return (re + 1j * im + ft * ca.log_ratio(t)) / np.pi
 
 

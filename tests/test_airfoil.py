@@ -180,9 +180,9 @@ def test_inverses_of_a_structure_take_no_theta_panels(kind, monkeypatch):
 
 
 PANEL_INPUTS = {
-    # structure-free samples: both inverses
-    "uniform-samples": (lambda: fh.from_callable(_poly, 33, family="uniform"),
-                        ["fht_times_w_point", "fht_over_w_point"]),
+    # uniform samples are read as their piecewise-linear interpolant, a
+    # structure: neither inverse takes panels
+    "uniform-samples": (lambda: fh.from_callable(_poly, 33, family="uniform"), []),
     # w chi_(-0.5, 0.5) is a partial w^{-1} piece, outside fht_over_w_values
     "w-on-an-interval": (lambda: fh.from_profile(Profile(((-0.5, 0.5, (1.0,), 1),)), 64),
                          ["fht_over_w_point"]),
@@ -205,6 +205,34 @@ def test_theta_panels_remain_for_samples_and_w_inverse_pieces(kind, monkeypatch)
     right, left = fh.right_inverse(f), fh.left_inverse(f)
     assert calls == want
     assert np.all(np.isfinite(right.values)) and np.all(np.isfinite(left.values))
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("family", ["uniform", "custom"])
+def test_inverses_of_samples_match_theta_panels_split_at_the_nodes(family, n):
+    # the interpolant np.interp reads, its kinks at the nodes split the panels
+    if family == "uniform":
+        f = fh.from_callable(lambda x: np.exp(x) * np.cos(3 * x), n, family="uniform")
+    else:
+        x = np.linspace(-0.93, 0.96, n) + 0.01 * np.sin(7.0 * np.arange(n))
+        f = fh.GridFunction(x, 0.2 + np.sin(4 * x), np.full(n, 2.0 / n), "custom")
+
+    def h(t):
+        return np.interp(t, f.nodes, f.values.real)
+
+    w = np.sqrt(1.0 - f.nodes**2)
+    right = -fh.fht_times_w_point(h, f.nodes, extra_splits=f.nodes) / w
+    left = -w * fh.fht_over_w_point(h, f.nodes, extra_splits=f.nodes)
+    assert np.abs(fh.right_inverse(f).values - right).max() <= 1e-13
+    assert np.abs(fh.left_inverse(f).values - left).max() <= 1e-13
+
+
+def test_range_defect_of_samples_is_their_integral_over_w():
+    # int g/w of the interpolant of odd samples vanishes; of the constant 1, pi
+    odd = fh.from_callable(lambda x: x**3 - x, 33, family="uniform")
+    assert fh.range_defect(odd) <= 1e-15
+    one = fh.from_callable(lambda x: 1.0, 33, family="uniform")
+    assert fh.range_defect(one) == pytest.approx(math.pi, abs=1e-14)
 
 
 STEPS = (((0.0, 0.5, 1.0),),

@@ -227,6 +227,31 @@ def test_eval_reads_a_solve_artifact(tmp_path, capsys):
         assert float(row.split()[1]) == pytest.approx(fh.fht_point(u, x).real, abs=1e-8)
 
 
+def test_eval_of_a_uniform_csv_reads_its_interpolant(tmp_path, capsys, recwarn):
+    # 33 uniform rows, read as their piecewise-linear interpolant; its
+    # transform in kink form, with s_k the slope change at node x_k:
+    # pi T(f)(t) = v_1 ln((1 - t)/(1 + t))
+    #              + sum_k s_k ((1 - x_k) + (t - x_k)(ln(1 - t) - ln|x_k - t|))
+    path = tmp_path / "f.csv"
+    fh.from_callable(lambda x: np.cos(3 * x) + x, 33, family="uniform").to_csv(str(path))
+    f = parse_function_spec(f"file:{path}", 33)
+    x, v = f.nodes, f.values.real
+    pts = np.concatenate([x[::8], [-0.5, 0.1, 0.6]])
+    slopes = np.diff(np.concatenate([[0.0], np.diff(v) / np.diff(x), [0.0]]))
+    d = pts[:, None] - x[None, :]
+    tail = np.where(d == 0.0, 0.0, d * (np.log1p(-pts)[:, None]
+                                        - np.log(np.abs(np.where(d == 0.0, 1.0, d)))))
+    want = (v[0] * np.log((1 - pts) / (1 + pts)) + ((1 - x) + tail) @ slopes) / math.pi
+    got = np.array([fh.fht_point(f, t).real for t in pts])
+    assert np.abs(got - want).max() <= 1e-13
+    spec = ",".join(repr(float(t)) for t in pts)
+    assert main(["eval", "--f", f"file:{path}", "--x", spec]) == EXIT_OK
+    out, err = capsys.readouterr()
+    printed = [float(row.split()[1]) for row in out.splitlines()[1:]]
+    assert np.abs(np.subtract(printed, want)).max() <= 5e-9     # printed to 8 places
+    assert err == "" and len(recwarn) == 0
+
+
 def test_solve_of_invw_exits_ok(tmp_path, capsys):
     # 1/w has no plain series; its solution -T(1)/w is exact and finite
     path = tmp_path / "sol.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finhilbert as fh
+from finhilbert.profiles import Profile
 
 
 def ivals(*pairs):
@@ -61,12 +62,14 @@ def test_structure_is_what_eval_at_reads():
     assert prof.structure is prof.profile
     assert cheb.structure is cheb.structure          # cached
     assert np.array_equal(cheb.structure.series(), cheb._interpolant)
-    assert uniform.structure is None
-    xs = np.linspace(-0.95, 0.95, 7)
-    for f in (prof, cheb):
+    # uniform samples: their piecewise-linear interpolant, 63 linear pieces
+    # between the nodes and a constant one out to each of -1 and 1
+    assert isinstance(uniform.structure, Profile) and len(uniform.structure.pieces) == 65
+    xs = np.linspace(-0.999, 0.999, 7)
+    for f in (prof, cheb, uniform):
         assert np.array_equal(f.eval_at(xs), f.structure.eval(xs))
     linear = np.interp(xs, uniform.nodes, np.exp(uniform.nodes))
-    assert np.array_equal(uniform.eval_at(xs).real, linear)
+    assert np.abs(uniform.eval_at(xs) - linear).max() <= 1e-15 * np.abs(linear).max()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cheb.structure = None
 
@@ -144,6 +147,24 @@ def test_integrate_is_linear(a, b):
     rhs = a * fh.integrate(f) + b * fh.integrate(g)
     scale = 1 + abs(a) + abs(b)
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [9, 64, 512])
+def test_integrate_uniform_samples_is_the_midpoint_rule(n):
+    # the linear interpolant on midpoint nodes: end pieces of width 1/n at
+    # the end values, trapezoids of width 2/n between, so (2/n) sum v
+    f = fh.from_callable(lambda x: np.exp(x) * np.cos(4 * x) + 1j * x, n, family="uniform")
+    want = 2.0 / n * np.sum(f.values)
+    assert abs(fh.integrate(f) - want) <= 1e-15 * n * np.abs(f.values).max()
+
+
+def test_integrate_custom_samples_is_the_trapezoid_sum_plus_the_end_pieces():
+    x = np.array([-0.9, -0.41, 0.05, 0.3, 0.77])
+    v = np.array([1.5, -0.2, 0.7, 2.0, -1.1])
+    f = fh.GridFunction(x, v, np.full(5, 0.4), "custom")
+    trapezoids = sum((v[k] + v[k + 1]) / 2 * (x[k + 1] - x[k]) for k in range(4))
+    ends = v[0] * (x[0] + 1.0) + v[-1] * (1.0 - x[-1])
+    assert fh.integrate(f) == pytest.approx(trapezoids + ends, abs=1e-15)
 
 
 # -------------------------------------------------------------------- restrict

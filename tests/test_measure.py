@@ -469,11 +469,29 @@ READERS = {
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_readers_refuse_uniform_samples(reader):
-    # a Chebyshev fit would read them as if they sat on Chebyshev nodes
+    # the series readers refuse them: a Chebyshev fit would read them as if
+    # they sat on Chebyshev nodes.  The cell readers cut their piecewise-linear
+    # interpolant, within its O(h^2) distance of the sampled polynomial
     f = fh.from_callable(lambda x: np.polynomial.polynomial.polyval(x, _COEFFS), 64,
                          family="uniform")
-    with pytest.raises(ValueError, match="uniform samples"):
-        READERS[reader](f)
+    if reader.startswith("inversion_residuals"):
+        with pytest.raises(ValueError, match="uniform samples"):
+            READERS[reader](f)
+        return
+    got = np.asarray(READERS[reader](f))
+    want = np.asarray(READERS[reader](fh.poly_fn(_COEFFS, 64, family="uniform")))
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+
+
+def test_search_refuses_nodes_on_cell_edges():
+    # 8 of 24 uniform nodes lie on edges of 16 cells, where T(f chi_cell)
+    # diverges; -0.875 = -1 + 3/24 = -1 + 1/8 is the first
+    with pytest.raises(fh.SingularEvaluationError, match=r"edge\(s\) \[-0\.875, -0\.625"):
+        fh.optdomain_norm(fh.poly_fn([1], 24, family="uniform"), LP15, cells=16)
+    # odd Chebyshev grids put a node 6.1e-17 from the edge 0: no exact hit
+    est = fh.optdomain_norm(fh.poly_fn([1], 25), LP15, cells=16)
+    assert est.value == pytest.approx(6.63, abs=0.005)
 
 
 @pytest.mark.parametrize("n", [64, 512])

@@ -58,6 +58,18 @@ def test_queries():
     assert Profile.poly((1.5,), -1).steps() is None
 
 
+def test_eval_on_a_cut_reads_the_mean_of_the_two_sides():
+    # indicator:0.25,0.75 on the 4 uniform nodes -0.75, -0.25, 0.25, 0.75
+    nodes, _ = fh.make_grid(4, "uniform")
+    assert fh.indicator_fn((0.25, 0.75), 4, "uniform").values.real.tolist() == [0, 0, 0.5, 0.5]
+    assert Profile(((0.25, 0.75, (1.0,), 0),)).eval(nodes).real.tolist() == [0, 0, 0.5, 0.5]
+    # a kink reads its sample, a jump the mean of its limits
+    steps = Profile(((-1.0, 0.0, (2.0, 1.0), 0), (0.0, 0.5, (2.0, -3.0), 0),
+                     (0.5, 1.0, (4.0,), 0)))
+    assert steps.eval(np.array([0.0, 0.5])).real.tolist() == [2.0, 2.25]
+    assert steps.jumps([0.0, 0.5, 0.25]).tolist() == [False, True, False]
+
+
 # ------------------------------------------------- overlapping step functions
 
 def staircase_norm(plateaus, widths, space):

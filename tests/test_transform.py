@@ -108,22 +108,24 @@ def _csv_samples(tmp_path):
     return parse_function_spec(f"file:{path}", 9)
 
 
-# input -> the evaluators that must not run for it; an input with a
-# structure (a profile, or the interpolant of Chebyshev samples) runs
-# Profile.fht_values, structure-free samples run _fht_callable
+# input -> the evaluators that must not run for it, and the tolerance
+# against the cubic's transform.  Every grid function has a structure (a
+# profile, or the interpolant of its samples) and runs Profile.fht_values;
+# _fht_callable is left to callables.  Samples on 9 uniform or custom nodes
+# are read as their piecewise-linear interpolant, which only approximates
+# the cubic
 ROUTES = {
-    "profile": (lambda tmp: fh.weight_fn(64), ("_fht_callable", "fht_series")),
-    "chebyshev-samples": (lambda tmp: fh.from_callable(_cubic, 64), ("_fht_callable",)),
+    "profile": (lambda tmp: fh.weight_fn(64), ("_fht_callable", "fht_series"), 1e-12),
+    "chebyshev-samples": (lambda tmp: fh.from_callable(_cubic, 64), ("_fht_callable",), 1e-12),
     "uniform-samples": (lambda tmp: fh.from_callable(_cubic, 9, family="uniform"),
-                        ("fht_values", "fht_series")),
-    "file-csv": (_csv_samples, ("fht_values", "fht_series")),
+                        ("_fht_callable",), 0.03),
+    "file-csv": (_csv_samples, ("_fht_callable",), 0.03),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ROUTES))
 def test_input_selects_the_route(kind, tmp_path, monkeypatch):
-    build, forbidden = ROUTES[kind]
-    quadrature = "_fht_callable" not in forbidden
+    build, forbidden, tol = ROUTES[kind]
     f = build(tmp_path)
     pts = (-0.55, 0.1, 0.7)
     if kind == "profile":
@@ -135,33 +137,62 @@ def test_input_selects_the_route(kind, tmp_path, monkeypatch):
         raise AssertionError(f"{kind} input must not take this route")
 
     calls = []
-    per_point, exact = transform._fht_callable, Profile.fht_values
-
-    def counted(fn, t, *args):
-        calls.append(t)
-        return per_point(fn, t, *args)
+    exact = Profile.fht_values
 
     def counted_exact(prof, x):
         calls.append(x)
         return exact(prof, x)
 
-    owners = {"_fht_callable": transform, "fht_series": chebalg, "fht_values": Profile}
+    owners = {"_fht_callable": transform, "fht_series": chebalg}
     with monkeypatch.context() as m:
         for name in forbidden:
             m.setattr(owners[name], name, refuse)
-        if quadrature:
-            m.setattr(transform, "_fht_callable", counted)
-        else:
-            m.setattr(Profile, "fht_values", counted_exact)
+        m.setattr(Profile, "fht_values", counted_exact)
         grid_values = fh.fht_grid(f).values
         got = [fh.fht_point(f, t).real for t in pts]
     assert len(grid_values) == len(f)
-    # one call per node and point, or one per fht_grid / fht_point call
-    assert len(calls) == (len(f) + len(pts) if quadrature else 1 + len(pts))
-    # per-point quadrature integrates the piecewise-linear interpolant of
-    # 9 samples, so it only approximates the cubic's transform
-    tol = 0.05 if quadrature else 1e-12
+    # one call per fht_grid / fht_point call
+    assert len(calls) == 1 + len(pts)
     assert np.abs(np.subtract(got, want)).max() <= tol
+
+
+def _kink_form(x, v, t):
+    """T of the piecewise-linear interpolant of samples v at nodes x, written
+    as f = v_1 + sum_k dm_k (y - x_k)_+ with dm_k the slope change at x_k:
+
+        pi T(f)(t) = v_1 ln((1 - t)/(1 + t))
+                     + sum_k dm_k ((1 - x_k) + (t - x_k)(ln(1 - t) - ln|x_k - t|))
+
+    and (t - x_k) ln|x_k - t| = 0 at t = x_k."""
+    slopes = np.concatenate([[0.0], np.diff(v) / np.diff(x), [0.0]])
+    d = t[:, None] - x[None, :]
+    at = d == 0.0
+    lnd = np.log(np.abs(np.where(at, 1.0, d)))
+    terms = (1.0 - x)[None, :] + np.where(at, 0.0, d * (np.log1p(-t)[:, None] - lnd))
+    return (v[0] * np.log((1.0 - t) / (1.0 + t)) + terms @ np.diff(slopes)) / math.pi
+
+
+def _samples(family, n):
+    if family == "uniform":
+        return fh.from_callable(lambda x: np.cos(3 * x) + x, n, family="uniform")
+    # custom: jittered Chebyshev-like nodes
+    rng = np.random.default_rng(n)
+    x = np.sort(np.cos(math.pi * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n))
+    return fh.GridFunction(x, np.exp(x) * np.sin(5 * x), np.full(n, 2.0 / n), "custom")
+
+
+@pytest.mark.parametrize("n", [9, 64, 512, 2048])
+@pytest.mark.parametrize("family", ["uniform", "custom"])
+def test_samples_transform_to_the_kink_form(family, n):
+    f = _samples(family, n)
+    x, v = f.nodes, f.values.real
+    at_nodes = _kink_form(x, v, x)
+    scale = np.abs(at_nodes).max()
+    assert np.abs(fh.fht_grid(f).values - at_nodes).max() <= 1e-13 * scale
+    mid = ((x[1:] + x[:-1]) / 2.0)[:: (n - 1) // 4]
+    between = [fh.fht_point(f, t) for t in mid]
+    want = _kink_form(x, v, mid)
+    assert np.abs(np.subtract(between, want)).max() <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------- fht_indicator
@@ -452,13 +483,25 @@ def test_cut_guard_matches_the_pairwise_loop():
     guard = 1e-12
     for trial in range(200):
         cuts = sorted(set(np.round(rng.uniform(-0.9, 0.9, rng.integers(1, 6)), 3).tolist()))
+        # steps 1, 2, 3, ... between the cuts: every cut is a jump
+        ends = [-1.0] + cuts + [1.0]
+        steps = Profile(tuple((a, b, (k + 1.0,), 0) for k, (a, b) in enumerate(zip(ends, ends[1:]))))
         near = rng.choice(cuts, 2) + rng.uniform(-2, 2, 2) * guard
         pts = np.concatenate([rng.uniform(-0.99, 0.99, 5), near])
         want = sorted({p for p in cuts for x in pts if abs(x - p) < guard})
         if want:
             with pytest.raises(fh.SingularEvaluationError) as err:
-                _guard_cuts(cuts, pts, guard)
+                _guard_cuts(steps, pts, guard)
             assert str(err.value) == f"evaluation at discontinuity point(s) {want}"
         else:
-            _guard_cuts(cuts, pts, guard)
+            _guard_cuts(steps, pts, guard)
+
+
+def test_cut_guard_refuses_jumps_and_reads_kinks():
+    # |x| sampled at 3 uniform nodes has a kink at its node 0; chi_(0,1) jumps there
+    kink = fh.from_callable(np.abs, 3, family="uniform")
+    want = _kink_form(kink.nodes, kink.values.real, np.array([0.0]))[0]
+    assert fh.fht_point(kink, 0.0) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(fh.SingularEvaluationError, match=r"\[0\.0\]"):
+        fh.fht_point(fh.indicator_fn((0.0, 1.0), 3, "uniform"), 0.0)
 
