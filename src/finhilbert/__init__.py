@@ -85,8 +85,6 @@ from .transform import (
     fht_indicator,
     fht_point,
     fht_product_indicator,
-    fht_over_w_point,
-    fht_times_w_point,
     pv_oracle,
 )
 

@@ -21,7 +21,7 @@ from numpy.polynomial import chebyshev as _cheb
 from . import chebalg as ca
 from .grid import GridFunction, integrate, sample_series
 from .profiles import _W2, Profile
-from .transform import _guard_cuts, fht_grid, fht_over_w_point, fht_times_w_point
+from .transform import _guard_cuts, fht_grid, fht_over_w_point
 
 HIGH_INDEX = "HighIndex"
 LOW_INDEX = "LowIndex"
@@ -89,17 +89,13 @@ def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
     Exact for every ``f.structure`` by :meth:`Profile.fht_over_w_values`,
-    kinks included, refused at its jumps; a plain series p keeps a profile,
-    w T(p/w).  Only a w^{-1} piece (None there) takes cos(theta) panels; an
-    f/w not integrable at -1 or 1 raises ValueError.
+    w^{-1} pieces and kinks included, refused at its jumps; a plain series p
+    keeps a profile, w T(p/w).  An f/w not integrable at -1 or 1, such as
+    1/w^2, raises ValueError.
     """
     w, s = semicircle_weight(f.nodes), f.structure
     _guard_cuts(s, f.nodes)
     vals = s.fht_over_w_values(f.nodes)
-    if vals is None:
-        if not np.isfinite(s.integral_over_w()):
-            raise ValueError("f/w is not integrable at -1 or 1: no left inverse")
-        return f.with_values(-w * fht_over_w_point(f.eval_at, f.nodes, grade_endpoints=True))
     p = s.series()
     prof = Profile.poly(-ca.fht_over_w_series(p), wpow=1) if p is not None else None
     return f.with_values(-w * vals, prof)
@@ -167,7 +163,8 @@ def inversion_residuals(f, space, sample_points=None):
         out["T o rightinv - id"] = _residual_report(tr - fvals)
 
         img = fht_grid(f)                    # T(f), log-mix image
-        that_vals = -fht_times_w_point(img.eval_at, sample_points, grade_endpoints=True) \
+        that_vals = -fht_over_w_point(lambda x: img.eval_at(x) * (1.0 - x * x),
+                                      sample_points, grade_endpoints=True) \
             / semicircle_weight(sample_points)
         proj = kernel_projection(f)
         out["rightinv o T - (id - P)"] = _residual_report(

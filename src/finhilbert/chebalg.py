@@ -192,8 +192,14 @@ def fht_series(coeffs, x, lo=-1.0, hi=1.0):
         dx, px = ((dct(both, type=3, axis=1) + both[:, :1]) / 2.0)[:, ::-1]
     else:
         dx, px = _cheb.chebval(x, d), _cheb.chebval(x, c)
+    return (dx + px * segment_log_ratio(x, lo, hi)) / np.pi
+
+
+def segment_log_ratio(x, lo, hi):
+    """ln|(hi - x)/(lo - x)|, pi T(chi_(lo,hi))(x); at x = lo or hi the finite
+    part drops its ln 0 term."""
     ratio = np.where(x == hi, 1.0, hi - x) / np.where(x == lo, 1.0, lo - x)
-    return (dx + px * np.log(np.abs(ratio))) / np.pi
+    return np.log(np.abs(ratio))
 
 
 def t_to_u(coeffs):
@@ -391,16 +397,17 @@ def fht_log_over_w_kernel(a_pt, t):
 
 # ----------------------------------------------------------- panel quadrature
 
-@functools.lru_cache(maxsize=16)
-def _gl_rule(n):
-    return np.polynomial.legendre.leggauss(n)
+@functools.cache
+def _gl_rule():
+    return np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 
 _PANEL_BLOCK = 2 ** 16      # quadrature nodes per call of the integrand
+_PANEL_ORDER = 64           # Gauss-Legendre nodes per panel
 
 
-def integrate_panels(f, edges, order=24):
-    """Composite Gauss-Legendre quadrature over rows of panels.
+def integrate_panels(f, edges):
+    """Composite ``_PANEL_ORDER``-point Gauss-Legendre quadrature over rows of panels.
 
     ``edges`` holds one increasing sequence of panel edges per row; the
     result holds one sum per row.  ``f(rows, theta)`` returns the integrand
@@ -412,7 +419,7 @@ def integrate_panels(f, edges, order=24):
     own, in the order a one-row call sums them, so a row's value does not
     depend on the other rows.
     """
-    z, w = _gl_rule(order)
+    z, w = _gl_rule()
     counts = [len(e) - 1 for e in edges]
     width = max(counts, default=1)
     lo, hi = np.empty((len(edges), width)), np.empty((len(edges), width))
@@ -422,7 +429,7 @@ def integrate_panels(f, edges, order=24):
         lo[i, k:] = hi[i, k:] = (e[0] + e[1]) / 2.0
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     sums = np.empty(len(edges), dtype=complex)
-    step = max(1, _PANEL_BLOCK // (width * order))
+    step = max(1, _PANEL_BLOCK // (width * _PANEL_ORDER))
     for b in range(0, len(edges), step):
         rows = slice(b, b + step)
         terms = half[rows, :, None] * w * f(rows, mid[rows, :, None] + half[rows, :, None] * z)

@@ -180,20 +180,27 @@ def _write_csv(fh, rows):
 def make_grid(n=DEFAULT_NODES, family=CHEBYSHEV):
     """Nodes and weights of a built-in family; weights sum to 2 exactly.
 
-    The arrays are read-only and shared: each (n, family) is computed once
-    and kept in a bounded cache.
+    ``chebyshev-gauss`` needs at least 3 nodes (the calibration of
+    :func:`chebalg.fejer1_weights` is singular below) and ``uniform`` at
+    least 1; fewer raise ValueError.  The arrays are read-only and shared:
+    each (n, family) is computed once and kept in a bounded cache.
     """
     return _family_grid(int(n), family)
 
 
+_MIN_NODES = {CHEBYSHEV: 3, UNIFORM: 1}
+
+
 @functools.lru_cache(maxsize=32)
 def _family_grid(n, family):
+    if family not in _MIN_NODES:
+        raise ValueError(f"unknown node family: {family}")
+    if n < (least := _MIN_NODES[family]):
+        raise ValueError(f"a {family} grid needs at least {least} nodes, got {n}")
     if family == CHEBYSHEV:
         nodes, weights = ca.chebyshev_nodes(n), ca.fejer1_weights(n)
-    elif family == UNIFORM:
-        nodes, weights = ca.uniform_nodes(n), np.full(n, 2.0 / n)
     else:
-        raise ValueError(f"unknown node family: {family}")
+        nodes, weights = ca.uniform_nodes(n), np.full(n, 2.0 / n)
     for arr in (nodes, weights):
         arr.setflags(write=False)
     return nodes, weights

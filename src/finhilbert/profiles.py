@@ -21,16 +21,15 @@ Each method is one loop over the pieces and the log terms.  Log terms use
 the two log kernels of :mod:`chebalg`: the dilogarithm form of
 T(ln|. - a|) for T(f), and the arccos form of T(ln|. - a| / w) for T(f/w),
 which :meth:`Profile.fht_over_w_values` provides for the exact airfoil
-inverses.  At a piece end :meth:`Profile.eval` reads the mean of the two
-one-sided limits, and the transforms take the finite part: each piece drops
+inverses; there a w^{-1} piece gives p/(1 - y^2), split by partial fractions.
+At a piece end :meth:`Profile.eval` reads the mean of the two one-sided
+limits, and the transforms take the finite part: each piece drops
 its p(end) ln 0 term, which at a kink cancels against the neighbour's; at a
 jump (:meth:`Profile.jumps`) they diverge and callers refuse the point.
 Results that leave the algebra are None, and callers fall back to
 sample-based rules:
 
 * :meth:`Profile.fht_profile` with log terms or a partial w^{-1} piece;
-* :meth:`Profile.fht_over_w_values` with a w^{-1} piece (1/w^2 is not
-  integrable);
 * :meth:`Profile.restricted` with log terms;
 * :meth:`Profile.times` for ln x ln, a log term times anything but a plain
   series on all of (-1, 1), and w^{-1} x w^{-1};
@@ -168,7 +167,7 @@ class Profile:
         return out
 
     def fht_over_w_values(self, x):
-        """T(f/w) at x, exact, or None when a piece carries w^{-1}.
+        """T(f/w) at x, exact; ValueError where f/w is not integrable, as 1/w^2.
 
         Each piece's power drops by one; a log term gives c(t) J_a(t) plus the
         regular remainder (1/pi) int (c(y) - c(t))/(y - t) ln|y - a| / w(y) dy.
@@ -176,8 +175,6 @@ class Profile:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape, dtype=complex)
         for lo, hi, c, s in self.pieces:
-            if s < 0:
-                return None
             _add_piece_fht(out, x, lo, hi, c, s - 1)
         for a, c in self.logs:
             out += _cheb.chebval(x, c) * ca.fht_log_over_w_kernel(a, x)
@@ -231,8 +228,11 @@ class Profile:
                 total += ca.integral_over_w(c, lo, hi)
             elif s > 0:
                 total += c @ ca.segment_integrals(len(c), lo, hi)
+            elif (parts := _over_w2(c, lo, hi)) is None:
+                return complex(np.inf)
             else:
-                total += _integral_over_w2(c, lo, hi)
+                q, _, _, ia, ib = parts
+                total += q @ ca.segment_integrals(len(q), lo, hi) + ia + ib
         for a, c in self.logs:
             total += ca.integral_log_over_w(c, a)
         return complex(total)
@@ -308,9 +308,19 @@ def _merge(terms):
 
 
 def _add_piece_fht(out, x, lo, hi, c, s):
-    """out += T(p w^s chi_(lo,hi))(x); partial pieces have s in {-1, 0}."""
+    """out += T(p w^s chi_(lo,hi))(x) for s in {-2, -1, 0, 1}; partial pieces
+    have s <= 0."""
     if s == 0:
         out += ca.fht_series(c, x, lo, hi)
+    elif s == -2:
+        # pi T(a/(1 - y)) = (a L + ia)/(1 - x) and pi T(b/(1 + y)) = (b L - ib)/(1 + x)
+        # on (lo, hi), with L = ln|(hi - x)/(lo - x)|
+        if (parts := _over_w2(c, lo, hi)) is None:
+            raise ValueError("f/w is not integrable at -1 or 1: no left inverse")
+        q, a, b, ia, ib = parts
+        log = ca.segment_log_ratio(x, lo, hi)
+        out += ca.fht_series(q, x, lo, hi)
+        out += ((a * log + ia) / (1.0 - x) + (b * log - ib) / (1.0 + x)) / np.pi
     elif _full(lo, hi):
         series = ca.fht_over_w_series(c) if s < 0 else ca.fht_times_w_series(c)
         out += _cheb.chebval(x, series)
@@ -358,22 +368,23 @@ def _log_moments(moments, c, a, x):
     return moments(b.shape[0], a) @ b / np.pi
 
 
-def _integral_over_w2(c, lo, hi):
-    """int_lo^hi p(y)/(1 - y^2) dy, closed form.
-
-    With p = (1 - y^2) q + r, r linear, the integral is int q plus the
-    partial fractions of r: p(1)/2 ln((1 - lo)/(1 - hi)) and
-    p(-1)/2 ln((1 + hi)/(1 + lo)).  +inf where the piece reaches +-1 and p
-    does not vanish there (to ``_JUMP_TOL`` of its largest coefficient).
+def _over_w2(c, lo, hi):
+    """``(q, a, b, ia, ib)`` with p/(1 - y^2) = q + a/(1 - y) + b/(1 + y) on
+    (lo, hi): q a series, a = p(1)/2, b = p(-1)/2, and ia, ib the integrals
+    of the two poles over (lo, hi).  At an end the piece reaches, p must
+    vanish (to ``_JUMP_TOL`` of its largest coefficient) and that pole is
+    dropped; None where it does not, as p/(1 - y^2) is not integrable there.
     """
     q = _cheb.chebdiv(c, _W2)[0]
-    total = complex(q @ ca.segment_integrals(len(q), lo, hi))
     tol = _JUMP_TOL * max(np.max(np.abs(c)), 1e-300)
+    parts = []
     for value, near, far in ((_cheb.chebval(1.0, c), 1.0 - hi, 1.0 - lo),
                              (_cheb.chebval(-1.0, c), 1.0 + lo, 1.0 + hi)):
-        if near <= 0.0:
-            if abs(value) > tol:
-                return complex(np.inf)
-            continue
-        total += value / 2.0 * np.log(far / near)
-    return total
+        if near > 0.0:
+            parts.append((value / 2.0, value / 2.0 * np.log(far / near)))
+        elif abs(value) > tol:
+            return None
+        else:
+            parts.append((0.0, 0.0))
+    (a, ia), (b, ib) = parts
+    return q, a, b, ia, ib

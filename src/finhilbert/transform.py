@@ -13,11 +13,12 @@ The input alone selects the evaluator:
   at a kink the finite parts of the two pieces sum to the true value;
 * a callable: subtract-the-singularity adaptive quadrature, point by point.
 
-T(f chi_A) restricts :func:`grid.cell_structure`.  Besides these, cos(theta)
-panel quadrature absorbs w / (1/w) factors exactly (:func:`fht_over_w_point`,
-:func:`fht_times_w_point`), and an independent symmetric-exclusion
-principal-value rule with Richardson extrapolation (:func:`pv_oracle`) is the
-cross-checking oracle.
+T(f chi_A) restricts :func:`grid.cell_structure`.  Two quadrature rules are
+verification references, sharing no closed form with these evaluators:
+cos(theta) panel quadrature of T(h/w) (:func:`fht_over_w_point`; T(h w) is
+T((h (1 - x^2))/w)), and an independent symmetric-exclusion principal-value
+rule with Richardson extrapolation (:func:`pv_oracle`), the cross-checking
+oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class SingularEvaluationError(ValueError):
 
 
 def _check_interior(t):
+    """The points as a 1-D array, each strictly inside (-1, 1): NaN is refused."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= -1.0) or np.any(t >= 1.0):
+    if not np.all((t > -1.0) & (t < 1.0)):
         raise TransformDomainError("evaluation points must lie in (-1, 1)")
     return t
 
@@ -168,12 +170,13 @@ def _theta_edges(tt, extra_splits, grade_endpoints):
     return np.array(out)
 
 
-def fht_over_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
-    """T(h/w)(t) for a callable h via the cos(theta) substitution.
+def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
+    """T(h/w)(t) for a callable h by 64-point panels in theta, x = cos(theta).
 
     The substitution removes both the endpoint singularities of 1/w and the
     principal value: the identity pv int d(theta)/(cos(theta) - t) = 0 turns
-    the integral into a regular one.
+    the integral into a regular one.  T(h w) is this rule applied to
+    h (1 - x^2).
 
     ``t`` is a point of (-1, 1) or an array of them: a scalar returns a
     complex, an array a complex array of the same shape.  All points share
@@ -181,42 +184,17 @@ def fht_over_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
     receives 1-D arrays and must act elementwise; each point's value is the
     one a call with that point alone returns.
     """
-    tt, ht = _point_values(h, t)
-
-    def g(rows, theta):
-        x = np.cos(theta)
-        return (_eval_shaped(h, x) - ht[rows, None, None]) / (x - tt[rows, None, None])
-
-    return _theta_panels(g, t, tt, extra_splits, order, grade_endpoints)
-
-
-def fht_times_w_point(h, t, extra_splits=(), order=64, grade_endpoints=False):
-    """T(h*w)(t) for a callable h via the cos(theta) substitution; scalar or
-    array ``t`` as in :func:`fht_over_w_point`."""
-    tt, ht = _point_values(h, t)
-    Ht = ht * (1.0 - tt * tt)
-
-    def g(rows, theta):
-        x = np.cos(theta)
-        return ((_eval_shaped(h, x) * np.sin(theta) ** 2 - Ht[rows, None, None])
-                / (x - tt[rows, None, None]))
-
-    return _theta_panels(g, t, tt, extra_splits, order, grade_endpoints)
-
-
-def _point_values(h, t):
     tt = np.asarray(t, dtype=float).ravel()
-    return tt, _eval_vec(h, tt)[1].astype(complex)
+    ht = _eval_vec(h, tt)[1].astype(complex)
 
+    def g(rows, theta):
+        x = np.cos(theta)
+        hx = _eval_vec(h, x.ravel())[1].reshape(x.shape)
+        return (hx - ht[rows, None, None]) / (x - tt[rows, None, None])
 
-def _eval_shaped(h, x):
-    return _eval_vec(h, x.ravel())[1].reshape(x.shape)
-
-
-def _theta_panels(g, t, tt, extra_splits, order, grade_endpoints):
-    """Each point's panel sum over its own theta edges, divided by pi."""
+    # each point's panel sum over its own theta edges, divided by pi
     edges = [_theta_edges(np.arccos(x), extra_splits, grade_endpoints) for x in tt.tolist()]
-    sums = ca.integrate_panels(g, edges, order=order)
+    sums = ca.integrate_panels(g, edges)
     # componentwise, as complex / float divides: a complex numpy division
     # multiplies by 1/pi instead
     out = np.empty(sums.shape, dtype=complex)
@@ -233,15 +211,14 @@ class OracleConvergenceError(ValueError):
 _ORACLE_LIMIT = 200     # subintervals; the verify suite and the tests need at most 21
 
 
-def pv_oracle(f, t, eps=1e-3, singular=(), weight=None):
+def pv_oracle(f, t, eps=1e-3, singular=()):
     """Independent check value: symmetric-exclusion PV quadrature with
     two-level Richardson extrapolation in the exclusion radius.
 
     ``f`` may be a callable or a GridFunction (its interpolant or profile
     is evaluated); the oracle evaluates ``f`` and nothing else, so it shares
     no closed form, profile transform or :mod:`chebalg` routine with the
-    evaluators it checks.  ``weight`` in {None, "over_w", "times_w"}
-    multiplies f by w^{-1} or w.  Complex values of ``f`` are kept.  Error is
+    evaluators it checks.  Complex values of ``f`` are kept.  Error is
     O(eps^5) for integrands smooth near t.
 
     A scalar ``t`` returns a scalar, an array ``t`` an array of the same
@@ -277,8 +254,6 @@ def pv_oracle(f, t, eps=1e-3, singular=(), weight=None):
     tt = _check_interior(t).ravel()
     if np.any(np.abs(tt) + eps >= 1.0):
         raise ValueError("the exclusion radius must keep t - eps and t + eps inside (-1, 1)")
-    if weight not in (None, "over_w", "times_w"):
-        raise ValueError(f"unknown weighting tag: {weight}")
     fn = f
     if isinstance(f, GridFunction):
         def fn(x):
@@ -309,10 +284,6 @@ def pv_oracle(f, t, eps=1e-3, singular=(), weight=None):
         # Jacobian from the rounded node, see the docstring
         jac = np.where(graded, 2.0 * np.sqrt(length * np.abs(x - anchor)), length)
         fv = np.broadcast_to(np.asarray(fn(x)), x.shape)
-        if weight == "over_w":
-            fv = fv / np.sqrt((1.0 - x) * (1.0 + x))
-        elif weight == "times_w":
-            fv = fv * np.sqrt((1.0 - x) * (1.0 + x))
         return (fv * jac / (x - pt)).ravel()
 
     res, _, info = quad_vec(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12,

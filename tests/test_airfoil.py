@@ -13,6 +13,7 @@ from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
 from finhilbert.profiles import Profile
+from finhilbert.transform import fht_over_w_point
 
 
 def test_weight_values():
@@ -52,7 +53,7 @@ def test_right_inverse_is_right_inverse(xfun):
     rinv = fh.right_inverse(fh.poly_fn([0, 0, 1], 256))
     q = rinv.profile.series(-1)
     for t in (-0.9, -0.3, 0.5, 0.9):
-        outer = fh.fht_over_w_point(lambda x: C.chebval(x, q), t)
+        outer = fht_over_w_point(lambda x: C.chebval(x, q), t)
         assert outer.real == pytest.approx(t * t, abs=1e-6)
 
 
@@ -116,16 +117,17 @@ def test_inverses_of_indicator_image():
     mask = np.abs(x) <= 0.9
     assert np.abs(left.values - chi)[mask].max() <= 1e-12
     assert np.abs(right.values - (chi - proj))[mask].max() <= 1e-12
-    # the retained theta-panel route, split at the log locations and graded
+    # the theta-panel reference, split at the log locations and graded
     # geometrically toward them as toward the endpoints; about 3e-10 here
     pts = x[3::23]
     pts = pts[(np.abs(pts - a) > 0.02) & (np.abs(pts - b) > 0.02)]
     idx = np.searchsorted(x, pts)
     w = fh.semicircle_weight(pts)
-    quad_left = -w * np.array([fh.fht_over_w_point(img.eval_at, t, extra_splits=(a, b),
-                                                   grade_endpoints=True) for t in pts])
-    quad_right = -np.array([fh.fht_times_w_point(img.eval_at, t, extra_splits=(a, b),
-                                                 grade_endpoints=True) for t in pts]) / w
+    quad_left = -w * np.array([fht_over_w_point(img.eval_at, t, extra_splits=(a, b),
+                                                grade_endpoints=True) for t in pts])
+    quad_right = -np.array([fht_over_w_point(lambda y: img.eval_at(y) * (1 - y * y), t,
+                                             extra_splits=(a, b), grade_endpoints=True)
+                            for t in pts]) / w
     assert np.abs(left.values[idx] - quad_left).max() <= 1e-8
     assert np.abs(right.values[idx] - quad_right).max() <= 1e-8
 
@@ -157,54 +159,44 @@ STRUCTURED = {
     "w": fh.weight_fn,
     "invw": fh.inv_weight_fn,
     "chebyshev-samples": lambda n: fh.from_callable(_poly, n),
+    # the piecewise-linear interpolant np.interp reads
+    "uniform-samples": lambda n: fh.from_callable(_poly, n, family="uniform"),
+    # partial w^{-1} pieces: w chi_(-0.5, 0.5) is stored as (1 - x^2)/w
+    "w-on-an-interval": lambda n: fh.from_profile(Profile(((-0.5, 0.5, (1.0,), 1),)), n),
+    "restricted-invw": lambda n: fh.restrict(fh.inv_weight_fn(n),
+                                             fh.IntervalSet(((-0.6, 0.3),))),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURED))
 def test_inverses_of_a_structure_take_no_theta_panels(kind, monkeypatch):
-    from finhilbert import airfoil
+    from finhilbert import airfoil, chebalg, transform
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{kind} input must not take theta panels")
 
-    monkeypatch.setattr(airfoil, "fht_times_w_point", refuse)
-    monkeypatch.setattr(airfoil, "fht_over_w_point", refuse)
+    for module in (airfoil, transform):
+        monkeypatch.setattr(module, "fht_over_w_point", refuse)
+    monkeypatch.setattr(chebalg, "integrate_panels", refuse)
     f = STRUCTURED[kind](64)
     assert np.all(np.isfinite(fh.right_inverse(f).values))
     if kind == "invw":
-        # f/w = 1/w^2 is not integrable: refused before any quadrature
+        # f/w = 1/w^2 is not integrable: refused
         with pytest.raises(ValueError, match="not integrable"):
             fh.left_inverse(f)
     else:
         assert np.all(np.isfinite(fh.left_inverse(f).values))
 
 
-PANEL_INPUTS = {
-    # uniform samples are read as their piecewise-linear interpolant, a
-    # structure: neither inverse takes panels
-    "uniform-samples": (lambda: fh.from_callable(_poly, 33, family="uniform"), []),
-    # w chi_(-0.5, 0.5) is a partial w^{-1} piece, outside fht_over_w_values
-    "w-on-an-interval": (lambda: fh.from_profile(Profile(((-0.5, 0.5, (1.0,), 1),)), 64),
-                         ["fht_over_w_point"]),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(PANEL_INPUTS))
-def test_theta_panels_remain_for_samples_and_w_inverse_pieces(kind, monkeypatch):
-    from finhilbert import airfoil
-
-    build, want = PANEL_INPUTS[kind]
-    calls = []
-    for name in ("fht_times_w_point", "fht_over_w_point"):
-        def counted(h, t, _name=name, _panels=getattr(airfoil, name), **kwargs):
-            calls.append(_name)
-            return _panels(h, t, **kwargs)
-
-        monkeypatch.setattr(airfoil, name, counted)
-    f = build()
-    right, left = fh.right_inverse(f), fh.left_inverse(f)
-    assert calls == want
-    assert np.all(np.isfinite(right.values)) and np.all(np.isfinite(left.values))
+def test_left_inverse_of_w_pieces_sums_across_a_shared_end():
+    # node 0 is the shared end of w chi_(-0.5, 0) and w chi_(0, 0.5): their
+    # finite parts there sum to the value of w chi_(-0.5, 0.5)
+    halves = Profile(((-0.5, 0.0, (1.0,), 1), (0.0, 0.5, (1.0,), 1)))
+    whole = Profile(((-0.5, 0.5, (1.0,), 1),))
+    split = fh.left_inverse(fh.from_profile(halves, 5, family="uniform"))
+    joined = fh.left_inverse(fh.from_profile(whole, 5, family="uniform"))
+    assert len(halves.pieces) == 2 and split.nodes[2] == 0.0
+    assert np.abs(split.values - joined.values).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [17, 33])
@@ -221,8 +213,9 @@ def test_inverses_of_samples_match_theta_panels_split_at_the_nodes(family, n):
         return np.interp(t, f.nodes, f.values.real)
 
     w = np.sqrt(1.0 - f.nodes**2)
-    right = -fh.fht_times_w_point(h, f.nodes, extra_splits=f.nodes) / w
-    left = -w * fh.fht_over_w_point(h, f.nodes, extra_splits=f.nodes)
+    right = -fht_over_w_point(lambda t: h(t) * (1 - t * t), f.nodes,
+                              extra_splits=f.nodes) / w
+    left = -w * fht_over_w_point(h, f.nodes, extra_splits=f.nodes)
     assert np.abs(fh.right_inverse(f).values - right).max() <= 1e-13
     assert np.abs(fh.left_inverse(f).values - left).max() <= 1e-13
 
@@ -308,7 +301,7 @@ def test_solve_high_index(xfun, lp15):
     assert sol.kernel_coefficient_free
     q = sol.particular.profile.series(-1)
     for t in (-0.8, 0.0, 0.8):
-        outer = fh.fht_over_w_point(lambda x: C.chebval(x, q), t)
+        outer = fht_over_w_point(lambda x: C.chebval(x, q), t)
         assert outer.real == pytest.approx(t, abs=1e-6)
     # the kernel family: particular + c/w still solves
     shifted = sol.particular + 2.5 * fh.inv_weight_fn(len(sol.particular))
@@ -357,7 +350,7 @@ def test_surjectivity_witness_in_lp(lp15):
     for coeffs in POLY_TEST_SET:
         g = fh.poly_fn(coeffs, 256)
         q = fh.right_inverse(g).profile.series(-1)
-        outer = np.array([fh.fht_over_w_point(lambda x: C.chebval(x, q), float(t))
+        outer = np.array([fht_over_w_point(lambda x: C.chebval(x, q), float(t))
                           for t in pts])
         resid = np.abs(outer - g.eval_at(pts))
         lp_resid = (np.mean(resid ** lp15.p)) ** (1 / lp15.p) * 1.8 ** (1 / lp15.p)
@@ -368,7 +361,8 @@ def test_projection_complement_for_constant(one, lp15):
     # -T(T(1) w)/w must equal 1 - (2/pi)/w pointwise
     img = fh.fht_grid(one)
     pts = np.linspace(-0.9, 0.9, 13)
-    vals = np.array([-fh.fht_times_w_point(img.eval_at, t, grade_endpoints=True)
+    vals = np.array([-fht_over_w_point(lambda x: img.eval_at(x) * (1 - x * x), t,
+                                       grade_endpoints=True)
                      for t in pts]) / fh.semicircle_weight(pts)
     want = 1 - (2 / math.pi) / fh.semicircle_weight(pts)
     assert np.abs(vals - want).max() <= 1e-5

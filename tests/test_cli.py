@@ -18,6 +18,7 @@ from finhilbert.cli import (
     parse_function_spec,
     parse_space,
 )
+from finhilbert.transform import fht_over_w_point
 
 
 # ---------------------------------------------------------------- spec parsing
@@ -99,6 +100,22 @@ def test_eval_flags_singular_rows(capsys):
     assert "error" in out
 
 
+def test_eval_flags_a_nan_point(capsys):
+    code = main(["eval", "--f", "poly:1,2", "--x", "0.5,nan", "--nodes", "16"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert rows[2].split() == ["nan", "error:", "evaluation", "points", "must", "lie",
+                               "in", "(-1,", "1)"]
+
+
+@pytest.mark.parametrize("nodes", ["0", "1", "2"])
+def test_eval_refuses_a_grid_too_small(nodes, capsys):
+    code = main(["eval", "--f", "poly:1,2", "--nodes", nodes])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: a chebyshev-gauss grid needs at least 3 nodes, got {nodes}\n")
+
+
 def test_eval_usage_error(capsys):
     code = main(["eval", "--f", "nope:1", "--x", "0.0"])
     assert code == EXIT_USAGE
@@ -143,8 +160,8 @@ def _elementwise_payload(f):
 def _point_loop_residual(sol, g):
     q = sol.particular.profile.series(-1)
     pts = np.linspace(-0.9, 0.9, 41)
-    outer = np.array([fh.fht_over_w_point(lambda x: np.polynomial.chebyshev.chebval(x, q),
-                                          float(t)) for t in pts])
+    outer = np.array([fht_over_w_point(lambda x: np.polynomial.chebyshev.chebval(x, q),
+                                       float(t)) for t in pts])
     return float(np.abs(outer - g.eval_at(pts)).max())
 
 

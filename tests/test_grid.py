@@ -104,6 +104,17 @@ def test_make_grid_returns_shared_read_only_arrays(family):
         fh.make_grid(96, "legendre")
 
 
+@pytest.mark.parametrize("family, least", [("chebyshev-gauss", 3), ("uniform", 1)])
+def test_make_grid_refuses_too_few_nodes(family, least):
+    # below 3 Chebyshev nodes the calibration in span{1, w} is singular
+    for n in range(-1, least):
+        with pytest.raises(ValueError, match=f"at least {least} nodes"):
+            fh.make_grid(n, family)
+    _, weights = fh.make_grid(least, family)
+    assert abs(weights.sum() - 2.0) <= 1e-15
+    assert np.abs(weights - weights[::-1]).max() <= 1e-15
+
+
 def test_grid_function_on_cached_grid_takes_new_values():
     nodes, weights = fh.make_grid(64)
     f = fh.GridFunction(nodes, np.cos(nodes), weights)

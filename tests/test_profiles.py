@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import finhilbert as fh
 from finhilbert import chebalg as ca
 from finhilbert.profiles import Profile
+from finhilbert.transform import fht_over_w_point
 
 W2 = np.array([0.5, 0.0, -0.5])       # 1 - x^2
 
@@ -247,12 +248,27 @@ def test_transform_profile_matches_transform_values(f):
         assert close(img.eval(XS), f.fht_values(XS))
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(profiles(logs=False))
 def test_transform_over_w_matches_the_product_with_inverse_weight(f):
-    over_w = f.fht_over_w_values(XS)
+    # where f/w leaves the algebra (a w^{-1} piece), against theta panels split
+    # at the piece ends and graded; panel nodes that round onto +-1 are moved
+    # just inside, where 1/w is finite
+    over_w = f.times(Profile.poly((1.0,), -1))
     if over_w is not None:
-        assert close(over_w, f.times(Profile.poly((1.0,), -1)).fht_values(XS))
+        assert close(f.fht_over_w_values(XS), over_w.fht_values(XS))
+    elif not np.isfinite(f.integral_over_w()):
+        with pytest.raises(ValueError, match="not integrable"):
+            f.fht_over_w_values(XS)
+    else:
+        def h(x):
+            return f.eval(np.clip(x, -_BELOW_ONE, _BELOW_ONE))
+
+        panels = fht_over_w_point(h, XS, extra_splits=f.breakpoints(), grade_endpoints=True)
+        assert close(f.fht_over_w_values(XS), panels)
 
 
 def test_ops_leaving_the_algebra_return_none():
@@ -262,7 +278,6 @@ def test_ops_leaving_the_algebra_return_none():
     assert logmix.times(logmix) is None
     assert logmix.times(fh.indicator_fn((0.0, 0.5), 16).profile) is None
     assert Profile.poly((1.0,), -1).times(Profile.poly((1.0,), -1)) is None
-    assert Profile.poly((1.0,), -1).fht_over_w_values(XS) is None
     assert Profile(((0.0, 0.5, (1.0,), -1),)).fht_profile() is None
 
 

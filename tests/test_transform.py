@@ -11,6 +11,7 @@ import finhilbert as fh
 from finhilbert import chebalg, transform
 from finhilbert.cli import parse_function_spec
 from finhilbert.profiles import Profile
+from finhilbert.transform import fht_over_w_point
 
 
 def ivals(*pairs):
@@ -21,6 +22,18 @@ def ivals(*pairs):
 
 def test_kernel_direction_vanishes(invw):
     assert abs(fh.fht_point(invw, 0.3)) <= 1e-6
+
+
+def test_nan_points_are_outside_the_domain():
+    # NaN fails both comparisons of a bounds check written as t <= -1 or t >= 1
+    with pytest.raises(fh.TransformDomainError):
+        fh.fht_point(fh.poly_fn([1], 16), math.nan)
+    with pytest.raises(fh.TransformDomainError):
+        fh.fht_point(np.cos, math.nan)
+    with pytest.raises(fh.TransformDomainError):
+        fh.fht_indicator(ivals((0.0, 0.5)), np.array([0.2, math.nan]))
+    with pytest.raises(fh.TransformDomainError):
+        fh.pv_oracle(np.cos, math.nan)
 
 
 def test_indicator_point_value():
@@ -81,7 +94,7 @@ def test_grid_w_times_u1():
     want = -(2 * img.nodes**2 - 1)
     assert np.abs(img.values - want).max() <= 1e-6
     # independent oracle at a spot point
-    orc = fh.pv_oracle(lambda x: 2 * x, 0.37, weight="times_w")
+    orc = fh.pv_oracle(lambda x: 2 * x * np.sqrt((1 - x) * (1 + x)), 0.37)
     assert orc == pytest.approx(-(2 * 0.37**2 - 1), abs=1e-7)
 
 
@@ -264,11 +277,11 @@ def test_product_indicator_finite_additivity(xfun):
 
 def test_cos_theta_engines_match_classical_identities():
     # T(1/w) = 0 and T(T_2/w) = U_1 through the quadrature engine
-    assert abs(fh.fht_over_w_point(lambda x: np.ones_like(x), 0.3)) <= 1e-12
+    assert abs(fht_over_w_point(lambda x: np.ones_like(x), 0.3)) <= 1e-12
     t = 0.3
-    got = fh.fht_over_w_point(lambda x: 2 * x * x - 1, t)
+    got = fht_over_w_point(lambda x: 2 * x * x - 1, t)
     assert got.real == pytest.approx(2 * t, abs=1e-10)
-    got = fh.fht_times_w_point(lambda x: np.ones_like(x), t)   # T(w) = -t
+    got = fht_over_w_point(lambda x: 1 - x * x, t)   # T(w) = T((1 - x^2)/w) = -t
     assert got.real == pytest.approx(-t, abs=1e-10)
 
 
@@ -282,11 +295,12 @@ def _panel_cases():
     img = fh.fht_grid(fh.indicator_fn((-0.2, 0.4), 128))     # log peaks at -0.2, 0.4
     splits = {"extra_splits": (-0.2, 0.4)}
     return [
-        (fh.fht_over_w_point, lambda x: C.chebval(x, _Q), {}),
-        (fh.fht_over_w_point, lambda x: (1 + 2j) * x**3 - 1j, {"grade_endpoints": True}),
-        (fh.fht_over_w_point, img.eval_at, splits),
-        (fh.fht_times_w_point, img.eval_at, dict(splits, grade_endpoints=True)),
-        (fh.fht_times_w_point, lambda x: 1j * C.chebval(x, _Q), {}),
+        (lambda x: C.chebval(x, _Q), {}),
+        (lambda x: (1 + 2j) * x**3 - 1j, {"grade_endpoints": True}),
+        (img.eval_at, splits),
+        # T(h w) as T((h (1 - x^2))/w)
+        (lambda x: img.eval_at(x) * (1 - x * x), dict(splits, grade_endpoints=True)),
+        (lambda x: 1j * C.chebval(x, _Q) * (1 - x * x), {}),
     ]
 
 
@@ -299,12 +313,12 @@ def test_theta_panels_array_form_matches_point_loop(block, monkeypatch):
     # 500 nodes hold at most two points' panels, so most calls span blocks
     if block is not None:
         monkeypatch.setattr(chebalg, "_PANEL_BLOCK", block)
-    for fn, h, kw in _panel_cases():
-        loop = np.array([fn(h, float(t), **kw) for t in _PANEL_PTS])
-        got = fn(h, _PANEL_PTS, **kw)
+    for h, kw in _panel_cases():
+        loop = np.array([fht_over_w_point(h, float(t), **kw) for t in _PANEL_PTS])
+        got = fht_over_w_point(h, _PANEL_PTS, **kw)
         assert got.shape == _PANEL_PTS.shape and got.dtype == complex
         assert _scaled(got, loop) <= 1e-15
-        grid = fn(h, _PANEL_PTS.reshape(3, 5), **kw)
+        grid = fht_over_w_point(h, _PANEL_PTS.reshape(3, 5), **kw)
         assert grid.shape == (3, 5)
         assert _scaled(grid.ravel(), loop) <= 1e-15
 
@@ -316,17 +330,17 @@ def test_theta_panels_batch_the_integrand_calls():
         calls.append(len(x))
         return C.chebval(x, _Q)
 
-    fh.fht_over_w_point(h, _PANEL_PTS)
+    fht_over_w_point(h, _PANEL_PTS)
     assert len(calls) == 2          # h(t) at the points, then one block of panels
     assert calls[0] == len(_PANEL_PTS)
 
 
 def test_theta_panels_scalar_point_returns_complex():
-    for fn, h, kw in _panel_cases():
-        val = fn(h, 0.3, **kw)
+    for h, kw in _panel_cases():
+        val = fht_over_w_point(h, 0.3, **kw)
         assert type(val) is complex
-        assert val == fn(h, np.array([0.3]), **kw)[0]
-    assert fh.fht_over_w_point(np.cos, np.array([])).shape == (0,)
+        assert val == fht_over_w_point(h, np.array([0.3]), **kw)[0]
+    assert fht_over_w_point(np.cos, np.array([])).shape == (0,)
 
 
 def test_oracle_on_known_value():
@@ -390,12 +404,10 @@ def test_oracle_kernel_sup():
 def test_oracle_weights():
     ts = np.array([-0.8, -0.2, 0.35, 0.9])
     # T(w) = -t and T(T_2/w) = U_1 = 2t
-    got = fh.pv_oracle(lambda x: np.ones_like(x), ts, weight="times_w")
+    got = fh.pv_oracle(lambda x: np.sqrt((1 - x) * (1 + x)), ts)
     assert np.abs(got + ts).max() <= 1e-12
-    got = fh.pv_oracle(lambda x: 2 * x * x - 1, ts, weight="over_w")
+    got = fh.pv_oracle(lambda x: (2 * x * x - 1) / np.sqrt((1 - x) * (1 + x)), ts)
     assert np.abs(got - 2 * ts).max() <= 1e-12
-    with pytest.raises(ValueError):
-        fh.pv_oracle(_invw, 0.1, weight="sqrt")
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -421,7 +433,8 @@ def test_oracle_graded_ends():
     ts = np.array([-0.95, 0.95])
     got = fh.pv_oracle(lambda x: x / np.sqrt(1 - x * x), ts)
     assert np.abs(got - 1.0).max() <= 1e-10
-    got = fh.pv_oracle(lambda x: np.sign(x), ts, singular=(0.0,), weight="over_w")
+    got = fh.pv_oracle(lambda x: np.sign(x) / np.sqrt((1 - x) * (1 + x)), ts,
+                       singular=(0.0,))
     # T(sigma/w)(t) = (2/pi) ln((1 + w(t))/|t|) / w(t), the Rybakov closed form
     w = math.sqrt(1 - 0.95**2)
     want = 2 / math.pi * math.log((1 + w) / 0.95) / w
