@@ -172,15 +172,16 @@ def inversion_residuals(f, space, sample_points=None):
         )
     else:
         img = fht_grid(f)                    # h = T(f) lies in the range
-        tc_vals = -semicircle_weight(sample_points) * fht_over_w_point(
-            img.eval_at, sample_points, grade_endpoints=True)
+        # T(leftinv(h)) - h with leftinv(h) recovered by quadrature at
+        # mid_nodes, then transformed exactly from its (polynomial)
+        # interpolant; one panel call serves both point sets
+        mid_nodes = ca.chebyshev_nodes(96)
+        pts = np.concatenate([sample_points, mid_nodes])
+        leftinv = -semicircle_weight(pts) * fht_over_w_point(img.eval_at, pts,
+                                                              grade_endpoints=True)
+        tc_vals, u_vals = leftinv[:len(sample_points)], leftinv[len(sample_points):]
         out["leftinv o T - id"] = _residual_report(tc_vals - fvals)
 
-        # T(leftinv(h)) - h with leftinv(h) recovered by quadrature, then
-        # transformed exactly from its (polynomial) interpolant
-        mid_nodes = ca.chebyshev_nodes(96)
-        u_vals = -semicircle_weight(mid_nodes) * fht_over_w_point(
-            img.eval_at, mid_nodes, grade_endpoints=True)
         u_series = ca.fit_chebyshev(u_vals)
         ttc = ca.fht_series(u_series, sample_points)
         out["T o leftinv - id on range"] = _residual_report(ttc - img.eval_at(sample_points))

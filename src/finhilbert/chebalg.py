@@ -406,33 +406,41 @@ _PANEL_BLOCK = 2 ** 16      # quadrature nodes per call of the integrand
 _PANEL_ORDER = 64           # Gauss-Legendre nodes per panel
 
 
-def integrate_panels(f, edges):
-    """Composite ``_PANEL_ORDER``-point Gauss-Legendre quadrature over rows of panels.
+def integrate_panels(f, g, lo, hi, rows, counts):
+    """Composite ``_PANEL_ORDER``-point Gauss-Legendre sums over rows of panels
+    drawn from one table.
 
-    ``edges`` holds one increasing sequence of panel edges per row; the
-    result holds one sum per row.  ``f(rows, theta)`` returns the integrand
-    at nodes ``theta`` of shape (len of the slice ``rows``, panels, order),
-    row i of ``theta`` belonging to row ``rows.start + i``.  Rows with fewer
-    panels than the longest are padded with zero-length panels inside their
-    first panel, evaluated but never summed.  Rows go to ``f`` in blocks of
+    The table's panels are [lo[k], hi[k]].  Row i sums the panels
+    ``rows[i, :counts[i]]`` in that order; the entries after them pad the
+    row to the common width, name any panel of the row, and are evaluated
+    but never summed.  The result holds one sum per row.
+
+    The integrand is ``g(rows, *f(theta))``.  ``f`` holds the part shared by
+    all rows: it maps nodes ``theta`` to a tuple of arrays of their shape
+    and is called once per node of the panels some row uses, in calls of at
+    most ``_PANEL_BLOCK`` nodes.  ``g`` receives those arrays gathered at
+    the panels of the rows in the slice ``rows``, shape (rows, width,
+    order), and returns the integrand there; rows go to ``g`` in blocks of
     at most ``_PANEL_BLOCK`` nodes.  Each row's terms are summed on their
     own, in the order a one-row call sums them, so a row's value does not
     depend on the other rows.
     """
     z, w = _gl_rule()
-    counts = [len(e) - 1 for e in edges]
-    width = max(counts, default=1)
-    lo, hi = np.empty((len(edges), width)), np.empty((len(edges), width))
-    for i, e in enumerate(edges):
-        e, k = np.asarray(e, dtype=float), counts[i]
-        lo[i, :k], hi[i, :k] = e[:-1], e[1:]
-        lo[i, k:] = hi[i, k:] = (e[0] + e[1]) / 2.0
+    used = np.zeros(len(lo), dtype=bool)
+    used[rows] = True
+    rows = (np.cumsum(used) - 1)[rows]
+    lo, hi = lo[used], hi[used]
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    sums = np.empty(len(edges), dtype=complex)
-    step = max(1, _PANEL_BLOCK // (width * _PANEL_ORDER))
-    for b in range(0, len(edges), step):
-        rows = slice(b, b + step)
-        terms = half[rows, :, None] * w * f(rows, mid[rows, :, None] + half[rows, :, None] * z)
-        for i, k in enumerate(counts[rows]):
+    theta = mid[:, None] + half[:, None] * z
+    step = max(1, _PANEL_BLOCK // _PANEL_ORDER)
+    parts = [f(theta[b:b + step]) for b in range(0, len(theta), step)]
+    shared = [np.concatenate(p) for p in zip(*parts)]
+    weights = half[:, None] * w
+    sums = np.empty(len(rows), dtype=complex)
+    step = max(1, _PANEL_BLOCK // (rows.shape[1] * _PANEL_ORDER))
+    for b in range(0, len(rows), step):
+        idx = rows[b:b + step]
+        terms = weights[idx] * g(slice(b, b + step), *(v[idx] for v in shared))
+        for i, k in enumerate(counts[b:b + step].tolist()):
             sums[b + i] = np.sum(terms[i, :k])
     return sums

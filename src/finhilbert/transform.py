@@ -144,30 +144,101 @@ def _complexish(fn):
     return np.iscomplexobj(probe) and bool(np.any(np.abs(np.nan_to_num(probe.imag)) > 0))
 
 
-def _theta_edges(tt, extra_splits, grade_endpoints):
-    edges = {0.0, tt, np.pi}
-    # geometric refinement toward theta = 0 and pi absorbs the mild
-    # (logarithmic) endpoint behaviour of transform images, and toward each
-    # split the interior log singularity there; the floor keeps cos(theta)
-    # strictly inside (-1, 1) in floating point
+_MERGE = 1e-9          # theta edges this close merge, see _theta_panels
+
+
+def _shared_edges(extra_splits, grade_endpoints):
+    """The theta edges of every point, sorted and unique: 0 and pi, the
+    geometric grading toward each split and, when graded, toward 0 and pi.
+
+    The grading absorbs the mild (logarithmic) endpoint behaviour of
+    transform images and the interior log singularity at a split.  Its
+    1e-7 floor does not keep cos(theta) inside (-1, 1): nodes of the first
+    and last graded panels round onto x = +-1, where an integrand with a
+    1/w factor is not finite (see :func:`fht_over_w_point`).
+    """
     steps = np.pi * 0.5 ** np.arange(2, 26)
     steps = steps[steps > 1e-7]
-    for s in extra_splits:
-        split = np.arccos(np.clip(s, -1.0, 1.0))
-        edges |= {e for e in np.concatenate([split - steps, [split], split + steps])
-                  if 0.0 <= e <= np.pi}
+    split = np.arccos(np.clip(np.asarray(extra_splits, dtype=float).ravel(), -1.0, 1.0))
+    near = np.concatenate([split[:, None] - steps, split[:, None], split[:, None] + steps], axis=1)
+    parts = [[0.0, np.pi], near[(near >= 0.0) & (near <= np.pi)]]
     if grade_endpoints:
-        edges |= set(steps)
-        edges |= set(np.pi - steps)
-    srt = sorted(edges)
-    # merge near-coincident edges: a sliver panel would put quadrature
-    # points within rounding distance of the Cauchy point
-    out = [srt[0]]
-    for e in srt[1:]:
-        if e - out[-1] > 1e-9:
-            out.append(e)
-    out[-1] = np.pi
-    return np.array(out)
+        parts += [steps, np.pi - steps]
+    return np.unique(np.concatenate(parts))
+
+
+def _next_kept(edges, base, start):
+    """Per base, the index of the first edge at or after ``start`` that lies
+    more than _MERGE beyond it (len(edges) if none): the edge the merge
+    keeps next once it has kept ``base``."""
+    r, n = start, len(edges)
+    while True:
+        near = (r < n) & (edges[np.minimum(r, n - 1)] - base <= _MERGE)
+        if not near.any():
+            return r
+        r = r + near
+
+
+def _theta_panels(theta, extra_splits, grade_endpoints):
+    """Each point's theta panels, as rows of one panel table.
+
+    A point's edges are the shared edges and its own theta, sorted and
+    merged left to right: an edge within _MERGE of the last kept one is
+    dropped (a sliver panel would put quadrature points within rounding
+    distance of the Cauchy point), and the last kept edge is set to pi.
+    Merging the shared edges alone gives the shared panels.  A point whose
+    theta is dropped takes them all.  Otherwise theta splits them: the
+    shared panels below it, its own panels from the last shared edge below
+    it through theta and the edges the merge keeps after it, until it
+    reaches a shared edge, and the shared panels from there on; usually two
+    own panels.  theta lies in [1.49e-8, pi - 1.49e-8], so a shared edge
+    lies below it and one more than _MERGE above it.
+
+    Returns (lo, hi, rows, counts) for :func:`chebalg.integrate_panels`:
+    the shared panels come first in the table, then each point's own.
+    """
+    edges = _shared_edges(extra_splits, grade_endpoints)
+    n = len(edges)
+    nxt = _next_kept(edges, edges, np.arange(1, n + 1))
+    keep = np.zeros(n, dtype=bool)
+    i, hop = 0, nxt.tolist()
+    while i < n:
+        keep[i] = True
+        i = hop[i]
+    shared = edges[keep]
+    shared[-1] = np.pi
+    slot = np.cumsum(keep) - 1              # position among the shared edges
+    m = len(shared) - 1                     # shared panels
+
+    below = np.searchsorted(shared, theta)  # shared edges below theta
+    own = theta - shared[below - 1] > _MERGE
+    cols = [np.where(own, shared[below - 1], np.nan), np.where(own, theta, np.nan)]
+    resume = np.full(len(theta), m)         # first shared panel after the own ones
+    cur = _next_kept(edges, theta, np.searchsorted(edges, theta, side="right"))
+    walking = own.copy()
+    while walking.any():
+        at_end = walking & (cur == n)
+        cols[-1][at_end] = np.pi
+        walking &= ~at_end
+        c = np.minimum(cur, n - 1)
+        meets = walking & keep[c]
+        cols.append(np.where(meets, shared[slot[c]], np.where(walking, edges[c], np.nan)))
+        resume[meets] = slot[c][meets]
+        walking &= ~meets
+        cur = np.where(walking, nxt[c], cur)
+    own_edges = np.column_stack(cols)
+    valid = ~np.isnan(own_edges[:, 1:])
+    n_own = valid.sum(axis=1)
+    before = np.where(own, below - 1, m)
+    counts = before + n_own + (m - resume)
+    col = np.arange(counts.max(initial=1))
+    first_own = m + np.cumsum(n_own) - n_own
+    b, k, r = before[:, None], n_own[:, None], resume[:, None]
+    rows = np.where(col < b, col, np.where(col < b + k, first_own[:, None] + col - b, r + col - b - k))
+    rows = np.where(col < counts[:, None], rows, rows[:, :1])
+    lo = np.concatenate([shared[:-1], own_edges[:, :-1][valid]])
+    hi = np.concatenate([shared[1:], own_edges[:, 1:][valid]])
+    return lo, hi, rows, counts
 
 
 def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
@@ -179,22 +250,44 @@ def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
     h (1 - x^2).
 
     ``t`` is a point of (-1, 1) or an array of them: a scalar returns a
-    complex, an array a complex array of the same shape.  All points share
-    the calls of ``h`` (blocks of :func:`chebalg.integrate_panels`), which
-    receives 1-D arrays and must act elementwise; each point's value is the
-    one a call with that point alone returns.
+    complex, an array a complex array of the same shape; a point outside
+    (-1, 1) or NaN raises :class:`TransformDomainError`.  ``h`` receives 1-D
+    arrays and must act elementwise.  Each point's edges are 0, pi, its own
+    theta, each split with its geometric grading and, when
+    ``grade_endpoints``, the grading toward 0 and pi (see
+    :func:`_theta_panels`).  All but theta are shared, so ``h`` is called
+    once at the points and once at the nodes of the shared panels and of
+    each point's own (usually two) panels, in calls of at most
+    ``chebalg._PANEL_BLOCK`` nodes: a graded call costs about
+    (47 + 2 P) * 64 values of ``h`` for P points, where a rule per point
+    costs 48 * 64 P.  The quotients (h(x) - h(t)) / (x - t) are formed per
+    point, in blocks of at most ``_PANEL_BLOCK`` nodes, and each point's
+    terms are summed in its panel order, so its value is the one a call
+    with that point alone returns.
+
+    Raises ValueError when ``h`` is not finite at a panel node: the nodes
+    of the first and last graded panels include x = +-1 in floating point,
+    where an integrand with a 1/w factor is infinite.
     """
-    tt = np.asarray(t, dtype=float).ravel()
+    tt = _check_interior(t).ravel()
     ht = _eval_vec(h, tt)[1].astype(complex)
 
-    def g(rows, theta):
+    def at_nodes(theta):
         x = np.cos(theta)
         hx = _eval_vec(h, x.ravel())[1].reshape(x.shape)
+        if not np.all(np.isfinite(hx)):
+            bad = x[~np.isfinite(hx)]
+            outer = float(bad[np.argmax(np.abs(bad))])
+            raise ValueError(f"the integrand is not finite at {bad.size} theta-panel node(s); "
+                             f"the outermost, x = {outer!r}, is {1.0 - abs(outer):.3g} from "
+                             f"the endpoint x = {np.copysign(1.0, outer):+.0f}")
+        return x, hx
+
+    def quotient(rows, x, hx):
         return (hx - ht[rows, None, None]) / (x - tt[rows, None, None])
 
-    # each point's panel sum over its own theta edges, divided by pi
-    edges = [_theta_edges(np.arccos(x), extra_splits, grade_endpoints) for x in tt.tolist()]
-    sums = ca.integrate_panels(g, edges)
+    sums = ca.integrate_panels(at_nodes, quotient,
+                               *_theta_panels(np.arccos(tt), extra_splits, grade_endpoints))
     # componentwise, as complex / float divides: a complex numpy division
     # multiplies by 1/pi instead
     out = np.empty(sums.shape, dtype=complex)

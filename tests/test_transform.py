@@ -288,6 +288,20 @@ def test_cos_theta_engines_match_classical_identities():
 # ------------------------------------------------------- array-form theta panels
 
 _PANEL_PTS = np.concatenate([[-0.999], np.linspace(-0.9, 0.9, 13), [0.999]])
+# on or within 1e-9 of an edge of the endpoint grading or of the grading
+# toward the split at 0.4: the merge drops the point or an edge next to it.
+# No quotient may divide by zero there (pyproject.toml makes a
+# RuntimeWarning an error)
+_EDGE_PTS = np.array([math.cos(math.pi / 4), math.cos(3 * math.pi / 4),
+                      math.cos(math.pi / 8) + 1e-10, math.cos(math.pi / 8) - 1e-10,
+                      math.cos(math.acos(0.4) + math.pi / 16)])
+# splits 6e-10 apart in theta: the merge keeps the first and the third.  A
+# point 7e-10 below the first drops it and keeps the second, so its own
+# panels run on to the next shared edge.  A point 3e-10 above an edge is
+# dropped, one 1.5e-9 above is kept
+_CLOSE_SPLITS = np.cos(math.acos(0.4) + np.array([0.0, 0.6e-9, 1.2e-9]))
+_CLOSE_PTS = np.cos(math.acos(0.4) + np.array([-0.7e-9, 0.3e-9, math.pi / 16 - 1.5e-9,
+                                               math.pi / 16 + 1.5e-9]))
 _Q = np.array([0.3, -1.2, 0.5, 0.25, -0.7])
 
 
@@ -301,26 +315,79 @@ def _panel_cases():
         # T(h w) as T((h (1 - x^2))/w)
         (lambda x: img.eval_at(x) * (1 - x * x), dict(splits, grade_endpoints=True)),
         (lambda x: 1j * C.chebval(x, _Q) * (1 - x * x), {}),
+        (lambda x: C.chebval(x, _Q), {"extra_splits": _CLOSE_SPLITS}),
     ]
 
 
-def _scaled(got, want):
-    return np.abs(got - want).max() / np.abs(want).max()
+def _rule_edges(theta, extra_splits=(), grade_endpoints=False):
+    """One point's theta edges written out: 0, theta, pi, each split and its
+    grading (and the endpoint grading), sorted; an edge within 1e-9 of the
+    last kept one is dropped, and the last is set to pi."""
+    steps = np.pi * 0.5 ** np.arange(2, 26)
+    steps = steps[steps > 1e-7]
+    edges = {0.0, theta, np.pi}
+    for s in extra_splits:
+        split = np.arccos(s)
+        edges |= {e for e in np.concatenate([split - steps, [split], split + steps])
+                  if 0.0 <= e <= np.pi}
+    if grade_endpoints:
+        edges |= set(steps) | set(np.pi - steps)
+    srt = sorted(edges)
+    kept = [srt[0]]
+    for e in srt[1:]:
+        if e - kept[-1] > 1e-9:
+            kept.append(e)
+    kept[-1] = np.pi
+    return np.array(kept)
+
+
+def _panel_rule(h, t, extra_splits=(), grade_endpoints=False):
+    """The theta-panel rule for one point: 64-point Gauss-Legendre terms on
+    its panels, summed in panel order."""
+    edges = _rule_edges(np.arccos(t), extra_splits, grade_endpoints)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    z, w = np.polynomial.legendre.leggauss(64)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    x = np.cos(mid + half * z)
+    ht = np.asarray(h(np.array([t])), dtype=complex)
+    total = np.sum(half * w * ((np.asarray(h(x.ravel())).reshape(x.shape) - ht) / (x - t)))
+    return complex(total.real / np.pi, total.imag / np.pi)
+
+
+def test_theta_panels_are_each_points_merged_edges():
+    # the last cases: splits 9e-10 apart put edges every 9e-10 up to pi,
+    # and the merge keeps every other one.  With 41 of them the shared
+    # edges end at pi, and a point on the other phase keeps pi - 9e-10,
+    # which becomes pi; with 42 the shared edges end at pi - 9e-10
+    near_pi = np.pi - np.linspace(1.5e-8, 3.5e-8, 101)
+    cases = [((), False, np.arccos(_PANEL_PTS)),
+             ((), True, np.arccos(_EDGE_PTS)),
+             ((-0.2, 0.4, 0.4 + 5e-10), True, np.arccos(np.linspace(-0.99, 0.99, 301)))]
+    for n in (41, 42):
+        cases.append((np.cos(3 * np.pi / 4 - np.arange(n) * 0.9e-9), False, near_pi))
+    for splits, graded, theta in cases:
+        lo, hi, rows, counts = transform._theta_panels(theta, splits, graded)
+        for th, row, k in zip(theta, rows, counts):
+            want = _rule_edges(th, splits, graded)
+            assert np.array_equal(lo[row[:k]], want[:-1]) and np.array_equal(hi[row[:k]], want[1:])
 
 
 @pytest.mark.parametrize("block", [None, 500])
 def test_theta_panels_array_form_matches_point_loop(block, monkeypatch):
-    # 500 nodes hold at most two points' panels, so most calls span blocks
+    # 500 nodes hold at most two points' panels, so most calls span blocks;
+    # every point's value is the one-point rule's, bit for bit
     if block is not None:
         monkeypatch.setattr(chebalg, "_PANEL_BLOCK", block)
+    pts = np.concatenate([_PANEL_PTS, _EDGE_PTS, _CLOSE_PTS])
     for h, kw in _panel_cases():
-        loop = np.array([fht_over_w_point(h, float(t), **kw) for t in _PANEL_PTS])
-        got = fht_over_w_point(h, _PANEL_PTS, **kw)
-        assert got.shape == _PANEL_PTS.shape and got.dtype == complex
-        assert _scaled(got, loop) <= 1e-15
-        grid = fht_over_w_point(h, _PANEL_PTS.reshape(3, 5), **kw)
-        assert grid.shape == (3, 5)
-        assert _scaled(grid.ravel(), loop) <= 1e-15
+        rule = np.array([_panel_rule(h, t, **kw) for t in pts])
+        loop = np.array([fht_over_w_point(h, float(t), **kw) for t in pts])
+        got = fht_over_w_point(h, pts, **kw)
+        assert got.shape == pts.shape and got.dtype == complex
+        assert np.array_equal(got, loop) and np.array_equal(got, rule)
+        grid = fht_over_w_point(h, pts.reshape(4, 6), **kw)
+        assert grid.shape == (4, 6)
+        assert np.array_equal(grid.ravel(), loop)
 
 
 def test_theta_panels_batch_the_integrand_calls():
@@ -333,6 +400,39 @@ def test_theta_panels_batch_the_integrand_calls():
     fht_over_w_point(h, _PANEL_PTS)
     assert len(calls) == 2          # h(t) at the points, then one block of panels
     assert calls[0] == len(_PANEL_PTS)
+
+
+def test_theta_panels_share_the_integrand_nodes():
+    # graded, no splits: 48 shared edges, 47 shared panels.  Each point's
+    # theta cuts one of them into two panels of its own, so h sees the 61
+    # points and (47 + 2 * 61) * 64 nodes, where 61 rules of 48 panels
+    # would take 61 * 48 * 64
+    calls = []
+
+    def h(x):
+        calls.append(len(x))
+        return C.chebval(x, _Q)
+
+    fht_over_w_point(h, np.linspace(-0.9, 0.9, 61), grade_endpoints=True)
+    assert calls == [61, (47 + 2 * 61) * 64]
+
+
+def test_theta_panels_refuse_an_integrand_not_finite_at_a_node():
+    # nodes of the first graded panel round onto x = 1, where h = p/w of
+    # this w^{-1} piece is 0/0; the exact T(h/w)(0.3) is 0.018872
+    f = Profile(((0.0, 1.0, (0.5, -0.5), -1),))
+    assert f.fht_over_w_values(np.array([0.3]))[0].real == pytest.approx(0.018872, abs=1e-6)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"endpoint x = \+1"):
+        fht_over_w_point(f.eval, 0.3, grade_endpoints=True)
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0, 1.5, math.nan])
+def test_theta_panels_refuse_points_outside_the_interval(t):
+    with pytest.raises(fh.TransformDomainError):
+        fht_over_w_point(lambda x: np.ones_like(x), t)
+    with pytest.raises(fh.TransformDomainError):
+        fht_over_w_point(lambda x: np.ones_like(x), np.array([0.3, t]))
 
 
 def test_theta_panels_scalar_point_returns_complex():
