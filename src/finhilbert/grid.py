@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chebalg as ca
-from .intervals import IntervalSet
+from .intervals import as_interval_set
 from .profiles import Profile
 
 CHEBYSHEV = "chebyshev-gauss"
@@ -238,10 +238,7 @@ def const_fn(c=1.0, n=DEFAULT_NODES, family=CHEBYSHEV):
 
 
 def indicator_fn(interval_set, n=DEFAULT_NODES, family=CHEBYSHEV):
-    if isinstance(interval_set, tuple) and len(interval_set) == 2 \
-            and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
-    prof = Profile(tuple((a, b, (1.0,), 0) for a, b in interval_set))
+    prof = Profile(tuple((a, b, (1.0,), 0) for a, b in as_interval_set(interval_set)))
     return from_profile(prof, n, family)
 
 

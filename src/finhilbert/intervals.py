@@ -8,6 +8,7 @@ closed form in the library is an interval formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,17 @@ class IntervalSet:
 
     def __iter__(self):
         return iter(self.intervals)
+
+
+def as_interval_set(intervals):
+    """An IntervalSet, one pair (a, b) or a sequence of pairs as an
+    IntervalSet; () is the empty set."""
+    if isinstance(intervals, IntervalSet):
+        return intervals
+    pairs = tuple(intervals)
+    if len(pairs) == 2 and all(isinstance(p, Real) for p in pairs):
+        pairs = (pairs,)
+    return IntervalSet(pairs)
 
 
 def _normalize(intervals):

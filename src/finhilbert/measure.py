@@ -29,7 +29,7 @@ from .grid import (
     make_grid,
     pairing,
 )
-from .intervals import IntervalSet
+from .intervals import IntervalSet, as_interval_set
 from .profiles import Profile
 from .spaces import NormWorkspace, SpaceSpec, norm, norms_batch
 from .transform import SingularEvaluationError, fht_grid, fht_indicator, fht_product_indicator
@@ -50,8 +50,7 @@ BLOCK_BYTES = 1 << 20
 def vector_measure(interval_set, n=None):
     """m(A) = T(chi_A) on the standard grid; additive with closed-form values."""
     n = n or DEFAULT_NODES
-    if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
+    interval_set = as_interval_set(interval_set)
     if interval_set.is_empty():
         nodes, weights = make_grid(n)
         return GridFunction(nodes, np.zeros(n, dtype=complex), weights,
@@ -66,8 +65,7 @@ def scalar_measure(g, interval_set):
     (closed forms for polynomial and log-mix images); for profile-free g the
     subinterval integrals use clipped node cells.
     """
-    if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
+    interval_set = as_interval_set(interval_set)
     img = fht_grid(g)
     total = 0.0 + 0.0j
     for a, b in interval_set:
@@ -291,8 +289,7 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
     basis ``optdomain_norm`` builds for the restriction; the block search and
     the norm kernel are shared with it.
     """
-    if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
+    interval_set = as_interval_set(interval_set)
     if interval_set.is_empty():
         witness = ModulatingFunction((-1.0, 1.0), (1.0,))
         return OptNormEstimate(0.0, witness, search, 1)

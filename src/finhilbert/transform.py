@@ -28,7 +28,7 @@ from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
 from .grid import GridFunction, cell_structure
-from .intervals import IntervalSet
+from .intervals import as_interval_set
 from .profiles import Profile
 
 _CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
@@ -89,8 +89,7 @@ def _guard_cuts(prof, pts, guard=_CUT_GUARD):
 
 def fht_indicator(interval_set, x):
     """T(chi_A)(x) = (1/pi) sum over intervals (a,b) of ln|(b-x)/(a-x)|."""
-    if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
+    interval_set = as_interval_set(interval_set)
     xs = _check_interior(x)
     out = np.zeros(xs.shape)
     for a, b in interval_set:
@@ -105,8 +104,7 @@ def fht_indicator(interval_set, x):
 
 def fht_product_indicator(f, interval_set):
     """T(f * chi_A) on f's grid: :func:`grid.cell_structure` cut at A, exactly."""
-    if isinstance(interval_set, tuple) and not isinstance(interval_set[0], tuple):
-        interval_set = IntervalSet((interval_set,))
+    interval_set = as_interval_set(interval_set)
     if interval_set.is_empty():
         return f.with_values(np.zeros(len(f), dtype=complex), Profile(()))
     prof = cell_structure(f).restricted(interval_set)
@@ -119,13 +117,16 @@ def _eval_vec(fn, x):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     fv = np.asarray(fn(xv))
     if fv.ndim == 0:
-        fv = np.full(xv.shape, complex(fv))
+        fv = np.full(xv.shape, fv)
     return xv, fv
 
 
 def _fht_callable(fn, t):
-    """Subtract-the-singularity adaptive quadrature for a smooth callable."""
-    ft = complex(_eval_vec(fn, np.array([t]))[1][0])
+    """Subtract-the-singularity adaptive quadrature for a smooth callable.
+    The imaginary part is integrated whenever ``fn`` returns complex values
+    at t, even zero ones."""
+    at_t = _eval_vec(fn, np.array([t]))[1]
+    ft = complex(at_t[0])
 
     def quotient(x):
         xv, fv = _eval_vec(fn, x)
@@ -133,15 +134,9 @@ def _fht_callable(fn, t):
 
     re = quad(lambda x: float(quotient(x).real[0]), -1.0, 1.0, points=[t], limit=300)[0]
     im = 0.0
-    if ft.imag != 0.0 or _complexish(fn):
+    if np.iscomplexobj(at_t):
         im = quad(lambda x: float(quotient(x).imag[0]), -1.0, 1.0, points=[t], limit=300)[0]
     return (re + 1j * im + ft * ca.log_ratio(t)) / np.pi
-
-
-def _complexish(fn):
-    with np.errstate(all="ignore"):
-        probe = np.asarray(fn(np.linspace(-0.57, 0.61, 5)))
-    return np.iscomplexobj(probe) and bool(np.any(np.abs(np.nan_to_num(probe.imag)) > 0))
 
 
 _MERGE = 1e-9          # theta edges this close merge, see _theta_panels
@@ -167,77 +162,43 @@ def _shared_edges(extra_splits, grade_endpoints):
     return np.unique(np.concatenate(parts))
 
 
-def _next_kept(edges, base, start):
-    """Per base, the index of the first edge at or after ``start`` that lies
-    more than _MERGE beyond it (len(edges) if none): the edge the merge
-    keeps next once it has kept ``base``."""
-    r, n = start, len(edges)
-    while True:
-        near = (r < n) & (edges[np.minimum(r, n - 1)] - base <= _MERGE)
-        if not near.any():
-            return r
-        r = r + near
-
-
 def _theta_panels(theta, extra_splits, grade_endpoints):
     """Each point's theta panels, as rows of one panel table.
 
-    A point's edges are the shared edges and its own theta, sorted and
-    merged left to right: an edge within _MERGE of the last kept one is
-    dropped (a sliver panel would put quadrature points within rounding
-    distance of the Cauchy point), and the last kept edge is set to pi.
-    Merging the shared edges alone gives the shared panels.  A point whose
-    theta is dropped takes them all.  Otherwise theta splits them: the
-    shared panels below it, its own panels from the last shared edge below
-    it through theta and the edges the merge keeps after it, until it
-    reaches a shared edge, and the shared panels from there on; usually two
-    own panels.  theta lies in [1.49e-8, pi - 1.49e-8], so a shared edge
-    lies below it and one more than _MERGE above it.
+    The shared edges are merged once, left to right: an edge within _MERGE
+    of the last kept one is dropped (a sliver panel would put quadrature
+    points within rounding distance of the Cauchy point), and the last kept
+    edge is set to pi.  Each point's theta then splits the shared panel
+    [shared[k], shared[k+1]) that holds it; a shared edge within _MERGE of
+    theta moves onto theta, so the point's two own panels are
+    [shared[i], theta] and [theta, shared[j]] with i = k - 1 or k below and
+    j = k + 1 or k + 2 above.  The point takes the shared panels below i and
+    from j on.  theta lies in [1.49e-8, pi - 1.49e-8] and the shared edges
+    are more than _MERGE apart, so i and j exist and at most one edge on
+    each side moves.
 
     Returns (lo, hi, rows, counts) for :func:`chebalg.integrate_panels`:
-    the shared panels come first in the table, then each point's own.
+    the shared panels come first in the table, then each point's two.
     """
-    edges = _shared_edges(extra_splits, grade_endpoints)
-    n = len(edges)
-    nxt = _next_kept(edges, edges, np.arange(1, n + 1))
-    keep = np.zeros(n, dtype=bool)
-    i, hop = 0, nxt.tolist()
-    while i < n:
-        keep[i] = True
-        i = hop[i]
-    shared = edges[keep]
+    kept = []
+    for e in _shared_edges(extra_splits, grade_endpoints).tolist():
+        if not kept or e - kept[-1] > _MERGE:
+            kept.append(e)
+    shared = np.array(kept)
     shared[-1] = np.pi
-    slot = np.cumsum(keep) - 1              # position among the shared edges
     m = len(shared) - 1                     # shared panels
 
-    below = np.searchsorted(shared, theta)  # shared edges below theta
-    own = theta - shared[below - 1] > _MERGE
-    cols = [np.where(own, shared[below - 1], np.nan), np.where(own, theta, np.nan)]
-    resume = np.full(len(theta), m)         # first shared panel after the own ones
-    cur = _next_kept(edges, theta, np.searchsorted(edges, theta, side="right"))
-    walking = own.copy()
-    while walking.any():
-        at_end = walking & (cur == n)
-        cols[-1][at_end] = np.pi
-        walking &= ~at_end
-        c = np.minimum(cur, n - 1)
-        meets = walking & keep[c]
-        cols.append(np.where(meets, shared[slot[c]], np.where(walking, edges[c], np.nan)))
-        resume[meets] = slot[c][meets]
-        walking &= ~meets
-        cur = np.where(walking, nxt[c], cur)
-    own_edges = np.column_stack(cols)
-    valid = ~np.isnan(own_edges[:, 1:])
-    n_own = valid.sum(axis=1)
-    before = np.where(own, below - 1, m)
-    counts = before + n_own + (m - resume)
+    k = np.searchsorted(shared, theta, side="right") - 1
+    i = np.where(theta - shared[k] > _MERGE, k, k - 1)
+    j = np.where(shared[k + 1] - theta > _MERGE, k + 1, k + 2)
+    counts = i + 2 + (m - j)
     col = np.arange(counts.max(initial=1))
-    first_own = m + np.cumsum(n_own) - n_own
-    b, k, r = before[:, None], n_own[:, None], resume[:, None]
-    rows = np.where(col < b, col, np.where(col < b + k, first_own[:, None] + col - b, r + col - b - k))
+    b, first_own = i[:, None], m + 2 * np.arange(len(theta))[:, None]
+    rows = np.where(col < b, col,
+                    np.where(col < b + 2, first_own + col - b, j[:, None] + col - b - 2))
     rows = np.where(col < counts[:, None], rows, rows[:, :1])
-    lo = np.concatenate([shared[:-1], own_edges[:, :-1][valid]])
-    hi = np.concatenate([shared[1:], own_edges[:, 1:][valid]])
+    lo = np.concatenate([shared[:-1], np.column_stack([shared[i], theta]).ravel()])
+    hi = np.concatenate([shared[1:], np.column_stack([theta, shared[j]]).ravel()])
     return lo, hi, rows, counts
 
 
@@ -252,12 +213,13 @@ def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
     ``t`` is a point of (-1, 1) or an array of them: a scalar returns a
     complex, an array a complex array of the same shape; a point outside
     (-1, 1) or NaN raises :class:`TransformDomainError`.  ``h`` receives 1-D
-    arrays and must act elementwise.  Each point's edges are 0, pi, its own
-    theta, each split with its geometric grading and, when
-    ``grade_endpoints``, the grading toward 0 and pi (see
-    :func:`_theta_panels`).  All but theta are shared, so ``h`` is called
+    arrays and must act elementwise.  The shared edges are 0, pi, each split
+    with its geometric grading and, when ``grade_endpoints``, the grading
+    toward 0 and pi, merged once; each point's theta splits the shared panel
+    that holds it into two panels of its own, and a shared edge within 1e-9
+    of theta moves onto it (see :func:`_theta_panels`).  So ``h`` is called
     once at the points and once at the nodes of the shared panels and of
-    each point's own (usually two) panels, in calls of at most
+    each point's two own panels, in calls of at most
     ``chebalg._PANEL_BLOCK`` nodes: a graded call costs about
     (47 + 2 P) * 64 values of ``h`` for P points, where a rule per point
     costs 48 * 64 P.  The quotients (h(x) - h(t)) / (x - t) are formed per
@@ -267,7 +229,9 @@ def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
 
     Raises ValueError when ``h`` is not finite at a panel node: the nodes
     of the first and last graded panels include x = +-1 in floating point,
-    where an integrand with a 1/w factor is infinite.
+    where an integrand with a 1/w factor is infinite.  Raises ValueError
+    naming the point when a point's panel sum is not finite: within about
+    1e-13 of +-1, nodes next to theta round onto t and the quotient is 0/0.
     """
     tt = _check_interior(t).ravel()
     ht = _eval_vec(h, tt)[1].astype(complex)
@@ -284,10 +248,16 @@ def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
         return x, hx
 
     def quotient(rows, x, hx):
-        return (hx - ht[rows, None, None]) / (x - tt[rows, None, None])
+        with np.errstate(divide="ignore", invalid="ignore"):   # refused below
+            return (hx - ht[rows, None, None]) / (x - tt[rows, None, None])
 
     sums = ca.integrate_panels(at_nodes, quotient,
                                *_theta_panels(np.arccos(tt), extra_splits, grade_endpoints))
+    if not np.all(np.isfinite(sums)):
+        bad = tt[~np.isfinite(sums)]
+        raise ValueError(f"the theta-panel sum is not finite at {bad.size} point(s), the first "
+                         f"t = {float(bad[0])!r}: within about 1e-13 of +-1 panel nodes round "
+                         f"onto t (or h(t) is not finite)")
     # componentwise, as complex / float divides: a complex numpy division
     # multiplies by 1/pi instead
     out = np.empty(sums.shape, dtype=complex)

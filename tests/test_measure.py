@@ -450,10 +450,39 @@ def test_random_interval_set_deterministic():
     assert a.intervals == b.intervals
 
 
+# ------------------------------------------------------- interval-set arguments
+
+_SET = ivals((-0.6, 0.1), (0.3, 0.8))
+
+# each entry point that takes a set, as a function of the set
+SET_READERS = {
+    "fht_indicator": lambda A: fh.fht_indicator(A, np.array([-0.9, 0.2, 0.45])),
+    "fht_product_indicator": lambda A: fh.fht_product_indicator(fh.poly_fn([0.5, 1.0], 64),
+                                                                A).values,
+    "vector_measure": lambda A: fh.vector_measure(A, 64).values,
+    "scalar_measure": lambda A: fh.scalar_measure(fh.poly_fn([0.5, 1.0], 64), A),
+    "semivariation": lambda A: fh.semivariation(fh.const_fn(1.0, 64), A, LP15, cells=4).value,
+    "indicator_fn": lambda A: fh.indicator_fn(A, 64).values,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SET_READERS))
+def test_set_arguments_read_one_way(reader):
+    # an IntervalSet, one pair and a sequence of pairs name the same set,
+    # and () is the empty set
+    read = SET_READERS[reader]
+    cases = [(ivals((0.0, 0.5)), [(0.0, 0.5), [0.0, 0.5], ((0.0, 0.5),), [(0.0, 0.5)]]),
+             (_SET, [((-0.6, 0.1), (0.3, 0.8)), [[-0.6, 0.1], (0.3, 0.8)]]),
+             (fh.IntervalSet.empty(), [(), []])]
+    for iset, forms in cases:
+        want = np.asarray(read(iset))
+        for form in forms:
+            assert np.array_equal(np.asarray(read(form)), want), form
+
+
 # ------------------------------------------------------------ sample readers
 
 _COEFFS = [0.3, 1.0, 0.0, -0.5, 0.25]
-_SET = ivals((-0.6, 0.1), (0.3, 0.8))
 
 # each reader of a function cut into cells or read as one series
 READERS = {

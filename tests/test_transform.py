@@ -1,6 +1,7 @@
 """Transform evaluators against closed forms and the exclusion oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ def ivals(*pairs):
 
 
 # -------------------------------------------------------------------- fht_point
+
+@pytest.mark.parametrize("scale", [1.0, 1j])
+def test_callable_keeps_its_imaginary_part(scale):
+    # h is 0 at t and on [-0.57, 0.61]; T(h)(0) = scale (0.3 - 0.7 ln(1/0.7)) / pi
+    val = fh.fht_point(lambda x: scale * np.maximum(x - 0.7, 0.0), 0.0)
+    assert val == pytest.approx(scale * (0.3 - 0.7 * math.log(1 / 0.7)) / math.pi, abs=1e-11)
+
 
 def test_kernel_direction_vanishes(invw):
     assert abs(fh.fht_point(invw, 0.3)) <= 1e-6
@@ -289,19 +297,20 @@ def test_cos_theta_engines_match_classical_identities():
 
 _PANEL_PTS = np.concatenate([[-0.999], np.linspace(-0.9, 0.9, 13), [0.999]])
 # on or within 1e-9 of an edge of the endpoint grading or of the grading
-# toward the split at 0.4: the merge drops the point or an edge next to it.
-# No quotient may divide by zero there (pyproject.toml makes a
-# RuntimeWarning an error)
+# toward the split at 0.4: the edge moves onto the point.  No quotient may
+# divide by zero there (pyproject.toml makes a RuntimeWarning an error)
 _EDGE_PTS = np.array([math.cos(math.pi / 4), math.cos(3 * math.pi / 4),
                       math.cos(math.pi / 8) + 1e-10, math.cos(math.pi / 8) - 1e-10,
                       math.cos(math.acos(0.4) + math.pi / 16)])
-# splits 6e-10 apart in theta: the merge keeps the first and the third.  A
-# point 7e-10 below the first drops it and keeps the second, so its own
-# panels run on to the next shared edge.  A point 3e-10 above an edge is
-# dropped, one 1.5e-9 above is kept
-_CLOSE_SPLITS = np.cos(math.acos(0.4) + np.array([0.0, 0.6e-9, 1.2e-9]))
-_CLOSE_PTS = np.cos(math.acos(0.4) + np.array([-0.7e-9, 0.3e-9, math.pi / 16 - 1.5e-9,
-                                               math.pi / 16 + 1.5e-9]))
+# snap cases: splits 1.5e-9 apart in theta give pairs of shared edges
+# (each split and each step of its grading) closer than 2e-9.  _SNAP lists
+# (theta offset from the split at 0.4, shared edges within 1e-9 of theta,
+# which move onto it): between the two edges of a pair, just above a pair,
+# just below one, and far from every edge
+_SNAP_SPLITS = np.cos(math.acos(0.4) + np.array([0.0, 1.5e-9]))
+_SNAP = [(0.75e-9, 2), (1.5e-9 + 0.4e-9, 1), (-0.6e-9, 1),
+         (math.pi / 16 + 0.8e-9, 2), (math.pi / 16 - 0.9e-9, 1), (0.3, 0)]
+_SNAP_PTS = np.cos(math.acos(0.4) + np.array([d for d, _ in _SNAP]))
 _Q = np.array([0.3, -1.2, 0.5, 0.25, -0.7])
 
 
@@ -315,17 +324,18 @@ def _panel_cases():
         # T(h w) as T((h (1 - x^2))/w)
         (lambda x: img.eval_at(x) * (1 - x * x), dict(splits, grade_endpoints=True)),
         (lambda x: 1j * C.chebval(x, _Q) * (1 - x * x), {}),
-        (lambda x: C.chebval(x, _Q), {"extra_splits": _CLOSE_SPLITS}),
+        (lambda x: C.chebval(x, _Q), {"extra_splits": _SNAP_SPLITS}),
     ]
 
 
 def _rule_edges(theta, extra_splits=(), grade_endpoints=False):
-    """One point's theta edges written out: 0, theta, pi, each split and its
-    grading (and the endpoint grading), sorted; an edge within 1e-9 of the
-    last kept one is dropped, and the last is set to pi."""
+    """One point's theta edges written out: the shared edges 0, pi, each
+    split and its grading (and the endpoint grading), sorted; an edge within
+    1e-9 of the last kept one is dropped, and the last is set to pi.  Then
+    theta replaces every shared edge within 1e-9 of it."""
     steps = np.pi * 0.5 ** np.arange(2, 26)
     steps = steps[steps > 1e-7]
-    edges = {0.0, theta, np.pi}
+    edges = {0.0, np.pi}
     for s in extra_splits:
         split = np.arccos(s)
         edges |= {e for e in np.concatenate([split - steps, [split], split + steps])
@@ -333,12 +343,12 @@ def _rule_edges(theta, extra_splits=(), grade_endpoints=False):
     if grade_endpoints:
         edges |= set(steps) | set(np.pi - steps)
     srt = sorted(edges)
-    kept = [srt[0]]
+    shared = [srt[0]]
     for e in srt[1:]:
-        if e - kept[-1] > 1e-9:
-            kept.append(e)
-    kept[-1] = np.pi
-    return np.array(kept)
+        if e - shared[-1] > 1e-9:
+            shared.append(e)
+    shared[-1] = np.pi
+    return np.array(sorted([e for e in shared if abs(e - theta) > 1e-9] + [theta]))
 
 
 def _panel_rule(h, t, extra_splits=(), grade_endpoints=False):
@@ -355,21 +365,22 @@ def _panel_rule(h, t, extra_splits=(), grade_endpoints=False):
 
 
 def test_theta_panels_are_each_points_merged_edges():
-    # the last cases: splits 9e-10 apart put edges every 9e-10 up to pi,
-    # and the merge keeps every other one.  With 41 of them the shared
-    # edges end at pi, and a point on the other phase keeps pi - 9e-10,
-    # which becomes pi; with 42 the shared edges end at pi - 9e-10
-    near_pi = np.pi - np.linspace(1.5e-8, 3.5e-8, 101)
     cases = [((), False, np.arccos(_PANEL_PTS)),
              ((), True, np.arccos(_EDGE_PTS)),
+             (_SNAP_SPLITS, True, np.arccos(_SNAP_PTS)),
              ((-0.2, 0.4, 0.4 + 5e-10), True, np.arccos(np.linspace(-0.99, 0.99, 301)))]
-    for n in (41, 42):
-        cases.append((np.cos(3 * np.pi / 4 - np.arange(n) * 0.9e-9), False, near_pi))
     for splits, graded, theta in cases:
         lo, hi, rows, counts = transform._theta_panels(theta, splits, graded)
+        m = len(lo) - 2 * len(theta)           # shared panels
         for th, row, k in zip(theta, rows, counts):
             want = _rule_edges(th, splits, graded)
             assert np.array_equal(lo[row[:k]], want[:-1]) and np.array_equal(hi[row[:k]], want[1:])
+            own = np.flatnonzero(row[:k] >= m)
+            assert len(own) == 2 and own[1] == own[0] + 1
+            assert hi[row[own[0]]] == th == lo[row[own[1]]]
+    lo, hi, rows, counts = transform._theta_panels(np.arccos(_SNAP_PTS), _SNAP_SPLITS, True)
+    m = len(lo) - 2 * len(_SNAP)
+    assert counts.tolist() == [m + 1 - moved for _, moved in _SNAP]
 
 
 @pytest.mark.parametrize("block", [None, 500])
@@ -378,15 +389,15 @@ def test_theta_panels_array_form_matches_point_loop(block, monkeypatch):
     # every point's value is the one-point rule's, bit for bit
     if block is not None:
         monkeypatch.setattr(chebalg, "_PANEL_BLOCK", block)
-    pts = np.concatenate([_PANEL_PTS, _EDGE_PTS, _CLOSE_PTS])
+    pts = np.concatenate([_PANEL_PTS, _EDGE_PTS, _SNAP_PTS])
     for h, kw in _panel_cases():
         rule = np.array([_panel_rule(h, t, **kw) for t in pts])
         loop = np.array([fht_over_w_point(h, float(t), **kw) for t in pts])
         got = fht_over_w_point(h, pts, **kw)
         assert got.shape == pts.shape and got.dtype == complex
         assert np.array_equal(got, loop) and np.array_equal(got, rule)
-        grid = fht_over_w_point(h, pts.reshape(4, 6), **kw)
-        assert grid.shape == (4, 6)
+        grid = fht_over_w_point(h, pts.reshape(2, 13), **kw)
+        assert grid.shape == (2, 13)
         assert np.array_equal(grid.ravel(), loop)
 
 
@@ -425,6 +436,14 @@ def test_theta_panels_refuse_an_integrand_not_finite_at_a_node():
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match=r"endpoint x = \+1"):
         fht_over_w_point(f.eval, 0.3, grade_endpoints=True)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_theta_panels_refuse_a_point_whose_sum_is_not_finite(graded):
+    # at t = 1 - 6.9e-14 nodes next to theta round onto t: the quotient is 0/0
+    t = math.cos(math.pi * 2.0**-23)
+    with pytest.raises(ValueError, match=re.escape(f"t = {t!r}")):
+        fht_over_w_point(lambda x: C.chebval(x, _Q), np.array([0.3, t]), grade_endpoints=graded)
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0, 1.5, math.nan])
