@@ -168,17 +168,18 @@ def _theta_panels(theta, extra_splits, grade_endpoints):
     The shared edges are merged once, left to right: an edge within _MERGE
     of the last kept one is dropped (a sliver panel would put quadrature
     points within rounding distance of the Cauchy point), and the last kept
-    edge is set to pi.  Each point's theta then splits the shared panel
-    [shared[k], shared[k+1]) that holds it; a shared edge within _MERGE of
-    theta moves onto theta, so the point's two own panels are
-    [shared[i], theta] and [theta, shared[j]] with i = k - 1 or k below and
-    j = k + 1 or k + 2 above.  The point takes the shared panels below i and
-    from j on.  theta lies in [1.49e-8, pi - 1.49e-8] and the shared edges
-    are more than _MERGE apart, so i and j exist and at most one edge on
-    each side moves.
+    edge is set to pi.  Take k with shared[k] < theta <= shared[k+1].  A
+    point whose theta lies within _MERGE above shared[k] is dropped like an
+    edge: it takes the shared panels alone.  Otherwise theta splits the
+    shared panel it lies in, and shared[k+1] moves onto theta when it lies
+    within _MERGE above: the point's two own panels are [shared[k], theta]
+    and [theta, shared[j]] with j = k + 1 or k + 2, and it takes the shared
+    panels below k and from j on.  theta lies in [1.49e-8, pi - 1.49e-8]
+    and the shared edges are more than _MERGE apart, so k and j exist.
 
     Returns (lo, hi, rows, counts) for :func:`chebalg.integrate_panels`:
-    the shared panels come first in the table, then each point's two.
+    the shared panels come first in the table, then two panels per point,
+    which a point dropped onto an edge does not use.
     """
     kept = []
     for e in _shared_edges(extra_splits, grade_endpoints).tolist():
@@ -188,16 +189,17 @@ def _theta_panels(theta, extra_splits, grade_endpoints):
     shared[-1] = np.pi
     m = len(shared) - 1                     # shared panels
 
-    k = np.searchsorted(shared, theta, side="right") - 1
-    i = np.where(theta - shared[k] > _MERGE, k, k - 1)
+    k = np.searchsorted(shared, theta) - 1  # shared[k] < theta <= shared[k + 1]
+    own = theta - shared[k] > _MERGE
     j = np.where(shared[k + 1] - theta > _MERGE, k + 1, k + 2)
-    counts = i + 2 + (m - j)
+    b, e = np.where(own, k, m), np.where(own, j, m)
+    counts = b + 2 * own + (m - e)
     col = np.arange(counts.max(initial=1))
-    b, first_own = i[:, None], m + 2 * np.arange(len(theta))[:, None]
+    b, first_own = b[:, None], m + 2 * np.arange(len(theta))[:, None]
     rows = np.where(col < b, col,
-                    np.where(col < b + 2, first_own + col - b, j[:, None] + col - b - 2))
+                    np.where(col < b + 2, first_own + col - b, e[:, None] + col - b - 2))
     rows = np.where(col < counts[:, None], rows, rows[:, :1])
-    lo = np.concatenate([shared[:-1], np.column_stack([shared[i], theta]).ravel()])
+    lo = np.concatenate([shared[:-1], np.column_stack([shared[k], theta]).ravel()])
     hi = np.concatenate([shared[1:], np.column_stack([theta, shared[j]]).ravel()])
     return lo, hi, rows, counts
 
@@ -216,8 +218,10 @@ def fht_over_w_point(h, t, extra_splits=(), grade_endpoints=False):
     arrays and must act elementwise.  The shared edges are 0, pi, each split
     with its geometric grading and, when ``grade_endpoints``, the grading
     toward 0 and pi, merged once; each point's theta splits the shared panel
-    that holds it into two panels of its own, and a shared edge within 1e-9
-    of theta moves onto it (see :func:`_theta_panels`).  So ``h`` is called
+    that holds it into two panels of its own, the shared edge above theta
+    moving onto it when within 1e-9; a theta within 1e-9 above a shared
+    edge takes the shared panels alone (see :func:`_theta_panels`).  So
+    ``h`` is called
     once at the points and once at the nodes of the shared panels and of
     each point's two own panels, in calls of at most
     ``chebalg._PANEL_BLOCK`` nodes: a graded call costs about

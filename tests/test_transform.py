@@ -297,19 +297,21 @@ def test_cos_theta_engines_match_classical_identities():
 
 _PANEL_PTS = np.concatenate([[-0.999], np.linspace(-0.9, 0.9, 13), [0.999]])
 # on or within 1e-9 of an edge of the endpoint grading or of the grading
-# toward the split at 0.4: the edge moves onto the point.  No quotient may
-# divide by zero there (pyproject.toml makes a RuntimeWarning an error)
+# toward the split at 0.4: the point is dropped onto an edge just below it,
+# and an edge just above it moves onto it.  A quotient dividing by zero
+# there would show as a non-finite sum, which fht_over_w_point refuses
 _EDGE_PTS = np.array([math.cos(math.pi / 4), math.cos(3 * math.pi / 4),
                       math.cos(math.pi / 8) + 1e-10, math.cos(math.pi / 8) - 1e-10,
                       math.cos(math.acos(0.4) + math.pi / 16)])
 # snap cases: splits 1.5e-9 apart in theta give pairs of shared edges
 # (each split and each step of its grading) closer than 2e-9.  _SNAP lists
-# (theta offset from the split at 0.4, shared edges within 1e-9 of theta,
-# which move onto it): between the two edges of a pair, just above a pair,
-# just below one, and far from every edge
+# (theta offset from the split at 0.4, how the point meets the shared
+# edges): within 1e-9 above an edge it is dropped onto it, between the two
+# edges of a pair or just above a pair; within 1e-9 below an edge the edge
+# moves onto it; far from every edge it splits its panel
 _SNAP_SPLITS = np.cos(math.acos(0.4) + np.array([0.0, 1.5e-9]))
-_SNAP = [(0.75e-9, 2), (1.5e-9 + 0.4e-9, 1), (-0.6e-9, 1),
-         (math.pi / 16 + 0.8e-9, 2), (math.pi / 16 - 0.9e-9, 1), (0.3, 0)]
+_SNAP = [(0.75e-9, "dropped"), (1.5e-9 + 0.4e-9, "dropped"), (-0.6e-9, "moved"),
+         (math.pi / 16 + 0.8e-9, "dropped"), (math.pi / 16 - 0.9e-9, "moved"), (0.3, "split")]
 _SNAP_PTS = np.cos(math.acos(0.4) + np.array([d for d, _ in _SNAP]))
 _Q = np.array([0.3, -1.2, 0.5, 0.25, -0.7])
 
@@ -332,7 +334,8 @@ def _rule_edges(theta, extra_splits=(), grade_endpoints=False):
     """One point's theta edges written out: the shared edges 0, pi, each
     split and its grading (and the endpoint grading), sorted; an edge within
     1e-9 of the last kept one is dropped, and the last is set to pi.  Then
-    theta replaces every shared edge within 1e-9 of it."""
+    theta is dropped when it lies within 1e-9 above a shared edge, and
+    otherwise replaces the shared edge within 1e-9 above it, if any."""
     steps = np.pi * 0.5 ** np.arange(2, 26)
     steps = steps[steps > 1e-7]
     edges = {0.0, np.pi}
@@ -348,6 +351,8 @@ def _rule_edges(theta, extra_splits=(), grade_endpoints=False):
         if e - shared[-1] > 1e-9:
             shared.append(e)
     shared[-1] = np.pi
+    if theta - max(e for e in shared if e < theta) <= 1e-9:
+        return np.array(shared)
     return np.array(sorted([e for e in shared if abs(e - theta) > 1e-9] + [theta]))
 
 
@@ -365,22 +370,33 @@ def _panel_rule(h, t, extra_splits=(), grade_endpoints=False):
 
 
 def test_theta_panels_are_each_points_merged_edges():
+    # a split 5e-10 rad from 3 pi / 4 puts a step of its grading 5e-10
+    # below pi: the shared merge drops pi and moves that edge onto it
+    off_pi = (math.cos(3 * math.pi / 4 - 5e-10),)
+    assert np.pi - transform._shared_edges(off_pi, True)[-2] <= 1e-9
     cases = [((), False, np.arccos(_PANEL_PTS)),
              ((), True, np.arccos(_EDGE_PTS)),
              (_SNAP_SPLITS, True, np.arccos(_SNAP_PTS)),
-             ((-0.2, 0.4, 0.4 + 5e-10), True, np.arccos(np.linspace(-0.99, 0.99, 301)))]
+             ((-0.2, 0.4, 0.4 + 5e-10), True, np.arccos(np.linspace(-0.99, 0.99, 301))),
+             (off_pi, True, np.arccos([-1 + 2 ** -52, -0.99999, -0.5, 0.3]))]
     for splits, graded, theta in cases:
         lo, hi, rows, counts = transform._theta_panels(theta, splits, graded)
         m = len(lo) - 2 * len(theta)           # shared panels
+        assert hi[m - 1] == np.pi
         for th, row, k in zip(theta, rows, counts):
             want = _rule_edges(th, splits, graded)
             assert np.array_equal(lo[row[:k]], want[:-1]) and np.array_equal(hi[row[:k]], want[1:])
             own = np.flatnonzero(row[:k] >= m)
-            assert len(own) == 2 and own[1] == own[0] + 1
-            assert hi[row[own[0]]] == th == lo[row[own[1]]]
+            if len(own) == 0:                  # dropped onto the edge just below
+                assert k == m and 0 < th - lo[row[np.searchsorted(lo[row[:k]], th) - 1]] <= 1e-9
+            else:
+                assert len(own) == 2 and own[1] == own[0] + 1
+                assert hi[row[own[0]]] == th == lo[row[own[1]]]
     lo, hi, rows, counts = transform._theta_panels(np.arccos(_SNAP_PTS), _SNAP_SPLITS, True)
     m = len(lo) - 2 * len(_SNAP)
-    assert counts.tolist() == [m + 1 - moved for _, moved in _SNAP]
+    kinds = {"dropped": (m, False), "moved": (m, True), "split": (m + 1, True)}
+    assert [(k, bool(np.any(r[:k] >= m))) for r, k in zip(rows, counts)] == \
+        [kinds[kind] for _, kind in _SNAP]
 
 
 @pytest.mark.parametrize("block", [None, 500])
