@@ -70,8 +70,11 @@ class GridFunction:
         """The :class:`Profile` of exactly what :meth:`eval_at` evaluates: the
         profile; else the interpolant of ``chebyshev-gauss`` samples; else
         that of ``uniform`` and ``custom`` ones, :meth:`Profile.linear`."""
-        if self.profile is not None:
-            return self.profile
+        return self.profile if self.profile is not None else self._sample_structure
+
+    @functools.cached_property
+    def _sample_structure(self):
+        """The interpolant of the samples alone, whatever the profile."""
         if self.node_family == CHEBYSHEV:
             return Profile.poly(self._interpolant)
         return Profile.linear(self.nodes, self.values)
@@ -283,12 +286,14 @@ def _cell_edges(nodes):
 
 
 def restrict(f, interval_set):
-    """f * chi_A: values zeroed at nodes outside A; nodes and weights kept."""
+    """f * chi_A: values zeroed at nodes outside A, nodes and weights kept,
+    and the profile :func:`cell_structure` cut at A."""
+    interval_set = as_interval_set(interval_set)
     mask = np.zeros(len(f), dtype=bool)
     for a, b in interval_set:
         mask |= (f.nodes > a) & (f.nodes < b)
     vals = np.where(mask, f.values, 0.0)
-    return f.with_values(vals, f.structure.restricted(interval_set))
+    return f.with_values(vals, cell_structure(f).restricted(interval_set))
 
 
 def pairing(f, g):
@@ -311,5 +316,6 @@ def sample_series(f):
 
 def cell_structure(f):
     """A profile of f that :meth:`Profile.restricted` cuts exactly: the
-    structure without log terms, else the series of :func:`sample_series`."""
-    return Profile.poly(sample_series(f)) if f.structure.logs else f.structure
+    structure without log terms, else the interpolant of the samples alone
+    (the one :attr:`GridFunction.structure` reads when there is no profile)."""
+    return f._sample_structure if f.structure.logs else f.structure

@@ -21,12 +21,10 @@ import numpy as np
 
 from .grid import (
     DEFAULT_NODES,
-    GridFunction,
     cell_structure,
     from_profile,
     indicator_fn,
     integrate_interval,
-    make_grid,
     pairing,
 )
 from .intervals import IntervalSet, as_interval_set
@@ -50,11 +48,6 @@ BLOCK_BYTES = 1 << 20
 def vector_measure(interval_set, n=None):
     """m(A) = T(chi_A) on the standard grid; additive with closed-form values."""
     n = n or DEFAULT_NODES
-    interval_set = as_interval_set(interval_set)
-    if interval_set.is_empty():
-        nodes, weights = make_grid(n)
-        return GridFunction(nodes, np.zeros(n, dtype=complex), weights,
-                            "chebyshev-gauss", Profile.poly((0.0,)))
     return fht_grid(indicator_fn(interval_set, n))
 
 
@@ -137,7 +130,7 @@ def _transform_basis(f, edges):
 
     :func:`grid.cell_structure` of f is restricted to each cell, so
     piecewise inputs keep their exact cuts; a structure with log terms is
-    read as the full-degree interpolant of its samples.  A node exactly on
+    read as the interpolant of its samples.  A node exactly on
     an inner cell edge raises :class:`SingularEvaluationError`.
     """
     if len(hit := np.intersect1d(edges[1:-1], f.nodes)):

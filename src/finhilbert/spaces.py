@@ -3,7 +3,8 @@
 Supported norms: Lebesgue L^p, Lorentz L^{p,q} (quasinorm convention
 ``( int_0^2 (t^{1/p} f*(t))^q dt/t )^{1/q}`` without renormalization) and
 weak-L^p = L^{p,infinity}.  The decreasing rearrangement is computed from
-the weighted samples; for step-function profiles it is exact.
+the weighted samples; for a declared step function it is read from the
+steps, and it and the norms are exact.
 
 Dilation operators E_s f(x) = f(sx) (zero when sx leaves the interval) give
 dictionary lower bounds for operator norms; on these families
@@ -79,13 +80,22 @@ class SpaceSpec:
 # -------------------------------------------------------------- rearrangement
 
 def distribution(f, lam):
-    """mu{ |f| > lam }, approximated by the weight sum over exceeding nodes."""
+    """mu{ |f| > lam }: the lengths of the exceeding steps of a declared step
+    function, else the weight sum over the exceeding nodes."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    steps = _steps(f)
-    if steps is not None:
-        return float(sum(length for value, length in zip(*steps) if abs(value) > lam))
-    return float(f.weights @ (np.abs(f.values) > lam))
+    mags, masses = _masses(f)
+    return float(masses @ (mags > lam))
+
+
+def _masses(f):
+    """``(|values|, masses)``: the steps and lengths of a declared step
+    function, else the samples and their weights."""
+    steps = f.profile.steps() if f.profile is not None else None
+    if steps is None:
+        return np.abs(f.values), f.weights
+    values, lengths = steps
+    return np.abs(values), lengths
 
 
 @dataclass(frozen=True, eq=False)   # identity semantics: ndarray fields
@@ -123,33 +133,15 @@ class Rearrangement:
 
     def distribution(self, lam):
         """Distribution function of the staircase itself (equimeasurability)."""
-        total = 0.0
-        prev = 0.0
-        for u, v in zip(self.breakpoints, self.plateaus):
-            if v > lam:
-                total += u - prev
-            prev = u
-        return total
+        return float(np.diff(self.breakpoints, prepend=0.0) @ (self.plateaus > lam))
 
 
 def rearrangement(f):
-    """Sort-based decreasing rearrangement of |f| with its quadrature weights."""
-    steps = _steps(f)
-    if steps is not None:
-        return _step_rearrangement(*steps)
-    mags = np.abs(f.values)
+    """Sort-based decreasing rearrangement of :func:`_masses`: exact for a
+    declared step function, else of |f| with its quadrature weights."""
+    mags, masses = _masses(f)
     order = np.argsort(-mags, kind="stable")
-    return Rearrangement(np.cumsum(f.weights[order]), mags[order])
-
-
-def _steps(f):
-    return f.profile.steps() if f.profile is not None else None
-
-
-def _step_rearrangement(values, lengths):
-    mags = np.abs(values)
-    order = np.argsort(-mags, kind="stable")
-    return Rearrangement(np.cumsum(lengths[order]), mags[order])
+    return Rearrangement(np.cumsum(masses[order]), mags[order])
 
 
 # ------------------------------------------------------------------------ norms
@@ -169,19 +161,18 @@ def norm(f, space):
 def norm_info(f, space):
     """Norm plus resolution diagnostics.
 
-    A power-law fit of |f| against the distance to the strongest peak
-    estimates the local blow-up exponent beta; the norm is reported as +inf
-    when the exponent makes the defining integral divergent (p*beta >= 1,
-    strict inequality for weak-L^p where the boundary case is finite).
-    Samples go through :func:`norms_batch` as a single row; a declared step
-    function then takes its exact norm from the pieces.
+    A declared step function (:meth:`Profile.steps`) has its exact staircase
+    norm, which is finite and needs no flag.  Other samples go through
+    :func:`norms_batch` as a single row: a power-law fit of |f| against the
+    distance to the strongest peak estimates the local blow-up exponent
+    beta, and the norm is reported as +inf when the exponent makes the
+    defining integral divergent (p*beta >= 1, strict inequality for weak-L^p
+    where the boundary case is finite).
     """
+    if f.profile is not None and f.profile.steps() is not None:
+        return NormInfo(_staircase_norm(rearrangement(f), space))
     vals, limited, divergent = norms_batch(f.values[None, :], f.nodes, f.weights, space)
-    info = NormInfo(float(vals[0]), bool(limited[0]), bool(divergent[0]))
-    steps = _steps(f)
-    if info.divergent or steps is None:
-        return info
-    return NormInfo(_stepwise_norm(steps, space), info.resolution_limited, False)
+    return NormInfo(float(vals[0]), bool(limited[0]), bool(divergent[0]))
 
 
 class NormWorkspace:
@@ -327,12 +318,11 @@ def _lorentz_staircase(breakpoints, plateaus, space, scratch=None):
     return np.sum(summands, axis=1) ** (1.0 / space.q)
 
 
-def _stepwise_norm(steps, space):
-    """Exact norm of a declared step function, from its (values, lengths)."""
+def _staircase_norm(r, space):
+    """Exact norm of the staircase of a :class:`Rearrangement`."""
     if space.kind == LP:
-        return float(sum(abs(value) ** space.p * length
-                         for value, length in zip(*steps)) ** (1.0 / space.p))
-    r = _step_rearrangement(*steps)
+        lengths = np.diff(r.breakpoints, prepend=0.0)
+        return float((r.plateaus ** space.p @ lengths) ** (1.0 / space.p))
     if space.kind == LORENTZ:
         return float(_lorentz_staircase(r.breakpoints[None, :], r.plateaus[None, :], space)[0])
     return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))

@@ -13,9 +13,10 @@ The input alone selects the evaluator:
   at a kink the finite parts of the two pieces sum to the true value;
 * a callable: subtract-the-singularity adaptive quadrature, point by point.
 
-T(f chi_A) restricts :func:`grid.cell_structure`.  Two quadrature rules are
-verification references, sharing no closed form with these evaluators:
-cos(theta) panel quadrature of T(h/w) (:func:`fht_over_w_point`; T(h w) is
+T(f chi_A) is the transform of :func:`grid.restrict`, which cuts
+:func:`grid.cell_structure` at A.  Two quadrature rules are verification
+references, sharing no closed form with these evaluators: cos(theta) panel
+quadrature of T(h/w) (:func:`fht_over_w_point`; T(h w) is
 T((h (1 - x^2))/w)), and an independent symmetric-exclusion principal-value
 rule with Richardson extrapolation (:func:`pv_oracle`), the cross-checking
 oracle.
@@ -27,9 +28,8 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
-from .grid import GridFunction, cell_structure
+from .grid import GridFunction, restrict
 from .intervals import as_interval_set
-from .profiles import Profile
 
 _CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
 
@@ -103,12 +103,8 @@ def fht_indicator(interval_set, x):
 
 
 def fht_product_indicator(f, interval_set):
-    """T(f * chi_A) on f's grid: :func:`grid.cell_structure` cut at A, exactly."""
-    interval_set = as_interval_set(interval_set)
-    if interval_set.is_empty():
-        return f.with_values(np.zeros(len(f), dtype=complex), Profile(()))
-    prof = cell_structure(f).restricted(interval_set)
-    return fht_grid(f.with_values(prof.eval(f.nodes), prof))
+    """T(f * chi_A) on f's grid: the transform of :func:`grid.restrict`."""
+    return fht_grid(restrict(f, interval_set))
 
 
 # ------------------------------------------------------- quadrature evaluators

@@ -207,6 +207,18 @@ def test_restrict_idempotent(points):
     assert np.array_equal(once.values, twice.values)
 
 
+def test_restrict_cuts_the_interpolant_of_log_terms():
+    # the values stay the masked samples; log terms cannot be cut exactly, so
+    # the profile is the interpolant of the samples, cut at A
+    g0 = fh.rybakov_functional(64)
+    assert g0.structure.logs
+    r = fh.restrict(g0, (-0.3, 0.2))
+    inside = (g0.nodes > -0.3) & (g0.nodes < 0.2)
+    assert np.array_equal(r.values, np.where(inside, g0.values, 0.0))
+    assert r.profile.breakpoints() == [-0.3, 0.2] and not r.profile.logs
+    assert np.abs(r.profile.eval(g0.nodes) - r.values).max() <= 1e-13
+
+
 # ----------------------------------------------------------------- IntervalSet
 
 def test_interval_set_orders_and_validates():

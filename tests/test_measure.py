@@ -183,6 +183,16 @@ def test_semivariation_matches_restricted_optdomain(rng):
     assert sv.value == pytest.approx(od.value, rel=1e-6)
 
 
+def test_restriction_of_log_terms_has_one_reading():
+    # g0 has log terms, so both routes cut the interpolant of its samples
+    g0 = fh.rybakov_functional(512)
+    A = ((-0.3, 0.2), (0.5, 0.8))
+    cut = fh.restrict(g0, A)
+    assert np.array_equal(fh.fht_product_indicator(g0, A).values, fh.fht_grid(cut).values)
+    sv = fh.semivariation(g0, A, LP15, cells=10).value
+    assert sv == pytest.approx(fh.optdomain_norm(cut, LP15, cells=10).value, rel=1e-12)
+
+
 def test_semivariation_monotone(one):
     inner = ivals((0.0, 0.5))
     outer = ivals((-0.25, 0.75))
@@ -463,6 +473,7 @@ SET_READERS = {
     "scalar_measure": lambda A: fh.scalar_measure(fh.poly_fn([0.5, 1.0], 64), A),
     "semivariation": lambda A: fh.semivariation(fh.const_fn(1.0, 64), A, LP15, cells=4).value,
     "indicator_fn": lambda A: fh.indicator_fn(A, 64).values,
+    "restrict": lambda A: fh.restrict(fh.poly_fn([0.5, 1.0], 64), A).values,
 }
 
 
@@ -511,6 +522,20 @@ def test_readers_refuse_uniform_samples(reader):
     want = np.asarray(READERS[reader](fh.poly_fn(_COEFFS, 64, family="uniform")))
     assert np.all(np.isfinite(got))
     assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+
+
+CELL_READERS = ("fht_product_indicator", "optdomain_norm", "semivariation")
+
+
+@pytest.mark.parametrize("reader", CELL_READERS)
+def test_cell_readers_of_a_uniform_image_cut_its_samples(reader):
+    # T(p) has log terms at +-1, which cells cannot cut exactly, so the cell
+    # readers cut the piecewise-linear interpolant of its samples, as they do
+    # for the same samples without a profile
+    img = fh.fht_grid(fh.poly_fn(_COEFFS, 64, family="uniform"))
+    assert img.structure.logs
+    bare = img.with_values(img.values)
+    assert np.array_equal(READERS[reader](img), READERS[reader](bare))
 
 
 def test_search_refuses_nodes_on_cell_edges():

@@ -147,6 +147,93 @@ def test_norm_divergence_flags(invw):
     assert fh.norm_info(blow, fh.SpaceSpec.lp(1.5)).divergent
 
 
+# ------------------------------------------------------------ step functions
+
+STEP_SPACES = (fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lp(3),
+               fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.weak_lp(2))
+
+
+def written_out_norm(values, lengths, space):
+    """The norm of sum_j v_j chi_(I_j) over a partition, from its definition."""
+    mags = np.abs(values).tolist()
+    p = space.p
+    if space.kind == "Lp":
+        return sum(m**p * h for m, h in zip(mags, lengths)) ** (1 / p)
+    if space.kind == "WeakLp":
+        return max(m * sum(h for m2, h in zip(mags, lengths) if m2 >= m) ** (1 / p)
+                   for m in mags)
+    total, u = 0.0, 0.0
+    for m, h in sorted(zip(mags, lengths), key=lambda mh: -mh[0]):
+        total += m**space.q * ((u + h) ** (space.q / p) - u ** (space.q / p))
+        u += h
+    return (total * p / space.q) ** (1 / space.q)
+
+
+@st.composite
+def staircases(draw):
+    """A geometric staircase toward -1 or 1: cut points 1 - 2 r^j with
+    values growing or decaying geometrically, some steps zero, complex phases."""
+    count = draw(st.integers(2, 30))
+    r = draw(st.floats(0.3, 0.8))
+    cuts = [1.0 - 2.0 * r**j for j in range(1, count)]
+    ends = np.unique([-1.0] + [c for c in cuts if c < 1.0] + [1.0])
+    growth = draw(st.floats(0.5, 3.0))
+    values = [0.0 if draw(st.integers(0, 4)) == 0
+              else growth**k * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+              for k in range(len(ends) - 1)]
+    if draw(st.booleans()):                   # mirrored: toward -1
+        ends, values = -ends[::-1], values[::-1]
+    return ends, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(staircases())
+def test_step_norms_distribution_and_rearrangement_are_exact(stairs):
+    ends, values = stairs
+    f = step_function(ends, values, 64)
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
+    mags = np.abs(values).tolist()
+    for space in STEP_SPACES:
+        info = fh.norm_info(f, space)
+        assert np.isfinite(info.value)
+        assert not (info.resolution_limited or info.divergent)
+        want = written_out_norm(values, lengths, space)
+        assert info.value == pytest.approx(want, rel=1e-14, abs=0.0)
+    order = sorted(range(len(mags)), key=lambda k: -mags[k])     # stable
+    r = fh.rearrangement(f)
+    assert np.array_equal(r.plateaus, [mags[k] for k in order])
+    assert np.array_equal(r.breakpoints, np.cumsum([lengths[k] for k in order]))
+    for lam in {0.0, *mags}:
+        exceeding = sum(h for m, h in zip(mags, lengths) if m > lam)
+        assert fh.distribution(f, lam) == pytest.approx(exceeding, rel=1e-14, abs=1e-300)
+        assert r.distribution(lam) == pytest.approx(exceeding, rel=1e-14, abs=1e-300)
+
+
+def test_norm_of_a_steep_staircase_is_exact():
+    # (1 - a)^-0.9 on (a, b) for the cuts 1 - 2^-k: the samples look like a
+    # divergent endpoint blow-up, but the step function is bounded
+    ends = [-1.0] + [1.0 - 2.0**-k for k in range(1, 30)] + [1.0]
+    values = [(1.0 - a) ** -0.9 for a in ends[:-1]]
+    f = step_function(ends, values, 512)
+    lengths = np.diff(ends)
+    for space in STEP_SPACES:
+        info = fh.norm_info(f, space)
+        assert not (info.resolution_limited or info.divergent)
+        assert info.value == pytest.approx(written_out_norm(values, lengths, space),
+                                           rel=1e-14)
+    # 40-digit value of (sum_j v_j^1.5 h_j)^(2/3)
+    assert fh.norm(f, fh.SpaceSpec.lp(1.5)) == pytest.approx(217.31574546199984623, rel=1e-14)
+
+
+def test_norm_of_a_tall_end_step_is_unflagged():
+    f = step_function([-1.0, 0.99, 1.0], [1.0, 1000.0], 512)
+    for space in STEP_SPACES:
+        info = fh.norm_info(f, space)
+        assert not (info.resolution_limited or info.divergent)
+        assert info.value == pytest.approx(
+            written_out_norm([1.0, 1000.0], [1.99, 0.01], space), rel=1e-14)
+
+
 # ---------------------------------------------------------------- batched norms
 
 BATCH_SPACES = (fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lp(3),
