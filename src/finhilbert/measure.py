@@ -8,8 +8,10 @@ semivariation counterpart, the dual (scalarly-integrable) norm estimate,
 and the order-bound blow-up witness.
 
 Supremum searches run over sign patterns on cell partitions: exhaustive
-enumeration (the exact oracle, 2^cells patterns) or greedy single-flip
-local search with seeded random restarts.  All randomized pieces are
+enumeration (the exact oracle, 2^(live-1) patterns, where the live cells
+are those on which f does not vanish) or greedy single-flip local search
+with seeded random restarts.  A cell where f vanishes cannot change a
+value, so neither search varies its sign.  All randomized pieces are
 deterministic given the seed.
 """
 
@@ -200,29 +202,30 @@ def _exhaustive_best(basis, nodes, weights, space, phases=2):
     return best, best_signs
 
 
-def _greedy_best(basis, nodes, weights, space, restarts, seed):
+def _greedy_best(basis, live, nodes, weights, space, restarts, seed):
     """Single-cell sign flips from the all-ones pattern and seeded random
-    starts.  All starts advance together: each step norms every flip of
-    every start still improving in one batch; a start takes its best flip
-    when that gains more than 1e-15 and stops otherwise.  The first start
-    with the largest value gives the witness."""
+    starts, flipping only the ``live`` cells of ``basis``; a dead cell keeps
+    its start's sign.  All starts advance together: each step norms every
+    flip of every start still improving in one batch; a start takes its best
+    flip when that gains more than 1e-15 and stops otherwise.  The first
+    start with the largest value gives the witness."""
     cells = len(basis)
     rng = np.random.default_rng(seed)
     starts = [np.ones(cells)]
     starts += [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
     signs = np.array(starts)
-    rows = min(_block_rows(basis.shape[1]), len(signs) * cells)
+    rows = min(_block_rows(basis.shape[1]), len(signs) * len(live))
     pattern_norms = _BlockNorms(rows, basis, nodes, weights, space)
     cur = pattern_norms(signs)
-    flips = 1.0 - 2.0 * np.eye(cells)
+    flips = (1.0 - 2.0 * np.eye(cells))[live]
     active = np.arange(len(signs))
     while len(active):
         trials = (signs[active, None, :] * flips).reshape(-1, cells)
-        gains = pattern_norms(trials).reshape(-1, cells)
+        gains = pattern_norms(trials).reshape(-1, len(live))
         jbest = np.argmax(gains, axis=1)
         gain = gains[np.arange(len(active)), jbest]
         up = gain > cur[active] + 1e-15
-        active, jbest = active[up], jbest[up]
+        active, jbest = active[up], live[jbest[up]]
         signs[active, jbest] = -signs[active, jbest]
         cur[active] = gain[up]
     k = int(np.argmax(cur))
@@ -230,11 +233,24 @@ def _greedy_best(basis, nodes, weights, space, restarts, seed):
 
 
 def _search_best(basis, f, space, search, restarts, seed, phases=2):
-    if search == EXHAUSTIVE:
-        return _exhaustive_best(basis, f.nodes, f.weights, space, phases)
+    """Best pattern of the rows of ``basis``, searched over its live cells
+    only: the rows that are not exactly zero.  A dead cell adds exact zeros
+    to every combination, so its sign cannot change a value.  The exhaustive
+    search enumerates the live cells alone and gives a dead cell +1; the
+    greedy search draws its seeded starts on every cell, so the stream does
+    not depend on which cells are live, and flips only live ones.  With no
+    live cell the value is 0 and every sign +1."""
+    if search not in (EXHAUSTIVE, GREEDY):
+        raise ValueError(f"unknown search tag: {search}")
+    live = np.flatnonzero(np.any(basis != 0, axis=1))
+    if not len(live):
+        return 0.0, np.ones(len(basis))
     if search == GREEDY:
-        return _greedy_best(basis, f.nodes, f.weights, space, restarts, seed)
-    raise ValueError(f"unknown search tag: {search}")
+        return _greedy_best(basis, live, f.nodes, f.weights, space, restarts, seed)
+    best, live_signs = _exhaustive_best(basis[live], f.nodes, f.weights, space, phases)
+    signs = np.ones(len(basis), dtype=live_signs.dtype)
+    signs[live] = live_signs
+    return best, signs
 
 
 def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
@@ -243,8 +259,13 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
 
     ``exhaustive`` enumerates every coefficient pattern drawn from the
     ``phases``-th roots of unity (default real signs; the exact maximum over
-    the searched class, refused above 20 cells).  The heuristics are greedy
-    single-cell sign flips from seeded random starts.  The all-ones pattern
+    the searched class, refused above 20 requested cells).  The heuristics
+    are greedy single-cell sign flips from seeded random starts.  Both search
+    only the live cells, those where T(f chi_cell) is not exactly zero (f
+    vanishes on the others, and their signs cannot change a value): the
+    exhaustive search pins the first live cell, norms phases^(live-1)
+    patterns and gives a dead cell +1; the greedy search flips live cells
+    only, and a dead cell keeps its start's sign.  The all-ones pattern
     is always admissible, so the estimate dominates ||T(f)||.  Real signs
     need not attain the supremum over complex phases: for 0.3 + x + x^2 on
     6 cells in L^1.5, phases=4 exceeds phases=2 by about 3%; compare the
@@ -264,9 +285,6 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
             "is refused (cost)"
         )
     edges = np.linspace(-1.0, 1.0, cells + 1)
-    if not np.any(np.abs(f.values) > 0):
-        witness = ModulatingFunction(edges, np.ones(cells))
-        return OptNormEstimate(0.0, witness, search, cells)
     basis = _transform_basis(f, edges)
     best, signs = _search_best(basis, f, space, search, restarts, seed, phases)
     witness = ModulatingFunction(edges, signs)
@@ -280,7 +298,10 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
     The candidates are signed sums of the vector-measure values
     T(f chi_{A and cell}), computed here independently of the transform
     basis ``optdomain_norm`` builds for the restriction; the block search and
-    the norm kernel are shared with it.
+    the norm kernel are shared with it.  A cell that misses A, or on which f
+    vanishes, has an exactly zero value and is dead, as in ``optdomain_norm``:
+    an exhaustive search norms 2^(live-1) patterns, and a greedy one draws
+    its random starts on all cells and keeps their signs on dead cells.
     """
     interval_set = as_interval_set(interval_set)
     if interval_set.is_empty():
@@ -292,20 +313,12 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
             f"exhaustive search above {MAX_EXHAUSTIVE_CELLS} cells is refused (cost)"
         )
     edges = np.linspace(-1.0, 1.0, cells + 1)
-    rows, piece_cells = [], []
-    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        part = interval_set.intersect(IntervalSet(((a, b),)))
-        if not part.is_empty():
-            rows.append(fht_product_indicator(f, part).values)
-            piece_cells.append(j)
-    basis = np.array(rows)
-    if not rows or not np.any(np.abs(basis) > 0):
-        witness = ModulatingFunction(edges, np.ones(cells))
-        return OptNormEstimate(0.0, witness, search, cells)
-    best, best_signs = _search_best(basis, f, space, search, restarts, seed)
-    full_signs = np.ones(cells)
-    full_signs[np.asarray(piece_cells, dtype=int)] = best_signs
-    witness = ModulatingFunction(edges, full_signs)
+    parts = [interval_set.intersect(IntervalSet(((a, b),)))
+             for a, b in zip(edges[:-1], edges[1:])]
+    basis = np.array([np.zeros(len(f)) if part.is_empty()
+                      else fht_product_indicator(f, part).values for part in parts])
+    best, signs = _search_best(basis, f, space, search, restarts, seed)
+    witness = ModulatingFunction(edges, signs)
     return OptNormEstimate(float(best), witness, search, cells)
 
 

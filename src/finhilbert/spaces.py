@@ -167,7 +167,9 @@ def norm_info(f, space):
     distance to the strongest peak estimates the local blow-up exponent
     beta, and the norm is reported as +inf when the exponent makes the
     defining integral divergent (p*beta >= 1, strict inequality for weak-L^p
-    where the boundary case is finite).
+    where the boundary case is finite).  Only endpoint peaks are fitted: an
+    interior peak that dwarfs the bulk of the samples is flagged
+    resolution-limited, and a milder one goes unflagged.
     """
     if f.profile is not None and f.profile.steps() is not None:
         return NormInfo(_staircase_norm(rearrangement(f), space))
@@ -201,11 +203,15 @@ def norms_batch(values, nodes, weights, space, work=None):
     """Norms of the rows of ``values[P, N]``, each sampled at ``nodes``.
 
     Returns ``(value, resolution_limited, divergent)`` arrays of length P,
-    row by row what :func:`norm_info` reports for profile-free samples.  One
-    descending sort of the magnitudes per block serves both the
-    rearrangement and the nonzero-median gate of the blow-up diagnosis; the
-    power-law fit (:func:`_blowup_exponents`) runs once, on the rows that
-    gate engages.  The Lorentz and weak-L^p rearrangement is the stable
+    row by row what :func:`norm_info` reports for profile-free samples.  For
+    Lorentz and weak-L^p, one descending sort of the magnitudes per block
+    serves both the rearrangement and the nonzero-median gate of the blow-up
+    diagnosis.  L^p needs no rearrangement, and of a block of several rows
+    it sorts only those the gate could engage: where at most half of the
+    nonzero magnitudes reach 1/30 of the peak.  The power-law fit
+    (:func:`_blowup_exponents`) runs once, on the rows the gate engages; an
+    engaged row with an interior peak is flagged resolution-limited, with
+    beta = 0.  The Lorentz and weak-L^p rearrangement is the stable
     descending one (tied values keep their node order): a row sorted by its
     packed key (:func:`_rank_sort`) whose magnitudes come out non-increasing
     is exactly that, and any other row is argsorted stably.  Block-sized
@@ -221,26 +227,39 @@ def norms_batch(values, nodes, weights, space, work=None):
     if work is None:
         work = NormWorkspace(rows, n)
     mags = np.abs(values, out=work.mags[:rows])
-    ordered = work.ordered[:rows]
+    positive = work.positive[:rows]
+    nonzero = np.count_nonzero(np.greater(mags, 0, out=positive), axis=1)
     scratch = work.scratch[:rows]
     if space.kind == LP:
-        np.copyto(ordered, mags)
+        # Lp needs no rearrangement, and the blow-up gate below needs sorted
+        # magnitudes only for a row where at most half of the nonzero ones
+        # reach peak/30: otherwise 30 * median >= peak (rounding is monotone)
+        # and the row cannot be gated.  A single row (norm_info) is sorted
+        # directly, which costs less than counting.
+        ranked = np.arange(rows)
+        if rows > 1:
+            peak = np.max(mags, axis=1)
+            np.greater_equal(np.multiply(mags, 30.0, out=scratch), peak[:, None], out=positive)
+            ranked = np.flatnonzero(2 * np.count_nonzero(positive, axis=1) <= nonzero)
+        ordered = np.take(mags, ranked, axis=0, out=work.ordered[:len(ranked)], mode="clip")
         ordered.sort(axis=1)
         ordered = ordered[:, ::-1]
     else:
         _rank_sort(mags, weights, work)
+        ranked, ordered = np.arange(rows), work.ordered[:rows]
 
     # blow-up gate: the peak must dwarf the median of the nonzero magnitudes,
     # which sit first in the descending order
-    nonzero = np.count_nonzero(np.greater(mags, 0, out=work.positive[:rows]), axis=1)
-    r = np.arange(rows)
-    median = (ordered[r, np.maximum(nonzero - 1, 0) // 2] + ordered[r, nonzero // 2]) / 2.0
-    gated = np.flatnonzero((nonzero > 0) & (ordered[:, 0] > 30.0 * median))
+    count = nonzero[ranked]
+    r = np.arange(len(ranked))
+    median = (ordered[r, np.maximum(count - 1, 0) // 2] + ordered[r, count // 2]) / 2.0
+    gated = ranked[(count > 0) & (ordered[:, 0] > 30.0 * median)]
+    limited = np.zeros(rows, dtype=bool)
     if len(gated):
-        beta[gated] = _blowup_exponents(nodes, mags[gated])
+        beta[gated], limited[gated] = _blowup_exponents(nodes, mags[gated])
     pb = space.p * beta
     divergent = pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99
-    limited = divergent | (beta > 0.1)
+    limited |= divergent | (beta > 0.1)
 
     if space.kind == LP:
         vals = np.power(mags, space.p, out=scratch) @ weights
@@ -328,37 +347,61 @@ def _staircase_norm(r, space):
     return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))
 
 
+# usable nodes per endpoint fit, and the nearest-node prefix read first.
+# Past a row's 24th usable column every summand of the fit is zero, so the
+# row sums over the prefix have the bits of the sums over all N columns:
+# trivially where numpy sums column by column (the gathered rows are column
+# major), and where it sums pairwise because the prefix is a multiple of 8
+_FIT_NODES = 24
+_FIT_PREFIX = 64
+
+
 def _blowup_exponents(nodes, mags):
     """Least-squares exponents of |f| ~ dist^{-beta} near each row's
-    strongest peak, for the rows of ``mags[G, N]`` sampled at ``nodes``.
+    strongest peak, for the rows of ``mags[G, N]`` sampled at ``nodes``, and
+    which of those peaks are interior.
 
     Called only on rows whose peak dwarfs the bulk of the function (a
     genuine power singularity at grid resolution).  Interior peaks report
-    beta = 0: the singular location falls between nodes, so a power fit
-    against node distances is unreliable; only endpoint blow-up (where the
-    node family clusters) is diagnosed.  An endpoint row fits log|f|
-    against log dist over its 24 usable nodes nearest that endpoint (dist >
-    0 and |f| above 1e-14 of the peak); with fewer than 6 it reports 0.
+    beta = 0 and True: the singular location falls between nodes, so a power
+    fit against node distances is unreliable, and the norm is only
+    resolution-limited; only endpoint blow-up (where the node family
+    clusters) is diagnosed.  An endpoint row fits log|f| against log dist
+    over its 24 usable nodes nearest that endpoint (dist > 0 and |f| above
+    1e-14 of the peak); with fewer than 6 it reports 0.  The fit of one
+    endpoint's rows reads their 64 nearest nodes, and all N when some row
+    has fewer than 24 usable nodes among them; both give the same bits.
     """
     beta = np.zeros(len(mags))
-    x0 = nodes[np.argmax(mags, axis=1)]
+    peak = np.argmax(mags, axis=1)
+    x0 = nodes[peak]
+    floor = 1e-14 * mags[np.arange(len(mags)), peak]
     for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
         if not len(rows):
             continue
         dist = 1.0 - side * nodes
         near = np.argsort(dist, kind="stable")
-        dist = dist[near]
-        m = mags[rows][:, near]
-        usable = (dist > 0) & (m > 1e-14 * m.max(axis=1, keepdims=True))
-        usable &= np.cumsum(usable, axis=1) <= 24
-        count = np.count_nonzero(usable, axis=1)
-        logd = np.log(dist, where=dist > 0, out=np.zeros_like(dist))
-        logm = np.log(m, where=usable, out=np.zeros_like(m))
-        mean = (logd * usable).sum(axis=1) / np.maximum(count, 1)
-        xc = np.where(usable, logd - mean[:, None], 0.0)
-        slope = (xc * logm).sum(axis=1) / np.maximum((xc * xc).sum(axis=1), 1e-300)
+        slope, count = _power_fit(dist, mags, near[:_FIT_PREFIX], rows, floor)
+        if count.min() < _FIT_NODES and len(near) > _FIT_PREFIX:
+            slope, count = _power_fit(dist, mags, near, rows, floor)
         beta[rows] = np.where(count >= 6, np.maximum(0.0, -slope), 0.0)
-    return beta
+    return beta, (x0 >= -0.9) & (x0 <= 0.9)
+
+
+def _power_fit(dist, mags, cols, rows, floor):
+    """Slope of log|f| against log dist over the first 24 usable columns
+    ``cols`` of ``mags[rows]``, and the number of usable columns used."""
+    dist = dist[cols]
+    m = mags[rows][:, cols]
+    usable = (dist > 0) & (m > floor[rows, None])
+    usable &= np.cumsum(usable, axis=1) <= _FIT_NODES
+    count = np.count_nonzero(usable, axis=1)
+    logd = np.log(dist, where=dist > 0, out=np.zeros_like(dist))
+    logm = np.log(m, where=usable, out=np.zeros_like(m))
+    mean = (logd * usable).sum(axis=1) / np.maximum(count, 1)
+    xc = np.where(usable, logd - mean[:, None], 0.0)
+    slope = (xc * logm).sum(axis=1) / np.maximum((xc * xc).sum(axis=1), 1e-300)
+    return slope, count
 
 
 # -------------------------------------------------------------------- dilation

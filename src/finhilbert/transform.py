@@ -88,11 +88,20 @@ def _guard_cuts(prof, pts, guard=_CUT_GUARD):
 
 
 def fht_indicator(interval_set, x):
-    """T(chi_A)(x) = (1/pi) sum over intervals (a,b) of ln|(b-x)/(a-x)|."""
+    """T(chi_A)(x) = (1/pi) sum over intervals (a,b) of ln|(b-x)/(a-x)|.
+
+    Intervals that touch are read as one: their logs cancel at the end they
+    share, so only the other ends are refused.
+    """
     interval_set = as_interval_set(interval_set)
     xs = _check_interior(x)
-    out = np.zeros(xs.shape)
+    joined = []
     for a, b in interval_set:
+        if joined and joined[-1][1] == a:
+            a = joined.pop()[0]
+        joined.append((a, b))
+    out = np.zeros(xs.shape)
+    for a, b in joined:
         if np.any(np.abs(xs - a) < 1e-14) or np.any(np.abs(xs - b) < 1e-14):
             raise SingularEvaluationError(
                 "transform of an indicator diverges at the interval endpoints"

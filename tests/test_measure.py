@@ -122,6 +122,21 @@ def test_modulating_function_validation():
 def test_optdomain_zero():
     est = fh.optdomain_norm(fh.const_fn(0.0, 128), LP15, cells=6)
     assert est.value == 0.0
+    assert np.array_equal(est.witness.coefficients, np.ones(6))
+
+
+def test_optdomain_reads_the_profile_not_only_the_samples():
+    # A holds no node, so f chi_A has zero samples but a nonzero profile
+    # and transform; both routes must see it
+    f = fh.poly_fn([1.0], 16)
+    x = np.sort(f.nodes)
+    A = ivals((x[8] + 1e-6, x[9] - 1e-6))
+    cut = fh.restrict(f, A)
+    assert not cut.values.any()
+    floor = fh.norm(fh.fht_grid(cut), LP15)
+    est = fh.optdomain_norm(cut, LP15, cells=4)
+    assert floor > 1.0 and est.value >= floor - 1e-12
+    assert est.value == pytest.approx(fh.semivariation(f, A, LP15, cells=4).value, rel=1e-12)
 
 
 def test_optdomain_dominates_transform_norm():
@@ -217,15 +232,14 @@ FULL = ivals((-1.0, 1.0))
 
 
 def cell_basis(f, A, cells):
-    """T(f chi_{A and cell}) for the cells that meet A, and their indices."""
+    """T(f chi_{A and cell}) for every cell, exact zeros where A misses it."""
     edges = np.linspace(-1.0, 1.0, cells + 1)
-    rows, idx = [], []
-    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+    rows = []
+    for a, b in zip(edges[:-1], edges[1:]):
         part = A.intersect(ivals((a, b)))
-        if not part.is_empty():
-            rows.append(fh.fht_product_indicator(f, part).values)
-            idx.append(j)
-    return np.array(rows), idx
+        rows.append(np.zeros(len(f)) if part.is_empty()
+                    else fh.fht_product_indicator(f, part).values)
+    return np.array(rows)
 
 
 def pattern_norm(f, basis, signs, space):
@@ -268,12 +282,12 @@ def test_optdomain_searches_match_brute_force(space):
     # 512 patterns and 33 starts x 9 flips both span two 256-row blocks at
     # 256 nodes, so the first-strict-maximum rule runs across blocks
     f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 256)
-    basis, _ = cell_basis(f, FULL, 10)
+    basis = cell_basis(f, FULL, 10)
     est = fh.optdomain_norm(f, space, cells=10, search="exhaustive")
     want, signs = brute_exhaustive(f, basis, space)
     assert est.value == pytest.approx(want, rel=1e-12)
     assert np.array_equal(np.real(est.witness.coefficients), signs)
-    basis, _ = cell_basis(f, FULL, 9)
+    basis = cell_basis(f, FULL, 9)
     est = fh.optdomain_norm(f, space, cells=9, search="greedy-flip", restarts=32, seed=3)
     want, signs = brute_greedy(f, basis, space, 32, 3)
     assert est.value == pytest.approx(want, rel=1e-12)
@@ -282,18 +296,149 @@ def test_optdomain_searches_match_brute_force(space):
 
 @pytest.mark.parametrize("space", SEARCH_SPACES, ids=lambda sp: sp.label())
 def test_semivariation_matches_brute_force(space, monkeypatch):
-    # blocks of 5 patterns: many block boundaries inside each search
+    # blocks of 5 patterns: many block boundaries inside each search; A
+    # misses the last cell, whose sign the brute force still enumerates
     monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 5 * 16 * 256)
     f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 256)
     A = ivals((-0.8, -0.2), (0.1, 0.7))
-    basis, idx = cell_basis(f, A, 8)
+    basis = cell_basis(f, A, 8)
+    assert not basis[7].any()
     for search, (want, signs) in (("exhaustive", brute_exhaustive(f, basis, space)),
                                   ("greedy-flip", brute_greedy(f, basis, space, 4, 5))):
         sv = fh.semivariation(f, A, space, cells=8, search=search, restarts=4, seed=5)
         assert sv.value == pytest.approx(want, rel=1e-12)
-        full = np.ones(8)
-        full[idx] = signs
-        assert np.array_equal(np.real(sv.witness.coefficients), full)
+        assert np.array_equal(np.real(sv.witness.coefficients), signs)
+
+
+def batch_norms(f, basis, patterns, space):
+    """The block kernel's norms of several patterns: one product by the real
+    basis (a matrix product, as the search takes) and one batch."""
+    return fh.norms_batch(np.asarray(patterns) @ np.real(basis), f.nodes, f.weights, space)[0]
+
+
+def full_enumeration(f, basis, space):
+    """Every pattern with the first cell +1, dead cells included, in
+    lexicographic order of the signs (+1 before -1); the first strict max."""
+    patterns = np.array([(1.0,) + code
+                         for code in itertools.product([1.0, -1.0], repeat=len(basis) - 1)])
+    best, arg = -1.0, None
+    for val, signs in zip(batch_norms(f, basis, patterns, space), patterns):
+        if val > best:
+            best, arg = val, signs
+    return best, arg
+
+
+def full_greedy(f, basis, space, restarts, seed):
+    """Single flips of every cell, dead ones included, from the seeded starts."""
+    cells = len(basis)
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(cells)] + [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
+    best, arg = -1.0, None
+    for s, cur in zip(starts, batch_norms(f, basis, starts, space)):
+        while True:
+            gains = batch_norms(f, basis, s * (1.0 - 2.0 * np.eye(cells)), space)
+            j = int(np.argmax(gains))
+            if not gains[j] > cur + 1e-15:
+                break
+            s = s.copy()
+            s[j] = -s[j]
+            cur = gains[j]
+        if cur > best:
+            best, arg = cur, s
+    return best, arg
+
+
+def with_dead_cells(basis, rng, count):
+    """basis with ``count`` exactly zero rows at random positions, row 0 one
+    of them, and the indices of the live rows."""
+    cells = len(basis) + count
+    dead = np.concatenate([[0], rng.choice(np.arange(1, cells), count - 1, replace=False)])
+    live = np.setdiff1d(np.arange(cells), dead)
+    full = np.zeros((cells, basis.shape[1]), dtype=basis.dtype)
+    full[live] = basis
+    return full, live
+
+
+@pytest.mark.parametrize("space", SEARCH_SPACES + (fh.SpaceSpec.lp(3),),
+                         ids=lambda sp: sp.label())
+def test_searches_skip_dead_cells_with_the_full_answer(space, monkeypatch):
+    # Lorentz and weak-L^p norms of a row do not depend on its place in a
+    # batch, so the live search must give the full answer bit for bit.  The
+    # L^p sum is a matrix-vector product whose last bit can depend on the
+    # row's place, so there the value is compared to roundoff and the
+    # witness by the value it attains.
+    def same(got, want):
+        if space.kind != "Lp":
+            return got[0] == want[0] and np.array_equal(got[1], want[1])
+        attained = batch_norms(f, basis, [got[1], got[1]], space)[0]
+        return (got[0] == pytest.approx(want[0], rel=1e-14)
+                and attained == pytest.approx(want[0], rel=1e-14))
+
+    # 7 patterns per block: the first strict maximum crosses block edges
+    monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 7 * 16 * 128)
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 128)
+    rng = np.random.default_rng(41)
+    for count in (1, 3):
+        basis, live = with_dead_cells(cell_basis(f, FULL, 6), rng, count)
+        got = fh.measure._search_best(basis, f, space, "exhaustive", 0, 0)
+        assert same(got, full_enumeration(f, basis, space))
+        assert np.all(np.delete(got[1], live) == 1.0)
+        got = fh.measure._search_best(basis, f, space, "greedy-flip", 8, 13)
+        assert same(got, full_greedy(f, basis, space, 8, 13))
+    # semivariation: cells 0, 1 and 7 miss A, and f vanishes on cell 5 of A
+    f = fh.indicator_fn(ivals((-0.45, 0.2), (0.55, 0.7)), 128)
+    A = ivals((-0.45, 0.28), (0.3, 0.7))
+    basis = cell_basis(f, A, 8)
+    assert [bool(row.any()) for row in basis] == [False, False, True, True, True,
+                                                  False, True, False]
+    for search, want in (("exhaustive", full_enumeration(f, basis, space)),
+                         ("greedy-flip", full_greedy(f, basis, space, 8, 13))):
+        sv = fh.semivariation(f, A, space, cells=8, search=search, restarts=8, seed=13)
+        assert same((sv.value, np.real(sv.witness.coefficients)), want)
+
+
+def test_searches_of_an_all_dead_basis_give_zero():
+    f = fh.indicator_fn(ivals((0.5, 0.9)), 128)
+    space = fh.SpaceSpec.lp(3)
+    for search in ("exhaustive", "greedy-flip"):
+        value, signs = fh.measure._search_best(np.zeros((5, 128)), f, space, search, 4, 1)
+        assert value == 0.0 and np.array_equal(signs, np.ones(5))
+        sv = fh.semivariation(f, ivals((-0.8, -0.2)), space, cells=6, search=search)
+        assert sv.value == 0.0 and sv.cells == 6
+        assert np.array_equal(sv.witness.coefficients, np.ones(6))
+
+
+def test_complex_phases_with_a_dead_first_cell():
+    # the live search pins the first live cell, the full enumeration the
+    # dead cell 0: the two maxima differ by the roundoff of the phase
+    f = fh.restrict(fh.poly_fn([0.3, 1.0, 1.0], 256), ivals((-0.6, 0.9)))
+    edges = np.linspace(-1.0, 1.0, 7)
+    basis = fh.measure._transform_basis(f, edges)
+    assert not basis[0].any() and all(row.any() for row in basis[1:])
+    full, _ = fh.measure._exhaustive_best(basis, f.nodes, f.weights, LP15, phases=4)
+    est = fh.optdomain_norm(f, LP15, cells=6, phases=4)
+    assert abs(est.value - full) <= 1e-13 * full
+    assert est.witness.coefficients[0] == 1.0
+
+
+def test_searches_norm_only_live_patterns(monkeypatch):
+    # A meets cells 0, 1, 2, 4, 5, 6 and 7 of 8, and f vanishes on A in
+    # cells 0, 6 and 7: both routes norm the 2^3 patterns of the live cells
+    counted = []
+    real = fh.measure.norms_batch
+
+    def counting(values, *args):
+        counted.append(len(values))
+        return real(values, *args)
+
+    monkeypatch.setattr(fh.measure, "norms_batch", counting)
+    f = fh.indicator_fn(ivals((-0.7, 0.3)), 256)
+    A = ivals((-0.9, -0.3), (0.1, 0.45), (0.6, 0.8))
+    for search in (lambda: fh.semivariation(f, A, LP15, cells=8),
+                   lambda: fh.optdomain_norm(fh.restrict(f, A), LP15, cells=8)):
+        counted.clear()
+        search()
+        assert sum(counted) == 2 ** 3
 
 
 def test_exhaustive_keeps_first_of_tied_maxima_across_blocks(monkeypatch):
@@ -302,7 +447,7 @@ def test_exhaustive_keeps_first_of_tied_maxima_across_blocks(monkeypatch):
     # tied pair in two blocks
     monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 16 * 64)
     f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 64)
-    basis, _ = cell_basis(f, FULL, 4)
+    basis = cell_basis(f, FULL, 4)
     basis = np.vstack([basis, np.zeros_like(basis[:1])])
     space = fh.SpaceSpec.lorentz(3, 1)
     value, signs = fh.measure._exhaustive_best(basis, f.nodes, f.weights, space)
@@ -315,7 +460,7 @@ def test_block_norms_shared_buffers_match_fresh_blocks():
     # greedy steps pass patterns of differing counts through one set of
     # block buffers; each block must equal a fresh norms_batch of its samples
     f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 128)
-    basis, _ = cell_basis(f, FULL, 6)
+    basis = cell_basis(f, FULL, 6)
     rng = np.random.default_rng(2)
     for space in SEARCH_SPACES + (fh.SpaceSpec.lp(3),):
         pattern_norms = fh.measure._BlockNorms(7, basis, f.nodes, f.weights, space)

@@ -402,6 +402,76 @@ def test_packed_rank_sort_matches_stable_argsort(space, monkeypatch):
             assert np.array_equal(work.gathered[:len(rows)], weights[order])
 
 
+def sort_gate(mags):
+    """The blow-up gate written out on fully sorted rows: the peak exceeds
+    30 times the median of the nonzero magnitudes."""
+    gated = []
+    for k, row in enumerate(mags):
+        ordered = np.sort(row)[::-1]
+        nonzero = np.count_nonzero(row > 0)
+        median = (ordered[max(nonzero - 1, 0) // 2] + ordered[nonzero // 2]) / 2.0
+        if nonzero > 0 and ordered[0] > 30.0 * median:
+            gated.append(k)
+    return gated
+
+
+def gate_rows(n, rng):
+    """Rows on both sides of the gate: exact ties at peak/30 with half or
+    more than half of the nonzero magnitudes there, values one ulp around
+    peak/30, zeros, an all-zero row, a NaN and heavy tails."""
+    out = []
+    for peak in (30.0, 1.0, 7.3):
+        low = peak / 30.0
+        for below, above in ((False, False), (True, False), (False, True), (True, True)):
+            edge = np.nextafter(low, 0.0) if below else low
+            for half in (n // 2, n // 2 + 1):
+                row = np.full(n, low / 2.0)
+                row[:half] = edge
+                if above:
+                    row[half - 1] = np.nextafter(edge, np.inf)
+                row[0] = peak
+                out.append(row)
+        padded = np.where(rng.random(n) < 0.6, 0.0, low)
+        padded[0] = peak
+        out.append(padded)
+    out.append(np.zeros(n))
+    nan = rng.random(n)
+    nan[n // 3] = np.nan
+    out.append(nan)
+    out.extend(rng.pareto(a, n) for a in (0.3, 0.6, 1.0, 3.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 512])
+def test_lp_count_gate_matches_the_sort_gate(n, monkeypatch):
+    # the L^p kernel sorts only rows where at most half of the nonzero
+    # magnitudes reach peak/30; the rows it gates, batched or one at a time,
+    # must be those the sort gate picks, in every space
+    rng = np.random.default_rng(n)
+    nodes = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    weights = rng.random(n) + 0.5
+    rows = gate_rows(n, rng)
+    want = sort_gate(rows)
+    assert 0 < len(want) < len(rows)
+    real = fh.spaces._blowup_exponents
+    seen = []
+
+    def recording(nodes, mags):
+        seen.append(mags.copy())
+        return real(nodes, mags)
+
+    monkeypatch.setattr(fh.spaces, "_blowup_exponents", recording)
+    for space in (fh.SpaceSpec.lp(3), fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lorentz(3, 1)):
+        del seen[:]
+        fh.norms_batch(rows, nodes, weights, space)
+        assert np.array_equal(seen[0], rows[want])
+        del seen[:]
+        for row in rows:
+            fh.norms_batch(row[None, :], nodes, weights, space)
+        assert len(seen) == len(want)
+        assert np.array_equal(np.concatenate(seen), rows[want])
+
+
 def polyfit_exponent(nodes, mags):
     """The per-row power-law fit of the blow-up diagnosis, written out."""
     x0 = nodes[np.argmax(mags)]
@@ -435,13 +505,84 @@ def test_blowup_exponents_match_polyfit(n):
         faint[::-1] * (1.0 + 0.1 * x),
         (1.0 - x) ** -1.2 + 3.0,
     ])
-    got = fh.spaces._blowup_exponents(x, rows)
+    got, interior = fh.spaces._blowup_exponents(x, rows)
     want = [polyfit_exponent(x, row) for row in rows]
+    assert interior.tolist() == [False, False, True] + [False] * 5
     assert got[2] == 0.0 and got[4] == 0.0
     assert got[0] > 0.5 and got[1] > 0.3
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
-    assert len(fh.spaces._blowup_exponents(x, rows[:0])) == 0
+    assert [len(a) for a in fh.spaces._blowup_exponents(x, rows[:0])] == [0, 0]
+
+
+def full_fit(nodes, mags):
+    """The endpoint power fit over all N columns, written out."""
+    beta = np.zeros(len(mags))
+    x0 = nodes[np.argmax(mags, axis=1)]
+    for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
+        dist = 1.0 - side * nodes
+        near = np.argsort(dist, kind="stable")
+        dist = dist[near]
+        m = mags[rows][:, near]
+        usable = (dist > 0) & (m > 1e-14 * m.max(axis=1, keepdims=True))
+        usable &= np.cumsum(usable, axis=1) <= 24
+        count = np.count_nonzero(usable, axis=1)
+        logd = np.log(dist, where=dist > 0, out=np.zeros_like(dist))
+        logm = np.log(m, where=usable, out=np.zeros_like(m))
+        mean = (logd * usable).sum(axis=1) / np.maximum(count, 1)
+        xc = np.where(usable, logd - mean[:, None], 0.0)
+        slope = (xc * logm).sum(axis=1) / np.maximum((xc * xc).sum(axis=1), 1e-300)
+        beta[rows] = np.where(count >= 6, np.maximum(0.0, -slope), 0.0)
+    return beta
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 512, 2048])
+def test_nearest_node_fit_equals_the_full_fit(n, monkeypatch):
+    # rows with 24 usable nodes among the 64 nearest, and rows that must
+    # read all N columns: zeros or faint values near the endpoint
+    x, _ = fh.make_grid(n)
+    rank = np.empty(n, dtype=int)
+    rank[np.argsort(1.0 - x, kind="stable")] = np.arange(n)
+    right = (1.0 - x) ** -0.7
+    left = (1.0 + x) ** -0.4
+    rows = np.array([
+        right,
+        left,
+        (1.0 - x) ** -1.2 + 3.0,
+        np.where((rank < 3) | (rank >= 60), right, 0.0),     # 3 usable of 64
+        np.where((rank < 2) | (rank >= 62), right, 1e-17),   # faint prefix
+        np.where(rank < 5, right, 0.0),                       # 5 usable at all
+        np.where(rank[::-1] % 3 == 0, left, 0.0),
+    ])
+    widths = []
+    real = fh.spaces._power_fit
+
+    def recording(dist, mags, cols, *args):
+        widths.append(len(cols))
+        return real(dist, mags, cols, *args)
+
+    monkeypatch.setattr(fh.spaces, "_power_fit", recording)
+    # one row, then rows that all fit on the prefix, then every row: each
+    # endpoint with a short row falls back, and all its rows with it
+    for batch, read in ((rows[:1], {min(n, 64)}), (rows[:3], {min(n, 64)}),
+                        (rows, {min(n, 64), n})):
+        del widths[:]
+        beta, interior = fh.spaces._blowup_exponents(x, batch)
+        assert np.array_equal(beta, full_fit(x, batch))
+        assert not interior.any() and set(widths) == read
+    assert beta[0] > 0.5 and beta[5] == 0.0
+
+
+def test_interior_peaks_are_resolution_limited():
+    # an interior power peak engages the gate but is not fitted: beta stays
+    # 0, so the value and the divergence verdict are unchanged, and the
+    # norm is flagged; |x - 0.3|^-0.5 stays below the gate (still open)
+    lp15 = fh.SpaceSpec.lp(1.5)
+    strong = fh.norm_info(fh.from_callable(lambda x: np.abs(x - 0.3) ** -0.8, 512), lp15)
+    assert strong.resolution_limited and not strong.divergent
+    assert strong.value == pytest.approx(13.047, abs=1e-3)
+    mild = fh.norm_info(fh.from_callable(lambda x: np.abs(x - 0.3) ** -0.5, 512), lp15)
+    assert not (mild.resolution_limited or mild.divergent)
 
 
 # --------------------------------------------------------------------- dilation

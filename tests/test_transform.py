@@ -240,6 +240,20 @@ def test_indicator_rejects_endpoint_evaluation():
         fh.fht_indicator(ivals((0.0, 0.5)), 1.5)
 
 
+def test_indicator_of_touching_intervals_agrees_with_the_profile_route():
+    # the logs of (-0.5, 0) and (0, 0.5) cancel at the end they share
+    A = ivals((-0.5, 0.0), (0.0, 0.5))
+    f = fh.indicator_fn(A, 64)
+    assert abs(fh.fht_indicator(A, 0.0)) <= 1e-15
+    assert abs(fh.fht_point(f, 0.0)) <= 1e-15
+    assert fh.fht_indicator(A, 0.2) == pytest.approx(fh.fht_point(f, 0.2), abs=1e-14)
+    for end in (-0.5, 0.5):
+        with pytest.raises(fh.SingularEvaluationError):
+            fh.fht_indicator(A, end)
+        with pytest.raises(fh.SingularEvaluationError):
+            fh.fht_point(f, end)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-0.95, -0.05), st.floats(0.05, 0.95), st.floats(-0.98, 0.98))
 def test_indicator_additivity(a, b, x):
