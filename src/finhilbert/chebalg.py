@@ -20,6 +20,12 @@ DCT-III.  The classical identities used throughout:
 with ``w(x) = sqrt(1 - x^2)``.  The pointwise synthetic division
 :func:`difference_quotient` remains for the log and weighted pieces, whose
 moments are not a correlation.
+
+:func:`fht_smooth_coeffs` and :func:`fht_series` also take several series
+of one length stacked as rows, with one segment per row: the rows share one
+FFT, one DCT-III (or Clenshaw recursion) and one table of log ratios, and
+each row keeps the bits of a call with that row alone.  Rows of different
+lengths are not zero padded, which would change the FFT length and the bits.
 """
 
 from __future__ import annotations
@@ -153,19 +159,23 @@ def fht_smooth_coeffs(coeffs, lo=-1.0, hi=1.0):
     I_j = int_lo^hi U_j = (T_{j+1}(hi) - T_{j+1}(lo))/(j+1): a correlation of
     the coefficient tail with I, computed by FFT.  Real coefficients give
     exactly real ones (the FFT's imaginary roundoff is dropped).  At least
-    one coefficient.
+    one coefficient.  Stacked rows of one length, with ``lo`` and ``hi``
+    vectors of one end per row, share one FFT and give one row each, with
+    the bits of a call on that row alone.
     """
     a = np.asarray(coeffs, dtype=complex)
-    d = len(a) - 1
+    d = a.shape[-1] - 1
     if d <= 0:
-        return np.zeros(1, dtype=complex)
+        return np.zeros(a.shape[:-1] + (1,), dtype=complex)
     j1 = np.arange(1, d + 1)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if a.ndim == 2:
+        lo, hi = lo[:, None], hi[:, None]
     seg_u = (np.cos(j1 * np.arccos(hi)) - np.cos(j1 * np.arccos(lo))) / j1
     size = next_fast_len(2 * d)
-    out = 2.0 * ifft(fft(a[1:], size) * np.conj(fft(seg_u, size)))[:d]
-    out[0] /= 2.0
-    if not np.any(a.imag):
-        out.imag = 0.0
+    out = 2.0 * ifft(fft(a[..., 1:], size) * np.conj(fft(seg_u, size)))[..., :d]
+    out[..., 0] /= 2.0
+    out.imag[~np.any(a.imag, axis=-1)] = 0.0
     return out
 
 
@@ -176,23 +186,60 @@ def fht_series(coeffs, x, lo=-1.0, hi=1.0):
     not x lies inside the segment; the principal value is built into the
     log term.  The result is (D(x) + p(x) ln|(hi-x)/(lo-x)|)/pi with D from
     :func:`fht_smooth_coeffs`; at x = lo or hi the finite part drops its
-    p ln 0 term.  When x is exactly the first-kind node set
-    ``chebyshev_nodes(len(x))`` with ``len(x) >= len(coeffs)``, D and p are
-    evaluated there by one DCT-III; at other points by Clenshaw.
+    p ln 0 term.  ``coeffs`` is one series, or several of one length stacked
+    as rows with ``lo`` and ``hi`` vectors, one end per row, which give one
+    row of values each; see :func:`fht_series_from_smooth`.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    return fht_series_from_smooth(fht_smooth_coeffs(c, lo, hi), c, x, lo, hi)
+
+
+def fht_series_from_smooth(smooth, coeffs, x, lo=-1.0, hi=1.0):
+    """:func:`fht_series` given its smooth coefficients ``smooth`` (those of
+    :func:`fht_smooth_coeffs`).
+
+    When x is exactly the first-kind node set ``chebyshev_nodes(len(x))``
+    with ``len(x) >= len(coeffs)``, D and p are evaluated there by one
+    DCT-III; at other points by Clenshaw.  Stacked rows share that DCT-III
+    or Clenshaw recursion and one table of log ratios, and each row of the
+    result has the bits of a call with that row alone.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.asarray(coeffs, dtype=complex)
-    d = fht_smooth_coeffs(c, lo, hi)
-    n = len(x)
-    if n >= len(c) and np.array_equal(x, chebyshev_nodes(n)):
-        both = np.zeros((2, n), dtype=complex)
-        both[0, : len(d)] = d
-        both[1, : len(c)] = c
-        # sum_k e_k cos(k theta_i) at theta_i = (2i+1) pi/2n, descending x
-        dx, px = ((dct(both, type=3, axis=1) + both[:, :1]) / 2.0)[:, ::-1]
+    d = np.asarray(smooth, dtype=complex)
+    if c.ndim == 1:
+        return fht_series_from_smooth(d[None], c[None], x, [lo], [hi])[0]
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    n, rows = len(x), len(c)
+    if n >= c.shape[1] and np.array_equal(x, _node_set(n)):
+        both = np.zeros((2 * rows, n), dtype=complex)
+        both[:rows, :d.shape[1]] = d
+        both[rows:, :c.shape[1]] = c
+        # sum_k e_k cos(k theta_i) at theta_i = (2i+1) pi/2n, descending x;
+        # in place, which keeps the bits and halves the block's temporaries
+        values = dct(both, type=3, axis=1)
+        values += both[:, :1]
+        values /= 2.0
+        del both
+        dx, px = values[:rows, ::-1], values[rows:, ::-1]
+    elif rows == 1:     # one series: the 1-D recursion costs less
+        dx, px = _cheb.chebval(x, d[0])[None], _cheb.chebval(x, c[0])[None]
     else:
-        dx, px = _cheb.chebval(x, d), _cheb.chebval(x, c)
-    return (dx + px * segment_log_ratio(x, lo, hi)) / np.pi
+        dx, px = _cheb.chebval(x, d.T), _cheb.chebval(x, c.T)
+    out = px * segment_log_ratio(x, lo, hi)
+    out += dx
+    out /= np.pi
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _node_set(n):
+    """``chebyshev_nodes(n)``, read-only and shared: the node-family test of
+    :func:`fht_series_from_smooth` would otherwise recompute it per call."""
+    nodes = chebyshev_nodes(n)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def segment_log_ratio(x, lo, hi):

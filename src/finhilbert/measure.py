@@ -11,7 +11,10 @@ Supremum searches run over sign patterns on cell partitions: exhaustive
 enumeration (the exact oracle, 2^(live-1) patterns, where the live cells
 are those on which f does not vanish) or greedy single-flip local search
 with seeded random restarts.  A cell where f vanishes cannot change a
-value, so neither search varies its sign.  All randomized pieces are
+value, so neither search varies its sign, and the greedy search norms
+each distinct pattern once (a pattern and its negation are one).  The
+values T(f chi_B) that patterns combine are computed for all parts B in one
+call, by stacked profile transforms.  All randomized pieces are
 deterministic given the seed.
 """
 
@@ -30,9 +33,15 @@ from .grid import (
     pairing,
 )
 from .intervals import IntervalSet, as_interval_set
-from .profiles import Profile
+from .profiles import Profile, fht_values_stacked
 from .spaces import NormWorkspace, SpaceSpec, norm, norms_batch
-from .transform import SingularEvaluationError, fht_grid, fht_indicator, fht_product_indicator
+from .transform import (
+    SingularEvaluationError,
+    _guard_cuts,
+    fht_grid,
+    fht_indicator,
+    fht_product_indicator,
+)
 from .airfoil import rybakov_functional
 
 EXHAUSTIVE = "exhaustive"
@@ -128,18 +137,34 @@ class OptNormEstimate:
 
 
 def _transform_basis(f, edges):
-    """T(f chi_cell) stacked per cell, evaluated on f's own grid.
-
-    :func:`grid.cell_structure` of f is restricted to each cell, so
-    piecewise inputs keep their exact cuts; a structure with log terms is
-    read as the interpolant of its samples.  A node exactly on
-    an inner cell edge raises :class:`SingularEvaluationError`.
+    """T(f chi_cell) stacked per cell, evaluated on f's own grid
+    (:func:`_part_transforms` with the cells as parts), so piecewise
+    inputs keep their exact cuts; a structure with log terms is read as the
+    interpolant of its samples.  A node exactly on an inner cell edge raises
+    :class:`SingularEvaluationError`.
     """
     if len(hit := np.intersect1d(edges[1:-1], f.nodes)):
         raise SingularEvaluationError(f"nodes on search cell edge(s) {hit.tolist()}")
+    return _part_transforms(f, [((a, b),) for a, b in zip(edges[:-1], edges[1:])])
+
+
+def _part_transforms(f, parts, guard=False):
+    """T(f chi_B) on f's nodes for each of the disjoint ``parts`` B, one row
+    each, with the bits of ``fht_product_indicator(f, B).values``.
+
+    :func:`grid.cell_structure` of f is cut at every part, and the cuts are
+    transformed together (:func:`profiles.fht_values_stacked`); no
+    restricted grid function or image profile is built.  A part that
+    misses f gives exact zeros.  With ``guard``, a node within 1e-12 of a
+    jump of a cut raises :class:`SingularEvaluationError`, as in
+    :func:`transform.fht_grid`.
+    """
     prof = cell_structure(f)
-    return np.array([prof.restricted(IntervalSet(((a, b),))).fht_values(f.nodes)
-                     for a, b in zip(edges[:-1], edges[1:])])
+    cuts = [prof.restricted(part) for part in parts]
+    if guard:
+        for cut in cuts:
+            _guard_cuts(cut, f.nodes)
+    return fht_values_stacked(cuts, f.nodes)
 
 
 def _block_rows(n):
@@ -153,11 +178,16 @@ class _BlockNorms:
     are allocated once, when a search starts, and reused by every block.
     A basis whose imaginary part is exactly zero is kept real, so real sign
     patterns combine by a real product; the samples take the type of
-    patterns times basis."""
+    patterns times basis.  A block of one pattern is combined as two equal
+    rows and normed as one: numpy takes a one-row product as a
+    matrix-vector product, whose sums run in another order.  So a sign
+    pattern's samples, like its norm, do not depend on the block it lands
+    in."""
 
     def __init__(self, rows, basis, nodes, weights, space):
         if not np.any(np.imag(basis)):
             basis = np.ascontiguousarray(np.real(basis))
+        rows = max(rows, 2)
         self.rows, self.basis = rows, basis
         self.nodes, self.weights, self.space = nodes, weights, space
         self.samples = np.empty((rows, basis.shape[1]), dtype=basis.dtype)
@@ -170,10 +200,47 @@ class _BlockNorms:
         out = np.empty(len(patterns))
         for i in range(0, len(patterns), self.rows):
             block = patterns[i:i + self.rows]
+            count = len(block)
+            if count == 1:
+                block = np.repeat(block, 2, axis=0)
             combined = np.matmul(block, self.basis, out=self.samples[:len(block)])
-            out[i:i + len(block)] = norms_batch(combined, self.nodes, self.weights,
-                                                self.space, self.work)[0]
+            out[i:i + count] = norms_batch(combined[:count], self.nodes, self.weights,
+                                           self.space, self.work)[0]
         return out
+
+
+class _PatternMemo:
+    """The norms of :class:`_BlockNorms` with each distinct pattern normed
+    once, for the life of one search.
+
+    A pattern's key is its signs on the ``live`` cells times its first live
+    sign: a dead cell's row is exactly zero, and -v has the magnitudes of v
+    bit for bit, so neither changes a norm.  The keys are packed sign bits,
+    kept sorted with their norms; a call finds the distinct keys of its
+    patterns, looks them up by binary search, and passes only the unseen
+    ones (the first pattern of each) to the block norms.
+    """
+
+    def __init__(self, norms, live):
+        self.norms, self.live = norms, live
+        self.keys = np.empty(0, dtype=np.dtype((np.void, (len(live) + 7) // 8)))
+        self.values = np.empty(0)
+
+    def __call__(self, patterns):
+        signs = patterns[:, self.live]
+        bits = np.ascontiguousarray(np.packbits(signs * signs[:, :1] < 0, axis=1))
+        keys = bits.view(np.dtype((np.void, bits.shape[1])))[:, 0]
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        at = np.searchsorted(self.keys, distinct)
+        seen = at < len(self.keys)
+        seen[seen] = self.keys[at[seen]] == distinct[seen]
+        values = np.empty(len(distinct))
+        values[seen] = self.values[at[seen]]
+        fresh = ~seen
+        values[fresh] = self.norms(patterns[first[fresh]])
+        self.keys = np.insert(self.keys, at[fresh], distinct[fresh])
+        self.values = np.insert(self.values, at[fresh], values[fresh])
+        return values[inverse.ravel()]
 
 
 def _exhaustive_best(basis, nodes, weights, space, phases=2):
@@ -208,14 +275,15 @@ def _greedy_best(basis, live, nodes, weights, space, restarts, seed):
     its start's sign.  All starts advance together: each step norms every
     flip of every start still improving in one batch; a start takes its best
     flip when that gains more than 1e-15 and stops otherwise.  The first
-    start with the largest value gives the witness."""
+    start with the largest value gives the witness.  Each distinct pattern
+    is normed once (:class:`_PatternMemo`)."""
     cells = len(basis)
     rng = np.random.default_rng(seed)
     starts = [np.ones(cells)]
     starts += [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
     signs = np.array(starts)
     rows = min(_block_rows(basis.shape[1]), len(signs) * len(live))
-    pattern_norms = _BlockNorms(rows, basis, nodes, weights, space)
+    pattern_norms = _PatternMemo(_BlockNorms(rows, basis, nodes, weights, space), live)
     cur = pattern_norms(signs)
     flips = (1.0 - 2.0 * np.eye(cells))[live]
     active = np.arange(len(signs))
@@ -240,8 +308,6 @@ def _search_best(basis, f, space, search, restarts, seed, phases=2):
     greedy search draws its seeded starts on every cell, so the stream does
     not depend on which cells are live, and flips only live ones.  With no
     live cell the value is 0 and every sign +1."""
-    if search not in (EXHAUSTIVE, GREEDY):
-        raise ValueError(f"unknown search tag: {search}")
     live = np.flatnonzero(np.any(basis != 0, axis=1))
     if not len(live):
         return 0.0, np.ones(len(basis))
@@ -251,6 +317,27 @@ def _search_best(basis, f, space, search, restarts, seed, phases=2):
     signs = np.ones(len(basis), dtype=live_signs.dtype)
     signs[live] = live_signs
     return best, signs
+
+
+def _check_search(cells, search, restarts, phases=2):
+    """The number of cells, after the argument checks both searches share."""
+    if search not in (EXHAUSTIVE, GREEDY):
+        raise ValueError(f"unknown search tag: {search}")
+    cells = int(cells)
+    if cells < 1:
+        raise ValueError("cells must be positive")
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
+    if phases < 2:
+        raise ValueError("phases must be at least 2")
+    if phases != 2 and search != EXHAUSTIVE:
+        raise ValueError("complex phases are only searched exhaustively")
+    if search == EXHAUSTIVE and phases ** min(cells, 64) > 2 ** MAX_EXHAUSTIVE_CELLS:
+        raise ValueError(
+            f"exhaustive search above {MAX_EXHAUSTIVE_CELLS} sign-pattern bits "
+            "is refused (cost)"
+        )
+    return cells
 
 
 def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
@@ -265,25 +352,16 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     vanishes on the others, and their signs cannot change a value): the
     exhaustive search pins the first live cell, norms phases^(live-1)
     patterns and gives a dead cell +1; the greedy search flips live cells
-    only, and a dead cell keeps its start's sign.  The all-ones pattern
+    only, a dead cell keeps its start's sign, and each distinct pattern is
+    normed once.  ``cells`` must be positive and ``restarts`` nonnegative.
+    The all-ones pattern
     is always admissible, so the estimate dominates ||T(f)||.  Real signs
     need not attain the supremum over complex phases: for 0.3 + x + x^2 on
     6 cells in L^1.5, phases=4 exceeds phases=2 by about 3%; compare the
     two to see the gap.  Patterns are combined and normed a block at a time
     (``spaces.norms_batch``).
     """
-    cells = int(cells)
-    if cells < 1:
-        raise ValueError("cells must be positive")
-    if phases < 2:
-        raise ValueError("phases must be at least 2")
-    if phases != 2 and search != EXHAUSTIVE:
-        raise ValueError("complex phases are only searched exhaustively")
-    if search == EXHAUSTIVE and phases ** min(cells, 64) > 2 ** MAX_EXHAUSTIVE_CELLS:
-        raise ValueError(
-            f"exhaustive search above {MAX_EXHAUSTIVE_CELLS} sign-pattern bits "
-            "is refused (cost)"
-        )
+    cells = _check_search(cells, search, restarts, phases)
     edges = np.linspace(-1.0, 1.0, cells + 1)
     basis = _transform_basis(f, edges)
     best, signs = _search_best(basis, f, space, search, restarts, seed, phases)
@@ -296,27 +374,25 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
     """sup over modulations supported in A of ||T(s f chi_A)||.
 
     The candidates are signed sums of the vector-measure values
-    T(f chi_{A and cell}), computed here independently of the transform
-    basis ``optdomain_norm`` builds for the restriction; the block search and
-    the norm kernel are shared with it.  A cell that misses A, or on which f
-    vanishes, has an exactly zero value and is dead, as in ``optdomain_norm``:
-    an exhaustive search norms 2^(live-1) patterns, and a greedy one draws
-    its random starts on all cells and keeps their signs on dead cells.
+    T(f chi_{A and cell}), assembled here from the parts A and cell of f's
+    cell structure (in one call, :func:`_part_transforms`), independently
+    of the transform basis ``optdomain_norm`` builds for the restriction,
+    so the two remain two routes; the block search and the norm kernel are
+    shared with it.  A node within 1e-12 of a jump of f chi_{A and cell}
+    raises :class:`SingularEvaluationError`, as ``fht_product_indicator``
+    does.  A cell that misses A, or on which f vanishes, has an exactly
+    zero value and is dead, as in ``optdomain_norm``: an exhaustive search
+    norms 2^(live-1) patterns, and a greedy one draws its random starts on
+    all cells, keeps their signs on dead cells and norms each distinct
+    pattern once.  The arguments are checked as ``optdomain_norm`` checks
+    them, an empty A included, which gives 0 and all signs +1.
     """
+    cells = _check_search(cells, search, restarts)
     interval_set = as_interval_set(interval_set)
-    if interval_set.is_empty():
-        witness = ModulatingFunction((-1.0, 1.0), (1.0,))
-        return OptNormEstimate(0.0, witness, search, 1)
-    cells = int(cells)
-    if search == EXHAUSTIVE and cells > MAX_EXHAUSTIVE_CELLS:
-        raise ValueError(
-            f"exhaustive search above {MAX_EXHAUSTIVE_CELLS} cells is refused (cost)"
-        )
     edges = np.linspace(-1.0, 1.0, cells + 1)
     parts = [interval_set.intersect(IntervalSet(((a, b),)))
              for a, b in zip(edges[:-1], edges[1:])]
-    basis = np.array([np.zeros(len(f)) if part.is_empty()
-                      else fht_product_indicator(f, part).values for part in parts])
+    basis = _part_transforms(f, parts, guard=True)
     best, signs = _search_best(basis, f, space, search, restarts, seed)
     witness = ModulatingFunction(edges, signs)
     return OptNormEstimate(float(best), witness, search, cells)

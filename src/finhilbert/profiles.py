@@ -157,14 +157,7 @@ class Profile:
 
     def fht_values(self, x):
         """T(f) at x, exact."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        for lo, hi, c, s in self.pieces:
-            _add_piece_fht(out, x, lo, hi, c, s)
-        for a, c in self.logs:
-            out += _cheb.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
-            out += _log_moments(ca.log_moments, c, a, x)
-        return out
+        return fht_values_stacked((self,), x)[0]
 
     def fht_over_w_values(self, x):
         """T(f/w) at x, exact; ValueError where f/w is not integrable, as 1/w^2.
@@ -187,12 +180,24 @@ class Profile:
         pi T(p chi_(lo,hi)) = D + p ln|hi - x| - p ln|lo - x| with D a series;
         T(p/w) and T(p w) on all of (-1, 1) are series.
         """
+        return self._image()
+
+    def fht_image(self, x):
+        """``(fht_values(x), fht_profile())``, computing the smooth
+        coefficients D of each unweighted piece once for both."""
+        values, smooth = _fht_rows((self,), np.atleast_1d(np.asarray(x, dtype=float)))
+        return values[0], self._image(smooth[0])
+
+    def _image(self, smooth=None):
+        """:meth:`fht_profile`, reading D of piece j from ``smooth[j]`` when
+        given."""
         if self.logs:
             return None
         cauchy, weighted, logs = np.zeros(1, dtype=complex), np.zeros(1, dtype=complex), []
-        for lo, hi, c, s in self.pieces:
+        for j, (lo, hi, c, s) in enumerate(self.pieces):
             if s == 0:
-                cauchy = _padd(cauchy, ca.fht_smooth_coeffs(c, lo, hi))
+                d = ca.fht_smooth_coeffs(c, lo, hi) if smooth is None else smooth[j]
+                cauchy = _padd(cauchy, d)
                 logs += [(hi, c / np.pi), (lo, -c / np.pi)]
             elif _full(lo, hi):
                 series = ca.fht_over_w_series(c) if s < 0 else ca.fht_times_w_series(c)
@@ -275,6 +280,70 @@ class Profile:
             logs += [(a, _cheb.chebmul(cl, c)) for a, cl in mine.logs
                      for _, _, c, _ in theirs.pieces]
         return Profile(pieces, logs)
+
+
+# ------------------------------------------------------- stacked transforms
+
+#: complex entries in one block of stacked series rows (1 MiB)
+_SERIES_BLOCK = 1 << 16
+
+
+def fht_values_stacked(profiles, x):
+    """T(f) at x for each profile f, one row each: row k has the bits of
+    ``profiles[k].fht_values(x)``.  The unweighted pieces of all the
+    profiles are transformed together, see :func:`_fht_rows`."""
+    return _fht_rows(profiles, np.atleast_1d(np.asarray(x, dtype=float)))[0]
+
+
+def _fht_rows(profiles, x):
+    """``(values, smooth)``: row k of ``values`` is T(profiles[k]) at x, and
+    ``smooth[k][j]`` the smooth coefficients D (:func:`chebalg.fht_smooth_coeffs`)
+    of piece j of profiles[k], None for a weighted piece.
+
+    The pieces are taken in their order, in blocks of at most
+    ``_SERIES_BLOCK`` values.  Within a block the unweighted pieces of one
+    coefficient length go to :func:`chebalg.fht_smooth_coeffs` and
+    :func:`chebalg.fht_series_from_smooth` as stacked rows (zero padding
+    would change the FFT length, and with it the bits); weighted pieces and
+    log terms are transformed one by one.  Each row adds its pieces' values
+    in piece order and then its log terms, as a profile alone does, so a
+    row's bits do not depend on the others.
+    """
+    out = np.zeros((len(profiles), len(x)), dtype=complex)
+    smooth = [[None] * len(prof.pieces) for prof in profiles]
+    order = [(k, j) for k, prof in enumerate(profiles) for j in range(len(prof.pieces))]
+    width = max([len(x)] + [2 * len(c) for prof in profiles for _, _, c, _ in prof.pieces])
+    step = max(1, _SERIES_BLOCK // width)
+    for b in range(0, len(order), step):
+        block = order[b:b + step]
+        groups, values = {}, {}
+        for k, j in block:
+            piece = profiles[k].pieces[j]
+            if piece[3] == 0:
+                groups.setdefault(len(piece[2]), []).append((k, j))
+        for where in groups.values():
+            lo, hi, c = _stack([profiles[k].pieces[j] for k, j in where])
+            d = ca.fht_smooth_coeffs(c, lo, hi)
+            values.update(zip(where, ca.fht_series_from_smooth(d, c, x, lo, hi)))
+            for (k, j), row in zip(where, d):
+                smooth[k][j] = row
+        for k, j in block:
+            lo, hi, c, s = profiles[k].pieces[j]
+            if s == 0:
+                out[k] += values[k, j]
+            else:
+                _add_piece_fht(out[k], x, lo, hi, c, s)
+    for row, prof in zip(out, profiles):
+        for a, c in prof.logs:
+            row += _cheb.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
+            row += _log_moments(ca.log_moments, c, a, x)
+    return out, smooth
+
+
+def _stack(pieces):
+    """``(lo, hi, coeffs)`` of pieces of one coefficient length, as arrays."""
+    return (np.array([p[0] for p in pieces]), np.array([p[1] for p in pieces]),
+            np.array([p[2] for p in pieces]))
 
 
 # -------------------------------------------------------------------- helpers

@@ -211,7 +211,9 @@ def norms_batch(values, nodes, weights, space, work=None):
     nonzero magnitudes reach 1/30 of the peak.  The power-law fit
     (:func:`_blowup_exponents`) runs once, on the rows the gate engages; an
     engaged row with an interior peak is flagged resolution-limited, with
-    beta = 0.  The Lorentz and weak-L^p rearrangement is the stable
+    beta = 0.  Each row's L^p sum is taken on its own, so a row's value
+    does not depend on its place in the block.  The Lorentz and weak-L^p
+    rearrangement is the stable
     descending one (tied values keep their node order): a row sorted by its
     packed key (:func:`_rank_sort`) whose magnitudes come out non-increasing
     is exactly that, and any other row is argsorted stably.  Block-sized
@@ -262,7 +264,10 @@ def norms_batch(values, nodes, weights, space, work=None):
     limited |= divergent | (beta > 0.1)
 
     if space.kind == LP:
-        vals = np.power(mags, space.p, out=scratch) @ weights
+        # each row summed on its own: a matrix-vector product's last bit
+        # can depend on where the row sits in the block
+        terms = np.multiply(np.power(mags, space.p, out=scratch), weights, out=scratch)
+        vals = terms.sum(axis=1)
         vals **= 1.0 / space.p
     else:
         breakpoints = np.cumsum(work.gathered[:rows], axis=1, out=work.breakpoints[:rows])

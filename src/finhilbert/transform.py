@@ -63,7 +63,8 @@ def fht_point(f, t):
 
 def fht_grid(f):
     """T(f) at every node of f, with the profile of T(f.structure) if any."""
-    return f.with_values(_grid_transform_values(f, f.nodes), f.structure.fht_profile())
+    _guard_cuts(f.structure, f.nodes)
+    return f.with_values(*f.structure.fht_image(f.nodes))
 
 
 def _grid_transform_values(f, pts):

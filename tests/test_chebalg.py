@@ -320,3 +320,57 @@ def test_fht_series_against_pv_oracle(coeffs, ends, t):
     want = pv_oracle(piece, t, singular=(lo, hi))
     got = ca.fht_series(coeffs, np.array([t]), lo, hi)[0]
     assert abs(got - want) <= 1e-8 * max(1.0, np.sum(np.abs(coeffs)))
+
+
+# ------------------------------------------------------------ stacked rows
+
+def _row_values(coeffs, x, lo, hi):
+    """fht_series one row at a time, stacked."""
+    return np.array([ca.fht_series(c, x, a, b) for c, a, b in zip(coeffs, lo, hi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), length=st.integers(1, 41), rows=st.integers(1, 6),
+       points=st.sampled_from(["nodes", "few nodes", "other", "ends"]))
+def test_stacked_series_rows_equal_single_rows(data, length, rows, points):
+    # real and complex rows mixed, any ends, and points on the first-kind
+    # nodes (DCT-III), on too few of them for the series (Clenshaw), off
+    # them, and exactly at the ends (the finite part)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(rows, length)) + 0j
+    complex_rows = rng.random(rows) < 0.5
+    coeffs[complex_rows] += 1j * rng.normal(size=(int(complex_rows.sum()), length))
+    ends = np.sort(rng.uniform(-1.0, 1.0, (rows, 2)), axis=1)
+    ends[rng.random(rows) < 0.3] = (-1.0, 1.0)
+    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+    if points == "nodes":
+        x = ca.chebyshev_nodes(length + int(rng.integers(0, 30)))
+    elif points == "few nodes":
+        x = ca.chebyshev_nodes(max(1, length - 1 - int(rng.integers(0, length))))
+    else:
+        x = np.sort(rng.uniform(-0.99, 0.99, int(rng.integers(1, 40))))
+        if points == "ends":
+            x = np.unique(np.concatenate([x, lo[np.abs(lo) < 1.0], hi[np.abs(hi) < 1.0]]))
+    got = ca.fht_series(coeffs, x, lo, hi)
+    assert got.shape == (rows, len(x))
+    assert np.array_equal(got, _row_values(coeffs, x, lo, hi))
+    smooth = ca.fht_smooth_coeffs(coeffs, lo, hi)
+    assert np.array_equal(smooth, [ca.fht_smooth_coeffs(c, a, b)
+                                   for c, a, b in zip(coeffs, lo, hi)])
+    assert not smooth[~complex_rows].imag.any()
+
+
+def test_node_test_reuses_one_read_only_node_set():
+    # fht_series tests the node family against one cached array per n;
+    # chebyshev_nodes still hands out a fresh, writable array
+    a, b = ca.chebyshev_nodes(64), ca.chebyshev_nodes(64)
+    assert a is not b and a.flags.writeable
+    a[0] = 0.0
+    assert ca.chebyshev_nodes(64)[0] == b[0]
+    cached = ca._node_set(64)
+    assert cached is ca._node_set(64) and not cached.flags.writeable
+    assert np.array_equal(cached, b)
+    coeffs = np.arange(1.0, 9.0)
+    on_nodes = ca.fht_series(coeffs, b)
+    assert np.array_equal(on_nodes, ca.fht_series(coeffs, b.copy()))

@@ -458,7 +458,10 @@ def test_exhaustive_keeps_first_of_tied_maxima_across_blocks(monkeypatch):
 
 def test_block_norms_shared_buffers_match_fresh_blocks():
     # greedy steps pass patterns of differing counts through one set of
-    # block buffers; each block must equal a fresh norms_batch of its samples
+    # block buffers; each block must equal a fresh norms_batch of its
+    # samples, and a block of one pattern (count 15) has the samples a
+    # matrix product of several rows gives it, not those of numpy's
+    # matrix-vector product
     f = fh.poly_fn([0.3, 1.0, -0.6, 0.8], 128)
     basis = cell_basis(f, FULL, 6)
     rng = np.random.default_rng(2)
@@ -466,8 +469,9 @@ def test_block_norms_shared_buffers_match_fresh_blocks():
         pattern_norms = fh.measure._BlockNorms(7, basis, f.nodes, f.weights, space)
         for count in (20, 3, 7, 15):
             patterns = rng.choice([-1.0, 1.0], (count, len(basis)))
+            samples = patterns @ np.real(basis)
             want = np.concatenate([
-                fh.norms_batch(patterns[i:i + 7] @ basis, f.nodes, f.weights, space)[0]
+                fh.norms_batch(samples[i:i + 7], f.nodes, f.weights, space)[0]
                 for i in range(0, count, 7)])
             assert np.array_equal(pattern_norms(patterns), want)
 
@@ -502,6 +506,155 @@ def test_sign_search_keeps_the_fast_path(monkeypatch):
 def test_semivariation_rejects_unknown_search(one):
     with pytest.raises(ValueError):
         fh.semivariation(one, ivals((0.0, 0.5)), fh.SpaceSpec.lp(2), search="bogus")
+
+
+@pytest.mark.parametrize("search", [
+    lambda f, **kw: fh.semivariation(f, ivals((0.0, 0.5)), LP15, **kw),
+    lambda f, **kw: fh.semivariation(f, fh.IntervalSet.empty(), LP15, **kw),
+    lambda f, **kw: fh.optdomain_norm(f, LP15, **kw),
+], ids=["semivariation", "semivariation-empty-set", "optdomain_norm"])
+def test_searches_validate_their_arguments_alike(search, one):
+    # the empty set is checked like any other: no early answer echoes a
+    # bad tag or skips the exhaustive refusal
+    for kwargs, message in (({"cells": 0}, "cells must be positive"),
+                            ({"cells": -3}, "cells must be positive"),
+                            ({"search": "bogus"}, "unknown search tag: bogus"),
+                            ({"cells": 40}, "exhaustive search above 20"),
+                            ({"restarts": -1}, "restarts must be nonnegative"),
+                            ({"restarts": -1, "search": "greedy-flip"},
+                             "restarts must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            search(one, **kwargs)
+    est = search(one, cells=40, search="greedy-flip", restarts=0)
+    assert est.cells == 40 and len(est.witness.coefficients) == 40
+
+
+# ------------------------------------------------------ stacked cell bases
+
+def _basis_inputs(n):
+    return {
+        "poly": fh.poly_fn([0.3, 1.0, -0.6, 0.8], n),
+        "indicator": fh.indicator_fn(ivals((-0.45, 0.2), (0.55, 0.7)), n) * 1.5,
+        "samples": fh.from_callable(lambda x: np.cos(3 * x) + x, n),
+        "uniform": fh.from_callable(lambda x: np.cos(3 * x) + x, n, family="uniform"),
+        "log terms": fh.rybakov_functional(n),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", sorted(_basis_inputs(8)))
+def test_cell_basis_rows_equal_per_cell_transforms(kind, n):
+    f = _basis_inputs(n)[kind]
+    prof = fh.grid.cell_structure(f)
+    for cells in (7, 12):
+        edges = np.linspace(-1.0, 1.0, cells + 1)
+        basis = fh.measure._transform_basis(f, edges)
+        want = [prof.restricted(ivals((a, b))).fht_values(f.nodes)
+                for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(basis, want)
+
+
+@pytest.mark.parametrize("kind", sorted(_basis_inputs(8)))
+def test_semivariation_rows_equal_product_indicators(kind, monkeypatch):
+    # the rows semivariation searches are T(f chi_{A and cell}), the values
+    # of fht_product_indicator bit for bit, and exact zeros where A misses
+    # the cell
+    f = _basis_inputs(128)[kind]
+    A = ivals((-0.9, -0.55), (-0.3, 0.2), (0.35, 0.5))
+    seen = []
+    real = fh.measure._search_best
+
+    def recording(basis, *args):
+        seen.append(basis)
+        return real(basis, *args)
+
+    monkeypatch.setattr(fh.measure, "_search_best", recording)
+    fh.semivariation(f, A, LP15, cells=8)
+    edges = np.linspace(-1.0, 1.0, 9)
+    for row, a, b in zip(seen[0], edges[:-1], edges[1:]):
+        part = A.intersect(ivals((a, b)))
+        want = (np.zeros(len(f)) if part.is_empty()
+                else fh.fht_product_indicator(f, part).values)
+        assert np.array_equal(row, want)
+    assert not seen[0][7].any()
+
+
+def test_semivariation_keeps_the_jump_guard():
+    # a part ending on a node is a jump of f chi_part there: both routes
+    # refuse it, as fht_grid refuses a jump within 1e-12 of a node
+    f = fh.poly_fn([0.3, 1.0], 64)
+    A = ivals((float(f.nodes[20]), 0.5))
+    with pytest.raises(fh.SingularEvaluationError, match="discontinuity"):
+        fh.fht_product_indicator(f, A)
+    with pytest.raises(fh.SingularEvaluationError, match="discontinuity"):
+        fh.semivariation(f, A, LP15, cells=4)
+
+
+# -------------------------------------------------- one norm per pattern
+
+def _unmemoized(monkeypatch):
+    monkeypatch.setattr(fh.measure, "_PatternMemo", lambda norms, live: norms)
+
+
+@pytest.mark.parametrize("space", SEARCH_SPACES + (fh.SpaceSpec.lp(3),),
+                         ids=lambda sp: sp.label())
+def test_greedy_memo_keeps_every_value_and_witness(space, monkeypatch):
+    # with blocks of 5 patterns, memoized and fresh norms come from
+    # different block positions, and dead cells (row 0 among them) carry
+    # their start's signs; the memo may change no value and no witness
+    monkeypatch.setattr(fh.measure, "BLOCK_BYTES", 5 * 16 * 128)
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8, 0.4], 128)
+    rng = np.random.default_rng(29)
+    cases = []
+    for cells, dead in ((7, 0), (6, 1), (6, 3)):
+        basis = cell_basis(f, FULL, cells)
+        if dead:
+            basis, _ = with_dead_cells(basis, rng, dead)
+        for restarts, seed in ((0, 1), (8, 13), (32, 5)):
+            cases.append((basis, restarts, seed))
+    memoized = [fh.measure._search_best(b, f, space, "greedy-flip", r, s) for b, r, s in cases]
+    _unmemoized(monkeypatch)
+    for (basis, restarts, seed), (value, signs) in zip(cases, memoized):
+        want_value, want_signs = fh.measure._search_best(basis, f, space, "greedy-flip",
+                                                         restarts, seed)
+        assert value == want_value
+        assert np.array_equal(signs, want_signs)
+
+
+def test_greedy_norms_each_distinct_pattern_once(monkeypatch):
+    # norms_batch sees each pattern of the search once, a pattern and its
+    # negation being one, and a pattern that differs on a dead cell only
+    # (row 2 is zero) being one too
+    f = fh.poly_fn([0.3, 1.0, -0.6, 0.8, 0.4], 128)
+    basis = cell_basis(f, FULL, 9)
+    basis[2] = 0.0
+    live = np.flatnonzero(basis.any(axis=1))
+    asked, normed = [], []
+    real_call = fh.measure._BlockNorms.__call__
+    real_norms = fh.measure.norms_batch
+
+    def asking(self, patterns):
+        asked.append(patterns.copy())
+        return real_call(self, patterns)
+
+    def counting(values, *args):
+        normed.append(len(values))
+        return real_norms(values, *args)
+
+    def distinct(patterns):
+        signs = np.concatenate(patterns)[:, live]
+        return len(np.unique(signs * signs[:, :1], axis=0))
+
+    monkeypatch.setattr(fh.measure._BlockNorms, "__call__", asking)
+    monkeypatch.setattr(fh.measure, "norms_batch", counting)
+    memoized = fh.measure._search_best(basis, f, LP15, "greedy-flip", 32, 4)
+    assert distinct(asked) == sum(normed) == sum(len(p) for p in asked)
+    asked.clear()
+    normed.clear()
+    _unmemoized(monkeypatch)
+    value, signs = fh.measure._search_best(basis, f, LP15, "greedy-flip", 32, 4)
+    assert sum(normed) > 2 * distinct(asked)
+    assert value == memoized[0] and np.array_equal(signs, memoized[1])
 
 
 # ------------------------------------------------------------------- weak norm

@@ -308,3 +308,83 @@ def test_kept_structure_matches_the_oracle(case):
         got = fh.fht_point(f, t)
         want = fh.pv_oracle(f.eval_at, t, singular=singular)
         assert got == pytest.approx(want, abs=1e-7)
+
+
+# ----------------------------------------------------------- stacked transforms
+
+def _piece_by_piece(prof, x):
+    """T(f) written out: each piece alone, summed in piece order, then the
+    log terms, as a profile was transformed before stacked rows."""
+    out = np.zeros(len(x), dtype=complex)
+    for lo, hi, c, s in prof.pieces:
+        if s == 0:
+            out += ca.fht_series(c, x, lo, hi)
+        else:
+            one = np.zeros(len(x), dtype=complex)
+            fh.profiles._add_piece_fht(one, x, lo, hi, c, s)
+            out += one
+    for a, c in prof.logs:
+        out += C.chebval(x, c) * ca.fht_log_kernel(a, x) / np.pi
+        out += fh.profiles._log_moments(ca.log_moments, c, a, x)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), points=st.sampled_from(["nodes", "other"]))
+def test_stacked_profiles_equal_piece_by_piece_transforms(seed, points):
+    # pieces of degree 0..40 mixed in each profile, real and complex, with
+    # weighted pieces and log terms; blocks of 7 rows force several blocks
+    # per call, so one length group spans blocks
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fh.profiles, "_SERIES_BLOCK", 7 * 64)
+        check_stacked_profiles(seed, points)
+
+
+def check_stacked_profiles(seed, points):
+    rng = np.random.default_rng(seed)
+    x = ca.chebyshev_nodes(64) if points == "nodes" else np.sort(rng.uniform(-0.99, 0.99, 33))
+    profiles = []
+    for _ in range(int(rng.integers(1, 5))):
+        cuts = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(1, 7))))
+        edges = np.concatenate([[-1.0], cuts, [1.0]])
+        pieces = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            c = rng.normal(size=int(rng.integers(1, 42))) + 0j
+            if rng.random() < 0.5:
+                c += 1j * rng.normal(size=len(c))
+            pieces.append((lo, hi, c, 0))
+        if rng.random() < 0.3:
+            pieces.append((-1.0, 1.0, rng.normal(size=3), int(rng.choice([-1, 1]))))
+        logs = [(float(rng.uniform(-0.5, 0.5)), rng.normal(size=2))] if rng.random() < 0.3 else []
+        profiles.append(Profile(pieces, logs))
+    profiles.append(Profile())
+    got = fh.profiles.fht_values_stacked(profiles, x)
+    for row, prof in zip(got, profiles):
+        want = _piece_by_piece(prof, x)
+        assert np.array_equal(row, want)
+        assert np.array_equal(prof.fht_values(x), want)
+
+
+def test_fht_image_computes_each_smooth_part_once(monkeypatch):
+    # fht_grid reads the smooth coefficients D of every unweighted piece
+    # once, for the image's values and for its profile alike
+    rows = []
+    real = ca.fht_smooth_coeffs
+
+    def counting(coeffs, lo=-1.0, hi=1.0):
+        rows.append(1 if np.ndim(coeffs) == 1 else len(coeffs))
+        return real(coeffs, lo, hi)
+
+    monkeypatch.setattr(ca, "fht_smooth_coeffs", counting)
+    inputs = [fh.poly_fn([0.3, 1.0, -0.5], 64),
+              fh.indicator_fn(((-0.5, 0.1), (0.3, 0.7)), 64),
+              fh.from_callable(np.cos, 64),
+              fh.from_callable(np.cos, 33, family="uniform")]
+    for f in inputs:
+        rows.clear()
+        img = fh.fht_grid(f)
+        unweighted = sum(1 for piece in f.structure.pieces if piece[3] == 0)
+        assert sum(rows) == unweighted
+        assert img.profile is not None
+        want = f.with_values(_piece_by_piece(f.structure, f.nodes))
+        assert np.array_equal(img.values, want.values)

@@ -334,6 +334,23 @@ def test_norms_batch_shared_workspace_matches_fresh_calls(space):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
+def test_a_row_norm_does_not_depend_on_its_place(space):
+    # each row is summed on its own: its value is the same bits alone,
+    # at every place of a 128-row block, and through norm_info
+    f = fh.poly_fn([1.0], 512)
+    rng = np.random.default_rng(23)
+    block = rng.standard_cauchy((128, len(f))) * rng.uniform(0.1, 10.0, (128, 1))
+    block[::7] += batch_rows(f.nodes)[3].real     # a few engage the blow-up fit
+    alone = np.array([fh.norms_batch(row[None, :], f.nodes, f.weights, space)[0][0]
+                      for row in block])
+    assert all(fh.norm_info(f.with_values(row), space).value == value
+               for row, value in zip(block[::5], alone[::5]))
+    for shift in range(128):            # every row at every place
+        placed = fh.norms_batch(np.roll(block, shift, axis=0), f.nodes, f.weights, space)[0]
+        assert np.array_equal(placed, np.roll(alone, shift))
+
+
 SORT_SPACES = (fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.lorentz(2, 3), fh.SpaceSpec.weak_lp(2))
 SORT_SIZES = (1, 2, 3, 7, 64, 512, 2048)
 

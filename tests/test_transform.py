@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
-from finhilbert import chebalg, transform
+from finhilbert import chebalg, profiles, transform
 from finhilbert.cli import parse_function_spec
 from finhilbert.profiles import Profile
 from finhilbert.transform import fht_over_w_point
@@ -131,7 +131,8 @@ def _csv_samples(tmp_path):
 
 # input -> the evaluators that must not run for it, and the tolerance
 # against the cubic's transform.  Every grid function has a structure (a
-# profile, or the interpolant of its samples) and runs Profile.fht_values;
+# profile, or the interpolant of its samples) and runs the profile
+# evaluator behind Profile.fht_values and Profile.fht_image;
 # _fht_callable is left to callables.  Samples on 9 uniform or custom nodes
 # are read as their piecewise-linear interpolant, which only approximates
 # the cubic
@@ -158,17 +159,17 @@ def test_input_selects_the_route(kind, tmp_path, monkeypatch):
         raise AssertionError(f"{kind} input must not take this route")
 
     calls = []
-    exact = Profile.fht_values
+    exact = profiles._fht_rows
 
-    def counted_exact(prof, x):
+    def counted_exact(profs, x):
         calls.append(x)
-        return exact(prof, x)
+        return exact(profs, x)
 
     owners = {"_fht_callable": transform, "fht_series": chebalg}
     with monkeypatch.context() as m:
         for name in forbidden:
             m.setattr(owners[name], name, refuse)
-        m.setattr(Profile, "fht_values", counted_exact)
+        m.setattr(profiles, "_fht_rows", counted_exact)
         grid_values = fh.fht_grid(f).values
         got = [fh.fht_point(f, t).real for t in pts]
     assert len(grid_values) == len(f)
