@@ -26,6 +26,21 @@ of one length stacked as rows, with one segment per row: the rows share one
 FFT, one DCT-III (or Clenshaw recursion) and one table of log ratios, and
 each row keeps the bits of a call with that row alone.  Rows of different
 lengths are not zero padded, which would change the FFT length and the bits.
+
+The transforms run on ``numpy.fft``.  The cosine transforms are scipy's
+unnormalized ones, along the last axis of an input zero padded to length n,
+with theta_i = (2i+1) pi/2n:
+
+    DCT-II   y_k = 2 sum_{i<n} x_i cos(k theta_i)
+    DCT-III  y_i = x_0 + 2 sum_{0<k<n} x_k cos(k theta_i)
+
+each one real FFT of length n by Makhoul's even/odd reordering (J. Makhoul,
+"A fast cosine transform in one and two dimensions", IEEE Trans. ASSP 28,
+1980).  Complex input goes in as real rows: the real parts, plus the
+imaginary parts of only those rows that have any.  FFT correlations use
+the smallest 11-smooth length >= 2d, scipy's ``next_fast_len`` for complex
+data.  scipy itself is imported only on first use, by the dilogarithm of
+:func:`fht_log_kernel`.
 """
 
 from __future__ import annotations
@@ -34,8 +49,6 @@ import functools
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct, fft, ifft, next_fast_len
-from scipy.special import spence
 
 
 # ----------------------------------------------------------------- node families
@@ -75,7 +88,7 @@ def _fejer1_raw(n):
     c[0] = 1.0
     m = np.arange(1, (n - 1) // 2 + 1)
     c[2 * m] = -1.0 / (4 * m**2 - 1)
-    return (2.0 / n) * dct(c, type=3)[::-1].copy()
+    return (2.0 / n) * _dct3(c, n)[::-1].copy()
 
 
 def uniform_nodes(n):
@@ -93,14 +106,97 @@ def fit_chebyshev(values):
     :func:`chebyshev_nodes`).  Complex data is fitted componentwise.
     """
     v = np.asarray(values)[::-1]             # DCT wants ascending theta
-    n = len(v)
-    if np.iscomplexobj(v):
-        out = dct(v.real, type=2) + 1j * dct(v.imag, type=2)
-    else:
-        out = dct(v, type=2).astype(float)
-    out = out / n
+    out = _dct2(v)
+    out /= len(v)
     out[0] /= 2.0
     return out
+
+
+# ------------------------------------------------------------ cosine transforms
+
+@functools.lru_cache(maxsize=32)
+def _twiddles(n):
+    """2 exp(-i pi k/2n) and exp(i pi k/2n) for k = 0..n//2, read-only."""
+    w = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
+    out = (2.0 * w, np.conj(w))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _dct2(x):
+    """DCT-II along the last axis (module docstring)."""
+    return _by_real_rows(_real_dct2, x, np.shape(x)[-1])
+
+
+def _dct3(x, n):
+    """DCT-III along the last axis of x zero padded to length n (module
+    docstring); x holds at most n terms."""
+    return _by_real_rows(_real_dct3, x, n)
+
+
+def _by_real_rows(transform, x, n):
+    """``transform(rows, n, out)`` of real or complex x: complex x goes in as
+    its real parts plus the imaginary parts of only the rows that have any."""
+    x = np.asarray(x)
+    shape = x.shape[:-1] + (n,)
+    if x.dtype.kind != "c":
+        out = np.empty(shape)
+        transform(x.astype(float, copy=False), n, out)
+        return out
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.zeros((len(rows), n), dtype=complex)
+    if not rows.imag.any():
+        transform(rows.real, n, out.real)
+    else:
+        live = rows.imag.any(axis=1)
+        y = np.empty((len(rows) + np.count_nonzero(live), n))
+        transform(np.concatenate((rows.real, rows.imag[live])), n, y)
+        out.real = y[:len(rows)]
+        out.imag[live] = y[len(rows):]
+    return out.reshape(shape)
+
+
+def _real_dct2(x, n, out):
+    """Makhoul: the real FFT of x[0], x[2], ..., x[3], x[1] times the
+    twiddles; Hermitian symmetry gives the upper half from the lower."""
+    h = n // 2 + 1
+    z = np.fft.rfft(np.concatenate((x[..., ::2], x[..., -1 - n % 2::-2]), axis=-1))
+    z *= _twiddles(n)[0]
+    out[..., :h] = z.real
+    out[..., h:] = -z.imag[..., (n - 1) // 2:0:-1]
+
+
+def _real_dct3(x, n, out):
+    """The inverse of :func:`_real_dct2`, times 2n: the half spectrum
+    exp(i pi k/2n) (x_k - i x_{n-k}) (x_n = 0) to a real FFT, whose output
+    holds the even then the reversed odd entries."""
+    m, h, half = x.shape[-1], n // 2 + 1, (n + 1) // 2
+    z = np.zeros(x.shape[:-1] + (h,), dtype=complex)
+    z.real[..., :m] = x[..., :h]
+    top = m                                # z_k = 0 from k = m on when x_{n-k} = 0
+    if m > half:
+        z.imag[..., n - m + 1:] = -x[..., half:][..., ::-1]
+        top = h
+    z[..., :top] *= _twiddles(n)[1][:top]
+    v = np.fft.irfft(z, n, norm="forward")
+    out[..., ::2] = v[..., :half]
+    out[..., 1::2] = v[..., :half - 1:-1]
+
+
+@functools.lru_cache(maxsize=64)
+def _fast_len(target):
+    """The smallest 11-smooth integer >= target: the FFT length scipy's
+    ``next_fast_len`` picks for complex data."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def difference_quotient(coeffs, x):
@@ -172,8 +268,12 @@ def fht_smooth_coeffs(coeffs, lo=-1.0, hi=1.0):
     if a.ndim == 2:
         lo, hi = lo[:, None], hi[:, None]
     seg_u = (np.cos(j1 * np.arccos(hi)) - np.cos(j1 * np.arccos(lo))) / j1
-    size = next_fast_len(2 * d)
-    out = 2.0 * ifft(fft(a[..., 1:], size) * np.conj(fft(seg_u, size)))[..., :d]
+    size = _fast_len(2 * d)
+    # conj of the spectrum of real seg_u from its half spectrum and mirror, as
+    # scipy builds it; numpy.fft.fft of real input rounds differently
+    half = np.fft.rfft(seg_u, size)
+    seg_hat = np.concatenate((np.conj(half), half[..., (size - 1) // 2:0:-1]), axis=-1)
+    out = 2.0 * np.fft.ifft(np.fft.fft(a[..., 1:], size) * seg_hat)[..., :d]
     out[..., 0] /= 2.0
     out.imag[~np.any(a.imag, axis=-1)] = 0.0
     return out
@@ -213,15 +313,13 @@ def fht_series_from_smooth(smooth, coeffs, x, lo=-1.0, hi=1.0):
     hi = np.asarray(hi, dtype=float)[:, None]
     n, rows = len(x), len(c)
     if n >= c.shape[1] and np.array_equal(x, _node_set(n)):
-        both = np.zeros((2 * rows, n), dtype=complex)
+        both = np.zeros((2 * rows, c.shape[1]), dtype=complex)
         both[:rows, :d.shape[1]] = d
-        both[rows:, :c.shape[1]] = c
-        # sum_k e_k cos(k theta_i) at theta_i = (2i+1) pi/2n, descending x;
-        # in place, which keeps the bits and halves the block's temporaries
-        values = dct(both, type=3, axis=1)
-        values += both[:, :1]
-        values /= 2.0
-        del both
+        both[rows:] = c
+        # sum_k e_k cos(k theta_i) at theta_i = (2i+1) pi/2n, descending x:
+        # the DCT-III of e_0, e_1/2, e_2/2, ...
+        both[:, 1:] /= 2.0
+        values = _dct3(both, n)
         dx, px = values[:rows, ::-1], values[rows:, ::-1]
     elif rows == 1:     # one series: the 1-D recursion costs less
         dx, px = _cheb.chebval(x, d[0])[None], _cheb.chebval(x, c[0])[None]
@@ -392,7 +490,9 @@ def fht_indicator_over_w(lo, hi, t):
         if theta >= np.pi - 1e-14:
             return np.zeros_like(t)
         u = np.tan(theta / 2.0)
-        return np.log(np.abs((alpha + u) / np.where(t == end, 1.0, alpha - u)))
+        # alpha - u without cancellation: alpha^2 - u^2 = 2(end - t)/((1+t)(1+end))
+        diff = 2.0 * (end - t) / ((1.0 + t) * (1.0 + end) * (alpha + u))
+        return np.log(np.abs((alpha + u) / np.where(t == end, 1.0, diff)))
 
     return (G(np.arccos(lo), lo) - G(np.arccos(hi), hi)) / (np.pi * wt)
 
@@ -421,6 +521,8 @@ def fht_log_kernel(a_pt, t):
 
 def _li2_real(z):
     """Re Li2(z) for real z; complex evaluation covers the branch cut z > 1."""
+    from scipy.special import spence
+
     return spence(1.0 - np.asarray(z, dtype=complex)).real
 
 

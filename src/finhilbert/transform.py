@@ -25,7 +25,6 @@ oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from . import chebalg as ca
 from .grid import GridFunction, restrict
@@ -131,6 +130,8 @@ def _fht_callable(fn, t):
     """Subtract-the-singularity adaptive quadrature for a smooth callable.
     The imaginary part is integrated whenever ``fn`` returns complex values
     at t, even zero ones."""
+    from scipy.integrate import quad
+
     at_t = _eval_vec(fn, np.array([t]))[1]
     ft = complex(at_t[0])
 
@@ -323,6 +324,8 @@ def pv_oracle(f, t, eps=1e-3, singular=()):
     subdivision limit or meets non-finite values, instead of returning an
     unconverged value.
     """
+    from scipy.integrate import quad_vec
+
     scalar = np.ndim(t) == 0
     tt = _check_interior(t).ravel()
     if np.any(np.abs(tt) + eps >= 1.0):

@@ -388,6 +388,18 @@ def test_rybakov_closed_form_value():
     assert got == pytest.approx(orc, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [255, 257, 513])
+def test_rybakov_at_odd_node_counts(n):
+    # the middle first-kind node is 6.1e-17, not 0: the samples stay finite
+    # and match -(2/pi) ln((1 + w)/|t|) there as elsewhere
+    g0 = fh.rybakov_functional(n)
+    x = g0.nodes
+    want = -(2 / math.pi) * np.log((1 + np.sqrt(1 - x * x)) / np.abs(x))
+    assert np.abs(g0.values - want).max() <= 1e-14
+    mid = n // 2
+    assert abs(g0.values[mid] - want[mid]) <= 2.2e-16 * abs(want[mid])
+
+
 def test_rybakov_is_even():
     # sigma odd and w even make T(sigma/w) even, so g0 = -w T(sigma/w) is even
     g0 = fh.rybakov_functional(256)

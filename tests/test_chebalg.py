@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
+from scipy.fft import dct, fft, ifft, next_fast_len
 from scipy.integrate import quad
 
 from finhilbert import chebalg as ca
@@ -374,3 +375,59 @@ def test_node_test_reuses_one_read_only_node_set():
     coeffs = np.arange(1.0, 9.0)
     on_nodes = ca.fht_series(coeffs, b)
     assert np.array_equal(on_nodes, ca.fht_series(coeffs, b.copy()))
+
+
+# ------------------------------------------------------- cosine transforms
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 16, 511, 512, 2048])
+def test_cosine_transforms_match_scipy(n):
+    # real and complex data, 1-D and stacked rows, rows whose imaginary part
+    # is zero (read through strided views), and DCT-III of short series
+    # zero padded to n
+    rng = np.random.default_rng(n)
+    stacked = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    stacked[1] = stacked[1].real
+    cases = [stacked[0].real, stacked[0], stacked[1], stacked.real, stacked,
+             stacked[1:2], stacked.real + 0j]
+    lengths = range(1, n + 1) if n <= 16 else (1, n // 2, n // 2 + 1, n - 1, n)
+    for x in cases:
+        want = dct(x, type=2)
+        got = ca._dct2(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+        for m in lengths:
+            want = dct(x[..., :m], type=3, n=n)
+            for short in (x[..., :m], x[..., :m].copy()):
+                got = ca._dct3(short, n)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
+def test_fast_len_matches_scipy():
+    assert [ca._fast_len(t) for t in range(1, 5001)] == [next_fast_len(t)
+                                                         for t in range(1, 5001)]
+
+
+def test_smooth_coefficients_keep_the_scipy_fft_bits():
+    # the FFT correlation written with scipy.fft, as the library had it;
+    # with numpy >= 2 both run the same pocketfft and agree to the bit
+    def scipy_smooth(a, lo, hi):
+        d = a.shape[-1] - 1
+        j1 = np.arange(1, d + 1)
+        seg_u = (np.cos(j1 * np.arccos(hi[:, None]))
+                 - np.cos(j1 * np.arccos(lo[:, None]))) / j1
+        size = next_fast_len(2 * d)
+        out = 2.0 * ifft(fft(a[:, 1:], size) * np.conj(fft(seg_u, size)))[:, :d]
+        out[:, 0] /= 2.0
+        out.imag[~np.any(a.imag, axis=-1)] = 0.0
+        return out
+
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 97)) + 0j
+    a[1] += 1j * rng.normal(size=97)
+    lo, hi = np.array([-1.0, -0.3, 0.2]), np.array([1.0, 0.8, 0.5])
+    got, want = ca.fht_smooth_coeffs(a, lo, hi), scipy_smooth(a, lo, hi)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -374,3 +378,43 @@ def test_verify_config_file_merges(tmp_path, capsys):
     code = main(["verify", "--suite", "identities", "--config", str(cfg),
                  "--tol", "left-inverse=1.0"])
     assert code == EXIT_OK
+
+
+# ---------------------------------------------------------------- cold start
+
+_COLD_START = textwrap.dedent("""
+    import math, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    import finhilbert
+    from finhilbert import airfoil, cli, grid, spaces, transform
+
+    for n in (512, 2048):
+        f = grid.poly_fn([0.5, 1.0, -1.0, 0.25], n)
+        spaces.norm_info(transform.fht_grid(f), spaces.SpaceSpec.lorentz(3, 1))
+    assert cli.main(["solve", "--g", "poly:0.3,1,-2", "--space", "Lp:1.5",
+                     "--out", sys.argv[1]]) == 0
+    assert cli.main(["eval", "--f", "indicator:0,0.5;0.6,0.9", "--x", "0.2,0.7"]) == 0
+    g0 = airfoil.rybakov_functional()
+    assert not scipy_modules(), scipy_modules()[:8]
+
+    transform.fht_grid(g0)                      # log terms: the dilogarithm
+    assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules
+    t = 0.3                                     # T(x^2) = (2t + t^2 ln((1-t)/(1+t)))/pi
+    want = (2 * t + t * t * math.log((1 - t) / (1 + t))) / math.pi
+    assert abs(transform.pv_oracle(lambda x: x * x, t) - want) <= 1e-10
+    assert "scipy.integrate" in sys.modules
+""")
+
+
+def test_core_path_imports_no_scipy(tmp_path):
+    # a fresh interpreter: pytest's warning filters import scipy.integrate here
+    src = os.path.dirname(os.path.dirname(fh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _COLD_START,
+                           str(tmp_path / "solution.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
