@@ -16,6 +16,15 @@ each distinct pattern once (a pattern and its negation are one).  The
 values T(f chi_B) that patterns combine are computed for all parts B in one
 call, by stacked profile transforms.  All randomized pieces are
 deterministic given the seed.
+
+Patterns are normed a block at a time by the value kernel of
+``spaces.norms_batch`` alone (``spaces._norm_values``), without its blow-up
+diagnosis.  A pattern's samples are a signed sum of T(f chi_cell), and the
+cell structure of f is bounded or made of w^{-1} pieces, so the sum's only
+singularities are logarithms at the cell edges, which are finite in every
+space here (a w^{-1} piece reaching +-1 stays bounded: T(chi_(0.5,1)/w) is
+0.5513 at x = 0.9999997).  A power-law fit could only misread such a
+logarithm as divergent, so a search value is always finite.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .grid import (
 )
 from .intervals import IntervalSet, as_interval_set
 from .profiles import Profile, fht_values_stacked
-from .spaces import NormWorkspace, SpaceSpec, norm, norms_batch
+from .spaces import NormWorkspace, SpaceSpec, _norm_values, norm
 from .transform import (
     SingularEvaluationError,
     _guard_cuts,
@@ -174,7 +183,8 @@ def _block_rows(n):
 
 class _BlockNorms:
     """||sum_j s_j basis_j|| for rows s of sign patterns, in blocks of up to
-    ``rows`` patterns.  The combined samples and the norm kernel's workspace
+    ``rows`` patterns, by the value kernel with no blow-up diagnosis (see
+    the module docstring).  The combined samples and the kernel's workspace
     are allocated once, when a search starts, and reused by every block.
     A basis whose imaginary part is exactly zero is kept real, so real sign
     patterns combine by a real product; the samples take the type of
@@ -184,12 +194,12 @@ class _BlockNorms:
     pattern's samples, like its norm, do not depend on the block it lands
     in."""
 
-    def __init__(self, rows, basis, nodes, weights, space):
+    def __init__(self, rows, basis, weights, space):
         if not np.any(np.imag(basis)):
             basis = np.ascontiguousarray(np.real(basis))
         rows = max(rows, 2)
         self.rows, self.basis = rows, basis
-        self.nodes, self.weights, self.space = nodes, weights, space
+        self.weights, self.space = weights, space
         self.samples = np.empty((rows, basis.shape[1]), dtype=basis.dtype)
         self.work = NormWorkspace(rows, basis.shape[1])
 
@@ -204,8 +214,8 @@ class _BlockNorms:
             if count == 1:
                 block = np.repeat(block, 2, axis=0)
             combined = np.matmul(block, self.basis, out=self.samples[:len(block)])
-            out[i:i + count] = norms_batch(combined[:count], self.nodes, self.weights,
-                                           self.space, self.work)[0]
+            out[i:i + count] = _norm_values(combined[:count], self.weights, self.space,
+                                            self.work)
         return out
 
 
@@ -243,7 +253,7 @@ class _PatternMemo:
         return values[inverse.ravel()]
 
 
-def _exhaustive_best(basis, nodes, weights, space, phases=2):
+def _exhaustive_best(basis, weights, space, phases=2):
     """Exact maximum over coefficient patterns from the phases-th roots of
     unity (phases = 2 is the real sign search).  A global phase leaves the
     norm unchanged, so the first cell is pinned to 1.  Patterns run in
@@ -256,7 +266,7 @@ def _exhaustive_best(basis, nodes, weights, space, phases=2):
     total = phases ** (cells - 1)
     place = phases ** np.arange(cells - 2, -1, -1)
     step = _block_rows(basis.shape[1])
-    pattern_norms = _BlockNorms(min(step, total), basis, nodes, weights, space)
+    pattern_norms = _BlockNorms(min(step, total), basis, weights, space)
     best, best_signs = -1.0, None
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total))
@@ -269,7 +279,7 @@ def _exhaustive_best(basis, nodes, weights, space, phases=2):
     return best, best_signs
 
 
-def _greedy_best(basis, live, nodes, weights, space, restarts, seed):
+def _greedy_best(basis, live, weights, space, restarts, seed):
     """Single-cell sign flips from the all-ones pattern and seeded random
     starts, flipping only the ``live`` cells of ``basis``; a dead cell keeps
     its start's sign.  All starts advance together: each step norms every
@@ -283,7 +293,7 @@ def _greedy_best(basis, live, nodes, weights, space, restarts, seed):
     starts += [rng.choice([-1.0, 1.0], cells) for _ in range(restarts)]
     signs = np.array(starts)
     rows = min(_block_rows(basis.shape[1]), len(signs) * len(live))
-    pattern_norms = _PatternMemo(_BlockNorms(rows, basis, nodes, weights, space), live)
+    pattern_norms = _PatternMemo(_BlockNorms(rows, basis, weights, space), live)
     cur = pattern_norms(signs)
     flips = (1.0 - 2.0 * np.eye(cells))[live]
     active = np.arange(len(signs))
@@ -312,8 +322,8 @@ def _search_best(basis, f, space, search, restarts, seed, phases=2):
     if not len(live):
         return 0.0, np.ones(len(basis))
     if search == GREEDY:
-        return _greedy_best(basis, live, f.nodes, f.weights, space, restarts, seed)
-    best, live_signs = _exhaustive_best(basis[live], f.nodes, f.weights, space, phases)
+        return _greedy_best(basis, live, f.weights, space, restarts, seed)
+    best, live_signs = _exhaustive_best(basis[live], f.weights, space, phases)
     signs = np.ones(len(basis), dtype=live_signs.dtype)
     signs[live] = live_signs
     return best, signs
@@ -359,7 +369,8 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     need not attain the supremum over complex phases: for 0.3 + x + x^2 on
     6 cells in L^1.5, phases=4 exceeds phases=2 by about 3%; compare the
     two to see the gap.  Patterns are combined and normed a block at a time
-    (``spaces.norms_batch``).
+    by the value kernel of ``spaces.norms_batch``, with no blow-up
+    diagnosis, so the value is always finite.
     """
     cells = _check_search(cells, search, restarts, phases)
     edges = np.linspace(-1.0, 1.0, cells + 1)

@@ -178,8 +178,8 @@ def norm_info(f, space):
 
 
 class NormWorkspace:
-    """Scratch arrays for :func:`norms_batch` blocks of up to ``rows`` rows of
-    ``n`` samples.
+    """Scratch arrays for :func:`norms_batch` and its value kernel, on blocks
+    of up to ``rows`` rows of ``n`` samples.
 
     A search allocates one and passes it to every block, so its block loop
     reuses the same memory instead of allocating fresh block-sized
@@ -203,86 +203,128 @@ def norms_batch(values, nodes, weights, space, work=None):
     """Norms of the rows of ``values[P, N]``, each sampled at ``nodes``.
 
     Returns ``(value, resolution_limited, divergent)`` arrays of length P,
-    row by row what :func:`norm_info` reports for profile-free samples.  For
-    Lorentz and weak-L^p, one descending sort of the magnitudes per block
-    serves both the rearrangement and the nonzero-median gate of the blow-up
-    diagnosis.  L^p needs no rearrangement, and of a block of several rows
-    it sorts only those the gate could engage: where at most half of the
-    nonzero magnitudes reach 1/30 of the peak.  The power-law fit
-    (:func:`_blowup_exponents`) runs once, on the rows the gate engages; an
-    engaged row with an interior peak is flagged resolution-limited, with
-    beta = 0.  Each row's L^p sum is taken on its own, so a row's value
-    does not depend on its place in the block.  The Lorentz and weak-L^p
-    rearrangement is the stable
-    descending one (tied values keep their node order): a row sorted by its
-    packed key (:func:`_rank_sort`) whose magnitudes come out non-increasing
-    is exactly that, and any other row is argsorted stably.  Block-sized
+    row by row what :func:`norm_info` reports for profile-free samples.  It
+    is two layers: the value kernel (:func:`_norm_values`) norms every row,
+    and the blow-up diagnosis on top (:func:`_diagnose`) reads the
+    magnitudes the kernel left in ``work`` and sets +inf where a row is
+    divergent; every other value has the kernel's bits.  Block-sized
     intermediates live in ``work``, a :class:`NormWorkspace` of at least P
     rows (a fresh one when omitted); the returned arrays are always new.
     """
     values = np.asarray(values)
     rows, n = values.shape
-    beta = np.zeros(rows)
     if n == 0:
         flags = np.zeros(rows, dtype=bool)
-        return beta, flags, flags.copy()
+        return np.zeros(rows), flags, flags.copy()
     if work is None:
         work = NormWorkspace(rows, n)
+    vals = _norm_values(values, weights, space, work)
+    limited, divergent = _diagnose(nodes, space, work, rows)
+    vals[divergent] = np.inf
+    return vals, limited, divergent
+
+
+def _norm_values(values, weights, space, work):
+    """The norms of the rows of ``values[P, N]`` with weights ``weights``,
+    with no blow-up diagnosis: the value kernel under :func:`norms_batch`,
+    and all a sign-pattern search needs (its rows are finite in every space
+    here).
+
+    L^p sums |v|^p w over each row on its own, so a row's value does not
+    depend on its place in the block (a matrix-vector product's last bit
+    can).  Lorentz and weak-L^p rank each row (:func:`_rank_sort`) into the
+    stable descending rearrangement, tied values in node order, and norm
+    its staircase.  Every power goes through :func:`_power`.  The
+    magnitudes are left in ``work.mags``, and for Lorentz and weak-L^p the
+    sorted ones in ``work.ordered``.
+    """
+    rows = len(values)
     mags = np.abs(values, out=work.mags[:rows])
-    positive = work.positive[:rows]
-    nonzero = np.count_nonzero(np.greater(mags, 0, out=positive), axis=1)
     scratch = work.scratch[:rows]
     if space.kind == LP:
-        # Lp needs no rearrangement, and the blow-up gate below needs sorted
-        # magnitudes only for a row where at most half of the nonzero ones
-        # reach peak/30: otherwise 30 * median >= peak (rounding is monotone)
-        # and the row cannot be gated.  A single row (norm_info) is sorted
-        # directly, which costs less than counting.
+        terms = np.multiply(_power(mags, space.p, scratch), weights, out=scratch)
+        return _power(terms.sum(axis=1), 1.0 / space.p)
+    _rank_sort(mags, weights, work)
+    ordered = work.ordered[:rows]
+    breakpoints = np.cumsum(work.gathered[:rows], axis=1, out=work.breakpoints[:rows])
+    if space.kind == LORENTZ:
+        return _lorentz_staircase(breakpoints, ordered, space, scratch)
+    # conservative staircase pairing u_k with the next plateau value (the
+    # raw staircase inflates the sup by up to 2^{1/p} at sub-resolution t
+    # when singular values tie in symmetric pairs)
+    powers = _power(breakpoints, 1.0 / space.p, scratch)
+    powers[:, :-1] *= ordered[:, 1:]
+    powers[:, -1] *= ordered[:, -1]
+    return np.max(powers, axis=1)
+
+
+def _power(x, e, out=None):
+    """``x ** e`` for nonnegative ``x``: a multiply or a square root where
+    one gives the power, else ``np.power``.
+
+    The exponent 1/2 (sqrt) has the bits of ``np.power``; 3 and 3/2
+    (x*x*x, x*sqrt(x)) are within one ulp of it; for 1, ``x`` itself is
+    returned and ``out`` is left alone.  ``out``, when given, must not
+    share memory with ``x``.
+    """
+    if e == 1.0:
+        return x
+    if e == 0.5:
+        return np.sqrt(x, out=out)
+    if e == 3.0:
+        out = np.multiply(x, x, out=out)
+        out *= x
+        return out
+    if e == 1.5:
+        out = np.sqrt(x, out=out)
+        out *= x
+        return out
+    return np.power(x, e, out=out)
+
+
+def _diagnose(nodes, space, work, rows):
+    """``(resolution_limited, divergent)`` of the first ``rows`` rows whose
+    magnitudes :func:`_norm_values` left in ``work``.
+
+    The blow-up gate asks that the peak dwarf the median of the nonzero
+    magnitudes (exceed 30 times it).  Lorentz and weak-L^p read that median
+    from the kernel's sorted magnitudes.  L^p has no rearrangement, and of
+    a block of several rows it sorts only those the gate could engage:
+    where at most half of the nonzero magnitudes reach 1/30 of the peak
+    (otherwise 30 * median >= peak, as rounding is monotone); a single row
+    (``norm_info``) is sorted directly, which costs less than counting.  The
+    power-law fit (:func:`_blowup_exponents`) runs once, on the rows the
+    gate engages; an engaged row with an interior peak is flagged
+    resolution-limited, with beta = 0.
+    """
+    mags, positive = work.mags[:rows], work.positive[:rows]
+    nonzero = np.count_nonzero(np.greater(mags, 0, out=positive), axis=1)
+    if space.kind == LP:
         ranked = np.arange(rows)
         if rows > 1:
             peak = np.max(mags, axis=1)
-            np.greater_equal(np.multiply(mags, 30.0, out=scratch), peak[:, None], out=positive)
+            np.greater_equal(np.multiply(mags, 30.0, out=work.scratch[:rows]), peak[:, None],
+                             out=positive)
             ranked = np.flatnonzero(2 * np.count_nonzero(positive, axis=1) <= nonzero)
         ordered = np.take(mags, ranked, axis=0, out=work.ordered[:len(ranked)], mode="clip")
         ordered.sort(axis=1)
         ordered = ordered[:, ::-1]
     else:
-        _rank_sort(mags, weights, work)
         ranked, ordered = np.arange(rows), work.ordered[:rows]
 
-    # blow-up gate: the peak must dwarf the median of the nonzero magnitudes,
-    # which sit first in the descending order
+    # the nonzero magnitudes sit first in the descending order
     count = nonzero[ranked]
     r = np.arange(len(ranked))
     median = (ordered[r, np.maximum(count - 1, 0) // 2] + ordered[r, count // 2]) / 2.0
     gated = ranked[(count > 0) & (ordered[:, 0] > 30.0 * median)]
+    beta = np.zeros(rows)
     limited = np.zeros(rows, dtype=bool)
     if len(gated):
         beta[gated], limited[gated] = _blowup_exponents(nodes, mags[gated])
     pb = space.p * beta
     divergent = pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99
     limited |= divergent | (beta > 0.1)
-
-    if space.kind == LP:
-        # each row summed on its own: a matrix-vector product's last bit
-        # can depend on where the row sits in the block
-        terms = np.multiply(np.power(mags, space.p, out=scratch), weights, out=scratch)
-        vals = terms.sum(axis=1)
-        vals **= 1.0 / space.p
-    else:
-        breakpoints = np.cumsum(work.gathered[:rows], axis=1, out=work.breakpoints[:rows])
-        if space.kind == LORENTZ:
-            vals = _lorentz_staircase(breakpoints, ordered, space, scratch)
-        else:
-            # conservative staircase pairing u_k with the next plateau value
-            # (the raw staircase inflates the sup by up to 2^{1/p} at
-            # sub-resolution t when singular values tie in symmetric pairs)
-            np.power(breakpoints, 1.0 / space.p, out=scratch)
-            scratch[:, :-1] *= ordered[:, 1:]
-            scratch[:, -1] *= ordered[:, -1]
-            vals = np.max(scratch, axis=1)
-    vals[divergent] = np.inf
-    return vals, limited, divergent
+    return limited, divergent
 
 
 def _rank_sort(mags, weights, work):
@@ -329,17 +371,17 @@ def _lorentz_staircase(breakpoints, plateaus, space, scratch=None):
 
     With ``scratch`` (an array shaped like ``breakpoints``), the chunk
     widths overwrite ``breakpoints`` and no block-sized array is allocated.
+    ``plateaus`` is only read.
     """
     if scratch is None:
         breakpoints, scratch = breakpoints.copy(), np.empty(breakpoints.shape)
-    powers = np.power(breakpoints, space.q / space.p, out=scratch)
+    powers = _power(breakpoints, space.q / space.p, scratch)
     chunks = breakpoints
     chunks[:, 0] = powers[:, 0]
     np.subtract(powers[:, 1:], powers[:, :-1], out=chunks[:, 1:])
     chunks *= space.p / space.q
-    summands = np.power(plateaus, space.q, out=scratch)
-    summands *= chunks
-    return np.sum(summands, axis=1) ** (1.0 / space.q)
+    summands = np.multiply(_power(plateaus, space.q, scratch), chunks, out=scratch)
+    return _power(np.sum(summands, axis=1), 1.0 / space.q)
 
 
 def _staircase_norm(r, space):
@@ -355,8 +397,8 @@ def _staircase_norm(r, space):
 # usable nodes per endpoint fit, and the nearest-node prefix read first.
 # Past a row's 24th usable column every summand of the fit is zero, so the
 # row sums over the prefix have the bits of the sums over all N columns:
-# trivially where numpy sums column by column (the gathered rows are column
-# major), and where it sums pairwise because the prefix is a multiple of 8
+# numpy sums each row of the row-major gather pairwise, and the prefix is a
+# multiple of 8
 _FIT_NODES = 24
 _FIT_PREFIX = 64
 
@@ -395,9 +437,14 @@ def _blowup_exponents(nodes, mags):
 
 def _power_fit(dist, mags, cols, rows, floor):
     """Slope of log|f| against log dist over the first 24 usable columns
-    ``cols`` of ``mags[rows]``, and the number of usable columns used."""
+    ``cols`` of ``mags[rows]``, and the number of usable columns used.
+
+    The gather is row major, so numpy sums each row pairwise whatever the
+    number of rows: a row's slope has the same bits alone as in a batch (a
+    column-major gather of several rows is summed column by column).
+    """
     dist = dist[cols]
-    m = mags[rows][:, cols]
+    m = mags[rows[:, None], cols]
     usable = (dist > 0) & (m > floor[rows, None])
     usable &= np.cumsum(usable, axis=1) <= _FIT_NODES
     count = np.count_nonzero(usable, axis=1)

@@ -335,6 +335,36 @@ def test_norms_batch_shared_workspace_matches_fresh_calls(space):
 
 
 @pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
+def test_norms_batch_is_the_value_kernel_plus_the_diagnosis(space):
+    # a block mixing rows the blow-up gate engages (the endpoint power
+    # peaks) with rows it leaves alone: the diagnosis only sets +inf, every
+    # other value has the kernel's bits, and the kernel's values are finite
+    f = fh.poly_fn([1.0], 512)
+    rng = np.random.default_rng(5)
+    block = np.concatenate([batch_rows(f.nodes), rng.normal(size=(7, len(f)))])
+    vals, limited, divergent = fh.norms_batch(block, f.nodes, f.weights, space)
+    kernel = fh.spaces._norm_values(block, f.weights, space, NormWorkspace(len(block), len(f)))
+    assert divergent.any() and not divergent.all() and limited.any()
+    assert np.isfinite(kernel).all()
+    assert np.array_equal(vals[~divergent], kernel[~divergent])
+    assert np.all(vals[divergent] == np.inf)
+
+
+@pytest.mark.parametrize("e", [1.0, 0.5, 3.0, 1.5, 1.0 / 3.0])
+def test_power_stays_within_an_ulp_of_np_power(e):
+    # the multiply and square-root paths, on magnitudes over 250 decades
+    # (results underflow to subnormals and zero) and on 0
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0], 10.0 ** rng.uniform(-150.0, 100.0, 10**6)])
+    want = np.power(x, e)
+    got = fh.spaces._power(x, e, np.empty_like(x))
+    assert got[0] == 0.0
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    if e == 1.0:
+        assert got is x
+
+
+@pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
 def test_a_row_norm_does_not_depend_on_its_place(space):
     # each row is summed on its own: its value is the same bits alone,
     # at every place of a 128-row block, and through norm_info
@@ -352,6 +382,9 @@ def test_a_row_norm_does_not_depend_on_its_place(space):
 
 
 SORT_SPACES = (fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.lorentz(2, 3), fh.SpaceSpec.weak_lp(2))
+# spaces whose kernel powers have the bits of np.power (exponents 1/3, 1
+# and 1/2); Lorentz(2,3) powers by x*x*x and x*sqrt(x), within an ulp
+BITWISE_POWER_SPACES = (fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.weak_lp(2))
 SORT_SIZES = (1, 2, 3, 7, 64, 512, 2048)
 
 
@@ -412,7 +445,10 @@ def test_packed_rank_sort_matches_stable_argsort(space, monkeypatch):
             monkeypatch.setattr(np, "argsort", argsort)
             assert len(fallbacks) == (len(rows) if near_ties else 0)
             assert not divergent.any()
-            assert np.array_equal(vals, want)
+            if space in BITWISE_POWER_SPACES:
+                assert np.array_equal(vals, want)
+            else:
+                assert np.all(np.abs(vals - want) <= 4 * np.spacing(want))
             mags = np.abs(rows)
             order = argsort(-mags, axis=1, kind="stable")
             assert np.array_equal(work.ordered[:len(rows)], np.take_along_axis(mags, order, 1))
@@ -533,14 +569,16 @@ def test_blowup_exponents_match_polyfit(n):
 
 
 def full_fit(nodes, mags):
-    """The endpoint power fit over all N columns, written out."""
+    """The endpoint power fit over all N columns, written out; the rows are
+    gathered row major, as the kernel gathers them, so numpy sums each row
+    pairwise."""
     beta = np.zeros(len(mags))
     x0 = nodes[np.argmax(mags, axis=1)]
     for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
         dist = 1.0 - side * nodes
         near = np.argsort(dist, kind="stable")
         dist = dist[near]
-        m = mags[rows][:, near]
+        m = mags[rows[:, None], near]
         usable = (dist > 0) & (m > 1e-14 * m.max(axis=1, keepdims=True))
         usable &= np.cumsum(usable, axis=1) <= 24
         count = np.count_nonzero(usable, axis=1)
@@ -588,6 +626,17 @@ def test_nearest_node_fit_equals_the_full_fit(n, monkeypatch):
         assert np.array_equal(beta, full_fit(x, batch))
         assert not interior.any() and set(widths) == read
     assert beta[0] > 0.5 and beta[5] == 0.0
+
+
+def test_a_row_fits_alone_as_in_a_batch():
+    # the fit gathers rows row major, so numpy sums each row in one order
+    # however many rows are fitted together
+    x, _ = fh.make_grid(512)
+    rows = np.array([(1.0 - x) ** -0.7 * (1.0 + 0.3 * np.sin(7.0 * x)),
+                     (1.0 - x) ** -0.45 + np.cos(5.0 * x)])
+    beta, _ = fh.spaces._blowup_exponents(x, rows)
+    alone = [fh.spaces._blowup_exponents(x, row[None, :])[0][0] for row in rows]
+    assert beta.min() > 0.4 and np.array_equal(beta, alone)
 
 
 def test_interior_peaks_are_resolution_limited():
