@@ -73,7 +73,6 @@ from .spaces import (
     distribution,
     norm,
     norm_info,
-    norms_batch,
     rearrangement,
     rearrangement_decay,
 )

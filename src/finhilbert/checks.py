@@ -11,7 +11,7 @@ Parseval), ``measure`` (vector-measure machinery) and ``norms``
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -51,16 +51,12 @@ class RunConfig:
     nodes: int = 512
     cells: int = 12
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError("nodes must be at least 16")
         if self.cells < 1:
             raise ValueError("cells must be positive")
-
-    def tol(self, check_id, default):
-        return float(self.tolerances.get(check_id, default))
 
 
 def row(check_id, claim, computed, expected, tolerance, passed=None):
@@ -98,7 +94,7 @@ POLY_TEST_SET = ([1], [0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1],
 def check_kernel(cfg):
     """sup over |t| <= 0.9 of |T(1/w)(t)| at the configured node count."""
     t0 = time.perf_counter()
-    tol = cfg.tol("kernel", 1e-6)
+    tol = 1e-6
     f = inv_weight_fn(cfg.nodes)
     img = fht_grid(f)
     mask = np.abs(img.nodes) <= 0.9
@@ -112,7 +108,7 @@ def check_kernel(cfg):
                            sup_orc, tol))
     elapsed = time.perf_counter() - t0
     rows.append(_runtime_row("kernel/runtime", "kernel check runs in under 5 s",
-                             elapsed, cfg.tol("kernel/runtime", 5.0)))
+                             elapsed, 5.0))
     return rows
 
 
@@ -123,7 +119,7 @@ def _runtime_row(check_id, claim, elapsed, budget):
 
 def check_indicator_closed_form(cfg):
     """Closed form (1/pi) ln|(1-x)/(t-x)| against PV quadrature at random (t,x)."""
-    tol = cfg.tol("indicator-closed-form", 1e-8)
+    tol = 1e-8
     rng = np.random.default_rng(cfg.seed + 1)
     ts, xs, closed = [], [], []
     while len(ts) < 100:
@@ -148,7 +144,7 @@ def check_indicator_closed_form(cfg):
 
 def check_right_inverse(cfg):
     """T(rightinverse(f)) = f on Lp(1.5) for f in {1, x, x^2, x^3, x^4}."""
-    tol = cfg.tol("right-inverse", 1e-5)
+    tol = 1e-5
     pts = np.linspace(-0.9, 0.9, 61)
     worst = 0.0
     for coeffs in POLY_TEST_SET[:5]:
@@ -164,7 +160,7 @@ def check_right_inverse(cfg):
 
 def check_left_inverse(cfg):
     """leftinverse(T(f)) = f on Lp(3) for the same polynomial set."""
-    tol = cfg.tol("left-inverse", 1e-5)
+    tol = 1e-5
     worst = 0.0
     for coeffs in POLY_TEST_SET[:5]:
         res = inversion_residuals(poly_fn(coeffs, cfg.nodes), SpaceSpec.lp(3))
@@ -176,7 +172,7 @@ def check_left_inverse(cfg):
 
 def check_projection(cfg):
     """rightinverse(T(f)) = f - P(f) with P the rank-one kernel projection."""
-    tol = cfg.tol("projection", 1e-5)
+    tol = 1e-5
     rows = []
     for name, coeffs in (("const", [1]), ("x^2", [0, 0, 1])):
         res = inversion_residuals(poly_fn(coeffs, cfg.nodes), SpaceSpec.lp(1.5))
@@ -189,7 +185,7 @@ def check_projection(cfg):
 
 def check_range_condition(cfg):
     """int T(f)/w du = 0 for polynomials; int 1/w du = pi puts 1 outside."""
-    tol = cfg.tol("range-condition", 1e-6)
+    tol = 1e-6
     worst = 0.0
     for coeffs in POLY_TEST_SET:
         img = fht_grid(poly_fn(coeffs, cfg.nodes))
@@ -205,7 +201,7 @@ def check_range_condition(cfg):
 
 def check_parseval(cfg):
     """<f, T(g)> = -<g, T(f)> over all pairs from an 8-polynomial dictionary."""
-    tol = cfg.tol("parseval", 1e-6)
+    tol = 1e-6
     fs = [poly_fn(np.eye(8)[k][: k + 1], cfg.nodes) for k in range(8)]
     worst = 0.0
     for i in range(8):
@@ -225,12 +221,12 @@ def check_rybakov(cfg):
     dev = float(np.abs(img.values[mask] - sigma).max())
     rows = [_bound_row("rybakov/transform",
                        "T(g0) equals the sign function away from 0 and +-1",
-                       dev, cfg.tol("rybakov/transform", 1e-4))]
+                       dev, 1e-4)]
     levels = total_variation_scalar(g0, levels=(256,))
     rows.append(row("rybakov/variation",
                     "total variation of <m, g0> over (-1,1) equals 2",
-                    levels[-1][1], 2.0, cfg.tol("rybakov/variation", 1e-3)))
-    tol_b = cfg.tol("rybakov/scalar-measure", 1e-4)
+                    levels[-1][1], 2.0, 1e-3))
+    tol_b = 1e-4
     for b in (0.25, 0.5, 0.75):
         val = scalar_measure(g0, IntervalSet(((0.0, b),))).real
         rows.append(row(f"rybakov/scalar-measure-{b}",
@@ -241,7 +237,7 @@ def check_rybakov(cfg):
 def check_boyd(cfg):
     """Boyd index estimates land within 0.05 of 1/p for all supported families."""
     t0 = time.perf_counter()
-    tol = cfg.tol("boyd", 0.05)
+    tol = 0.05
     cases = ((SpaceSpec.lp(1.5), "Lp(1.5)"), (SpaceSpec.lp(3), "Lp(3)"),
              (SpaceSpec.lorentz(3, 1), "Lorentz(3,1)"), (SpaceSpec.weak_lp(2), "WeakLp(2)"))
     rows = []
@@ -254,7 +250,7 @@ def check_boyd(cfg):
                         "upper Boyd index equals 1/p", hi, want, tol))
     elapsed = time.perf_counter() - t0
     rows.append(_runtime_row("boyd/runtime", "Boyd check runs in under 30 s",
-                             elapsed, cfg.tol("boyd/runtime", 30.0)))
+                             elapsed, 30.0))
     return rows
 
 
@@ -283,26 +279,26 @@ def check_rearrangement(cfg):
         worst = max(worst, dev)
     rows = [_bound_row("rearrangement/sort-oracle",
                        "decreasing rearrangement of step functions matches the "
-                       "sort oracle exactly", worst, cfg.tol("rearrangement/sort-oracle", 1e-12))]
+                       "sort oracle exactly", worst, 1e-12)]
 
     r = rearrangement(inv_weight_fn(cfg.nodes))
     dev = max(abs(r.value_interp(t) - 2.0 / np.sqrt(t * (4 - t)))
               for t in (0.1, 0.5, 1.0, 2.0))
     rows.append(_bound_row("rearrangement/invw-closed-form",
                            "rearrangement of 1/w equals 2/sqrt(t(4-t))",
-                           dev, cfg.tol("rearrangement/invw-closed-form", 1e-3)))
+                           dev, 1e-3))
     dec = rearrangement_decay(inv_weight_fn(cfg.nodes), 2.0)
     rows.append(row("rearrangement/invw-decay",
                     "lim t^{1/2} (1/w)*(t) = 1: 1/w is outside the "
                     "order-continuous part of weak-L^2",
-                    dec.value, 1.0, cfg.tol("rearrangement/invw-decay", 0.05)))
+                    dec.value, 1.0, 0.05))
     return rows
 
 
 def check_optdomain_search(cfg):
     """Exhaustive enumeration equals greedy flips; estimate dominates ||T f||."""
     space = SpaceSpec.lp(1.5)
-    tol = cfg.tol("optdomain-search", 1e-9)
+    tol = 1e-9
     worst_gap, floor_ok = 0.0, True
     for coeffs in POLY_TEST_SET:
         f = poly_fn(coeffs, cfg.nodes)
@@ -323,7 +319,7 @@ def check_optdomain_search(cfg):
 def check_semivariation(cfg):
     """Semivariation equals the optimal-domain norm of the restriction."""
     space = SpaceSpec.lp(1.5)
-    tol = cfg.tol("semivariation", 1e-6)
+    tol = 1e-6
     rng = np.random.default_rng(cfg.seed + 3)
     pool = POLY_TEST_SET[:6]
     worst = 0.0
@@ -368,7 +364,7 @@ def check_estimator_consistency(cfg):
     norm equality.
     """
     space = SpaceSpec.lp(1.5)
-    tol = cfg.tol("estimator-consistency", 0.25)
+    tol = 0.25
     cells = max(cfg.cells, 12)
     base = dual_dictionary(space, size=64, n=cfg.nodes, seed=cfg.seed)
     worst = 0.0
@@ -399,7 +395,7 @@ def check_sigma_additivity(cfg):
                 float(decreasing), 1.0, 0.5)]
     rows.append(_bound_row("sigma-additivity/limit",
                            "||m(0,eps)||_{L^1.5} below 1e-3 at eps = 1e-6",
-                           norms[-1], cfg.tol("sigma-additivity/limit", 1e-3)))
+                           norms[-1], 1e-3))
     return rows
 
 

@@ -154,19 +154,6 @@ def _merge_config(args, parser):
         args.out = cfg["out"]
     if getattr(args, "format", None) is None and "format" in cfg:
         args.format = cfg["format"]
-    tol_entries = list(getattr(args, "tol", []) or [])
-    if "tol" in cfg:
-        tol_entries = [t for t in cfg["tol"].split(",") if t] + tol_entries
-    tols = {}
-    for entry in tol_entries:
-        check, _, val = entry.partition("=")
-        if not val:
-            parser.error(f"--tol expects CHECK=VALUE, got {entry!r}")
-        try:
-            tols[check] = float(val)
-        except ValueError:
-            parser.error(f"bad tolerance value in {entry!r}")
-    args.tolerances = tols
     return args
 
 
@@ -249,8 +236,7 @@ def _solution_residual(particular, g):
 
 
 def cmd_verify(args, parser):
-    cfg = RunConfig(nodes=args.nodes, cells=args.cells, seed=args.seed,
-                    tolerances=args.tolerances)
+    cfg = RunConfig(nodes=args.nodes, cells=args.cells, seed=args.seed)
     rows = run_suite(args.suite or "all", cfg)
     meta = {"suite": args.suite or "all", "nodes": cfg.nodes, "cells": cfg.cells,
             "seed": cfg.seed, "version": __version__}
@@ -307,8 +293,6 @@ def build_parser():
                           choices=("identities", "measure", "norms", "all"))
     p_verify.add_argument("--out", default=None, help="report path")
     p_verify.add_argument("--format", default=None, choices=("json", "csv"))
-    p_verify.add_argument("--tol", action="append", default=[],
-                          metavar="CHECK=VAL", help="tolerance override")
     return parser
 
 

@@ -38,12 +38,6 @@ class IntervalSet:
             out.extend((a, b))
         return out
 
-    def contains(self, x):
-        return any(a < x < b for a, b in self.intervals)
-
-    def is_empty(self):
-        return not self.intervals
-
     def complement(self):
         pieces, prev = [], -1.0
         for a, b in self.intervals:

@@ -17,14 +17,15 @@ values T(f chi_B) that patterns combine are computed for all parts B in one
 call, by stacked profile transforms.  All randomized pieces are
 deterministic given the seed.
 
-Patterns are normed a block at a time by the value kernel of
-``spaces.norms_batch`` alone (``spaces._norm_values``), without its blow-up
-diagnosis.  A pattern's samples are a signed sum of T(f chi_cell), and the
-cell structure of f is bounded or made of w^{-1} pieces, so the sum's only
-singularities are logarithms at the cell edges, which are finite in every
-space here (a w^{-1} piece reaching +-1 stays bounded: T(chi_(0.5,1)/w) is
-0.5513 at x = 0.9999997).  A power-law fit could only misread such a
-logarithm as divergent, so a search value is always finite.
+Patterns are normed a block at a time by the value kernel
+``spaces._norm_values``, without the blow-up diagnosis of
+``spaces.norm_info``.  A pattern's samples are a signed sum of
+T(f chi_cell), and the cell structure of f is bounded or made of w^{-1}
+pieces, so the sum's only singularities are logarithms at the cell edges,
+which are finite in every space here (a w^{-1} piece reaching +-1 stays
+bounded: T(chi_(0.5,1)/w) is 0.5513 at x = 0.9999997).  A power-law fit
+could only misread such a logarithm as divergent, so a search value is
+always finite.
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     need not attain the supremum over complex phases: for 0.3 + x + x^2 on
     6 cells in L^1.5, phases=4 exceeds phases=2 by about 3%; compare the
     two to see the gap.  Patterns are combined and normed a block at a time
-    by the value kernel of ``spaces.norms_batch``, with no blow-up
+    by the value kernel ``spaces._norm_values``, with no blow-up
     diagnosis, so the value is always finite.
     """
     cells = _check_search(cells, search, restarts, phases)

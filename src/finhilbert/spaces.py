@@ -29,7 +29,8 @@ WEAK_LP = "WeakLp"
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Closed enumeration of target spaces: Lp(p), Lorentz(p, q), WeakLp(p)."""
+    """Closed enumeration of target spaces: Lp(p), Lorentz(p, q), WeakLp(p),
+    with a finite p > 1 and, for Lorentz, a finite q >= 1."""
 
     kind: str
     p: float
@@ -38,10 +39,12 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in (LP, LORENTZ, WEAK_LP):
             raise ValueError(f"unknown space kind: {self.kind}")
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
-        if self.kind == LORENTZ and not (self.q is not None and self.q >= 1):
-            raise ValueError("Lorentz spaces need q >= 1")
+        # the kernels take finite exponents only (Lp(inf) would read 1.0
+        # for 1 + x/2, whose sup is 1.5), and p = inf has trivial Boyd indices
+        if not 1 < self.p < np.inf:
+            raise ValueError("p must be finite and exceed 1")
+        if self.kind == LORENTZ and not (self.q is not None and 1 <= self.q < np.inf):
+            raise ValueError("Lorentz spaces need a finite q >= 1 (for q = inf use WeakLp)")
 
     @staticmethod
     def lp(p):
@@ -162,23 +165,40 @@ def norm_info(f, space):
     """Norm plus resolution diagnostics.
 
     A declared step function (:meth:`Profile.steps`) has its exact staircase
-    norm, which is finite and needs no flag.  Other samples go through
-    :func:`norms_batch` as a single row: a power-law fit of |f| against the
-    distance to the strongest peak estimates the local blow-up exponent
-    beta, and the norm is reported as +inf when the exponent makes the
-    defining integral divergent (p*beta >= 1, strict inequality for weak-L^p
-    where the boundary case is finite).  Only endpoint peaks are fitted: an
-    interior peak that dwarfs the bulk of the samples is flagged
-    resolution-limited, and a milder one goes unflagged.
+    norm, which is finite and needs no flag.  Other samples are normed by
+    the value kernel (:func:`_norm_values`) as a single row.  Where the
+    row's peak dwarfs the bulk of its magnitudes, a power-law fit of |f|
+    against the distance to the peak (:func:`_blowup_exponent`) estimates
+    the local blow-up exponent beta, and the norm is reported as +inf when
+    the exponent makes the defining integral divergent (p*beta >= 1, strict
+    inequality for weak-L^p where the boundary case is finite).  Only
+    endpoint peaks are fitted: an interior peak that dwarfs the bulk of the
+    samples is flagged resolution-limited, and a milder one goes unflagged.
     """
     if f.profile is not None and f.profile.steps() is not None:
         return NormInfo(_staircase_norm(rearrangement(f), space))
-    vals, limited, divergent = norms_batch(f.values[None, :], f.nodes, f.weights, space)
-    return NormInfo(float(vals[0]), bool(limited[0]), bool(divergent[0]))
+    if not len(f):
+        return NormInfo(0.0)
+    work = NormWorkspace(1, len(f))
+    value = float(_norm_values(f.values[None, :], f.weights, space, work)[0])
+    mags = work.mags[0]
+    # the blow-up gate: the peak must dwarf the median of the nonzero
+    # magnitudes (exceed 30 times it), which sit first in the descending
+    # order; L^p sorts, Lorentz and weak-L^p read the kernel's rank sort
+    ordered = np.sort(mags)[::-1] if space.kind == LP else work.ordered[0]
+    count = np.count_nonzero(mags)
+    median = (ordered[max(count - 1, 0) // 2] + ordered[count // 2]) / 2.0
+    beta, interior = 0.0, False
+    if count and ordered[0] > 30.0 * median:
+        beta, interior = _blowup_exponent(f.nodes, mags)
+    pb = space.p * beta
+    divergent = bool(pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99)
+    return NormInfo(np.inf if divergent else value,
+                    bool(interior or divergent or beta > 0.1), divergent)
 
 
 class NormWorkspace:
-    """Scratch arrays for :func:`norms_batch` and its value kernel, on blocks
+    """Scratch arrays for the value kernel :func:`_norm_values`, on blocks
     of up to ``rows`` rows of ``n`` samples.
 
     A search allocates one and passes it to every block, so its block loop
@@ -199,36 +219,10 @@ class NormWorkspace:
         self.scratch = np.empty((rows, n))
 
 
-def norms_batch(values, nodes, weights, space, work=None):
-    """Norms of the rows of ``values[P, N]``, each sampled at ``nodes``.
-
-    Returns ``(value, resolution_limited, divergent)`` arrays of length P,
-    row by row what :func:`norm_info` reports for profile-free samples.  It
-    is two layers: the value kernel (:func:`_norm_values`) norms every row,
-    and the blow-up diagnosis on top (:func:`_diagnose`) reads the
-    magnitudes the kernel left in ``work`` and sets +inf where a row is
-    divergent; every other value has the kernel's bits.  Block-sized
-    intermediates live in ``work``, a :class:`NormWorkspace` of at least P
-    rows (a fresh one when omitted); the returned arrays are always new.
-    """
-    values = np.asarray(values)
-    rows, n = values.shape
-    if n == 0:
-        flags = np.zeros(rows, dtype=bool)
-        return np.zeros(rows), flags, flags.copy()
-    if work is None:
-        work = NormWorkspace(rows, n)
-    vals = _norm_values(values, weights, space, work)
-    limited, divergent = _diagnose(nodes, space, work, rows)
-    vals[divergent] = np.inf
-    return vals, limited, divergent
-
-
 def _norm_values(values, weights, space, work):
     """The norms of the rows of ``values[P, N]`` with weights ``weights``,
-    with no blow-up diagnosis: the value kernel under :func:`norms_batch`,
-    and all a sign-pattern search needs (its rows are finite in every space
-    here).
+    with no blow-up diagnosis: all a sign-pattern search needs (its rows
+    are finite in every space here), and the value under :func:`norm_info`.
 
     L^p sums |v|^p w over each row on its own, so a row's value does not
     depend on its place in the block (a matrix-vector product's last bit
@@ -280,51 +274,6 @@ def _power(x, e, out=None):
         out *= x
         return out
     return np.power(x, e, out=out)
-
-
-def _diagnose(nodes, space, work, rows):
-    """``(resolution_limited, divergent)`` of the first ``rows`` rows whose
-    magnitudes :func:`_norm_values` left in ``work``.
-
-    The blow-up gate asks that the peak dwarf the median of the nonzero
-    magnitudes (exceed 30 times it).  Lorentz and weak-L^p read that median
-    from the kernel's sorted magnitudes.  L^p has no rearrangement, and of
-    a block of several rows it sorts only those the gate could engage:
-    where at most half of the nonzero magnitudes reach 1/30 of the peak
-    (otherwise 30 * median >= peak, as rounding is monotone); a single row
-    (``norm_info``) is sorted directly, which costs less than counting.  The
-    power-law fit (:func:`_blowup_exponents`) runs once, on the rows the
-    gate engages; an engaged row with an interior peak is flagged
-    resolution-limited, with beta = 0.
-    """
-    mags, positive = work.mags[:rows], work.positive[:rows]
-    nonzero = np.count_nonzero(np.greater(mags, 0, out=positive), axis=1)
-    if space.kind == LP:
-        ranked = np.arange(rows)
-        if rows > 1:
-            peak = np.max(mags, axis=1)
-            np.greater_equal(np.multiply(mags, 30.0, out=work.scratch[:rows]), peak[:, None],
-                             out=positive)
-            ranked = np.flatnonzero(2 * np.count_nonzero(positive, axis=1) <= nonzero)
-        ordered = np.take(mags, ranked, axis=0, out=work.ordered[:len(ranked)], mode="clip")
-        ordered.sort(axis=1)
-        ordered = ordered[:, ::-1]
-    else:
-        ranked, ordered = np.arange(rows), work.ordered[:rows]
-
-    # the nonzero magnitudes sit first in the descending order
-    count = nonzero[ranked]
-    r = np.arange(len(ranked))
-    median = (ordered[r, np.maximum(count - 1, 0) // 2] + ordered[r, count // 2]) / 2.0
-    gated = ranked[(count > 0) & (ordered[:, 0] > 30.0 * median)]
-    beta = np.zeros(rows)
-    limited = np.zeros(rows, dtype=bool)
-    if len(gated):
-        beta[gated], limited[gated] = _blowup_exponents(nodes, mags[gated])
-    pb = space.p * beta
-    divergent = pb > 1.05 if space.kind == WEAK_LP else pb >= 0.99
-    limited |= divergent | (beta > 0.1)
-    return limited, divergent
 
 
 def _rank_sort(mags, weights, work):
@@ -394,66 +343,38 @@ def _staircase_norm(r, space):
     return float(np.max(r.breakpoints ** (1.0 / space.p) * r.plateaus))
 
 
-# usable nodes per endpoint fit, and the nearest-node prefix read first.
-# Past a row's 24th usable column every summand of the fit is zero, so the
-# row sums over the prefix have the bits of the sums over all N columns:
-# numpy sums each row of the row-major gather pairwise, and the prefix is a
-# multiple of 8
-_FIT_NODES = 24
-_FIT_PREFIX = 64
+def _blowup_exponent(nodes, mags):
+    """``(beta, interior)``: the least-squares exponent of |f| ~ dist^{-beta}
+    near the strongest peak of the magnitudes ``mags`` sampled at ``nodes``,
+    and whether that peak is interior.
 
-
-def _blowup_exponents(nodes, mags):
-    """Least-squares exponents of |f| ~ dist^{-beta} near each row's
-    strongest peak, for the rows of ``mags[G, N]`` sampled at ``nodes``, and
-    which of those peaks are interior.
-
-    Called only on rows whose peak dwarfs the bulk of the function (a
-    genuine power singularity at grid resolution).  Interior peaks report
-    beta = 0 and True: the singular location falls between nodes, so a power
-    fit against node distances is unreliable, and the norm is only
+    Called only where the peak dwarfs the bulk of the function (a genuine
+    power singularity at grid resolution).  Interior peaks report beta = 0
+    and True: the singular location falls between nodes, so a power fit
+    against node distances is unreliable, and the norm is only
     resolution-limited; only endpoint blow-up (where the node family
-    clusters) is diagnosed.  An endpoint row fits log|f| against log dist
+    clusters) is diagnosed.  An endpoint peak fits log|f| against log dist
     over its 24 usable nodes nearest that endpoint (dist > 0 and |f| above
-    1e-14 of the peak); with fewer than 6 it reports 0.  The fit of one
-    endpoint's rows reads their 64 nearest nodes, and all N when some row
-    has fewer than 24 usable nodes among them; both give the same bits.
+    1e-14 of the peak); with fewer than 6 it reports 0.
     """
-    beta = np.zeros(len(mags))
-    peak = np.argmax(mags, axis=1)
-    x0 = nodes[peak]
-    floor = 1e-14 * mags[np.arange(len(mags)), peak]
-    for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
-        if not len(rows):
-            continue
-        dist = 1.0 - side * nodes
-        near = np.argsort(dist, kind="stable")
-        slope, count = _power_fit(dist, mags, near[:_FIT_PREFIX], rows, floor)
-        if count.min() < _FIT_NODES and len(near) > _FIT_PREFIX:
-            slope, count = _power_fit(dist, mags, near, rows, floor)
-        beta[rows] = np.where(count >= 6, np.maximum(0.0, -slope), 0.0)
-    return beta, (x0 >= -0.9) & (x0 <= 0.9)
-
-
-def _power_fit(dist, mags, cols, rows, floor):
-    """Slope of log|f| against log dist over the first 24 usable columns
-    ``cols`` of ``mags[rows]``, and the number of usable columns used.
-
-    The gather is row major, so numpy sums each row pairwise whatever the
-    number of rows: a row's slope has the same bits alone as in a batch (a
-    column-major gather of several rows is summed column by column).
-    """
-    dist = dist[cols]
-    m = mags[rows[:, None], cols]
-    usable = (dist > 0) & (m > floor[rows, None])
-    usable &= np.cumsum(usable, axis=1) <= _FIT_NODES
-    count = np.count_nonzero(usable, axis=1)
+    peak = np.argmax(mags)
+    if -0.9 <= nodes[peak] <= 0.9:
+        return 0.0, True
+    dist = 1.0 - nodes if nodes[peak] > 0.9 else 1.0 + nodes
+    near = np.argsort(dist, kind="stable")
+    dist, m = dist[near], mags[near]
+    usable = (dist > 0) & (m > 1e-14 * mags[peak])
+    usable &= np.cumsum(usable) <= 24
+    count = np.count_nonzero(usable)
+    if count < 6:
+        return 0.0, False
+    # the sums run over all N columns; past the 24th usable one every
+    # summand is zero
     logd = np.log(dist, where=dist > 0, out=np.zeros_like(dist))
     logm = np.log(m, where=usable, out=np.zeros_like(m))
-    mean = (logd * usable).sum(axis=1) / np.maximum(count, 1)
-    xc = np.where(usable, logd - mean[:, None], 0.0)
-    slope = (xc * logm).sum(axis=1) / np.maximum((xc * xc).sum(axis=1), 1e-300)
-    return slope, count
+    xc = np.where(usable, logd - (logd * usable).sum() / count, 0.0)
+    slope = (xc * logm).sum() / max((xc * xc).sum(), 1e-300)
+    return max(0.0, -slope), False
 
 
 # -------------------------------------------------------------------- dilation

@@ -74,6 +74,13 @@ def test_parse_space():
         parse_space("Lp:abc")
 
 
+@pytest.mark.parametrize("space", ["Lp:inf", "Lorentz:3,inf"])
+def test_solve_refuses_an_infinite_exponent(space, capsys):
+    code = main(["solve", "--g", "poly:0,1", "--space", space, "--nodes", "64"])
+    assert code == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- commands
 
 def test_eval_indicator(capsys):
@@ -347,11 +354,24 @@ def test_verify_csv_report(tmp_path):
     assert len(lines) > 5
 
 
-def test_verify_tolerance_override_forces_failure(capsys):
-    code = main(["verify", "--suite", "identities", "--tol",
-                 "left-inverse=1e-15"])
-    assert code == EXIT_CHECK_FAILURES
-    assert "[FAIL] left-inverse" in capsys.readouterr().out
+def test_verify_exits_5_on_a_failing_check(monkeypatch, capsys):
+    from finhilbert import cli
+    from finhilbert.checks import row
+
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: [
+        row("kernel", "a passing row", 0.0, 0.0, 1e-6),
+        row("left-inverse", "a failing row", 1.0, 0.0, 1e-6)])
+    assert main(["verify", "--suite", "identities"]) == EXIT_CHECK_FAILURES
+    out = capsys.readouterr().out
+    assert "[FAIL] left-inverse" in out and "1/2 checks passed" in out
+
+
+def test_verify_has_no_tolerance_flag(capsys):
+    # a check's tolerance is part of its claim
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol", "x=1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
@@ -362,22 +382,25 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append(cfg) or [])
     conf = tmp_path / "run.cfg"
     conf.write_text("seed=5\ncells=3\n")
-    assert main(["verify", "--tol", "kernel=1", "--config", str(conf)]) == EXIT_OK
+    assert main(["verify", "--nodes", "64", "--config", str(conf)]) == EXIT_OK
     assert main(["verify"]) == EXIT_OK
-    assert (seen[0].tolerances, seen[0].seed, seen[0].cells) == ({"kernel": 1.0}, 5, 3)
-    assert (seen[1].tolerances, seen[1].seed, seen[1].cells) == ({}, 0, 12)
+    assert (seen[0].nodes, seen[0].seed, seen[0].cells) == (64, 5, 3)
+    assert (seen[1].nodes, seen[1].seed, seen[1].cells) == (512, 0, 12)
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_verify_config_file_merges(tmp_path, capsys):
+def test_verify_config_file_merges(tmp_path, monkeypatch):
+    from finhilbert import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append((suite, cfg)) or [])
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=5\ntol=left-inverse=1e-15\n")
-    code = main(["verify", "--suite", "identities", "--config", str(cfg)])
-    assert code == EXIT_CHECK_FAILURES
+    cfg.write_text("seed=5\ncells=3\nsuite=identities\n")
+    assert main(["verify", "--config", str(cfg)]) == EXIT_OK
     # flags win over the config file
-    code = main(["verify", "--suite", "identities", "--config", str(cfg),
-                 "--tol", "left-inverse=1.0"])
-    assert code == EXIT_OK
+    assert main(["verify", "--config", str(cfg), "--seed", "7", "--suite", "norms"]) == EXIT_OK
+    assert [(suite, run.seed, run.cells) for suite, run in seen] == [
+        ("identities", 5, 3), ("norms", 7, 3)]
 
 
 # ---------------------------------------------------------------- cold start

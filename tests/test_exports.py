@@ -15,7 +15,7 @@ PUBLIC = (
     "fht_point", "fht_product_indicator", "from_callable", "from_profile",
     "indefinite_integral", "indicator_fn", "integrate", "integrate_interval",
     "inv_weight_fn", "inversion_residuals", "kernel_projection", "left_inverse",
-    "make_grid", "matched_dual", "norm", "norm_info", "norms_batch", "optdomain_norm",
+    "make_grid", "matched_dual", "norm", "norm_info", "optdomain_norm",
     "pairing", "parseval_defect", "poly_fn", "pv_oracle", "random_interval_set",
     "range_defect", "rearrangement", "rearrangement_decay", "regime_of", "restrict",
     "right_inverse", "rybakov_functional", "scalar_measure", "semicircle_weight",

@@ -237,7 +237,7 @@ def cell_basis(f, A, cells):
     rows = []
     for a, b in zip(edges[:-1], edges[1:]):
         part = A.intersect(ivals((a, b)))
-        rows.append(np.zeros(len(f)) if part.is_empty()
+        rows.append(np.zeros(len(f)) if not part.intervals
                     else fh.fht_product_indicator(f, part).values)
     return np.array(rows)
 
@@ -311,9 +311,11 @@ def test_semivariation_matches_brute_force(space, monkeypatch):
 
 
 def batch_norms(f, basis, patterns, space):
-    """The block kernel's norms of several patterns: one product by the real
-    basis (a matrix product, as the search takes) and one batch."""
-    return fh.norms_batch(np.asarray(patterns) @ np.real(basis), f.nodes, f.weights, space)[0]
+    """The value kernel's norms of several patterns: one product by the real
+    basis (a matrix product, as the search takes) and one block."""
+    samples = np.asarray(patterns) @ np.real(basis)
+    return fh.spaces._norm_values(samples, f.weights, space,
+                                  fh.spaces.NormWorkspace(len(samples), len(f)))
 
 
 def full_enumeration(f, basis, space):
@@ -498,7 +500,7 @@ def test_sign_search_keeps_the_fast_path(monkeypatch):
 
     monkeypatch.setattr(fh.measure, "_BlockNorms", Recording)
     monkeypatch.setattr(np, "polyfit", no_polyfit)
-    monkeypatch.setattr(fh.spaces, "_diagnose", no_diagnosis)
+    monkeypatch.setattr(fh.spaces, "_blowup_exponent", no_diagnosis)
     est = fh.optdomain_norm(f, space, cells=12)
     assert est.value == pytest.approx(2.6805983362690506, rel=1e-12)
     assert [b.basis.dtype for b in made] == [np.dtype(float)]
@@ -578,7 +580,7 @@ def test_semivariation_rows_equal_product_indicators(kind, monkeypatch):
     edges = np.linspace(-1.0, 1.0, 9)
     for row, a, b in zip(seen[0], edges[:-1], edges[1:]):
         part = A.intersect(ivals((a, b)))
-        want = (np.zeros(len(f)) if part.is_empty()
+        want = (np.zeros(len(f)) if not part.intervals
                 else fh.fht_product_indicator(f, part).values)
         assert np.array_equal(row, want)
     assert not seen[0][7].any()

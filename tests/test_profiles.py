@@ -236,7 +236,7 @@ def test_algebra_matches_pointwise_arithmetic(f, g, k):
 def test_restriction_matches_pointwise_masking(f, cuts):
     cuts = sorted(cuts)
     iset = fh.IntervalSet(tuple(zip(cuts[::2], cuts[1::2])))
-    inside = np.array([iset.contains(x) for x in XS])
+    inside = np.array([any(a < x < b for a, b in iset) for x in XS])
     assert close(f.restricted(iset).eval(XS), np.where(inside, f.eval(XS), 0.0))
 
 

@@ -26,6 +26,14 @@ def test_spacespec_validation():
         fh.SpaceSpec.lorentz(2.0, 0.5)
     with pytest.raises(ValueError):
         fh.SpaceSpec("Orlicz", 2.0)
+    # infinite exponents: for f = 1 + x/2 (sup 1.5) the kernels would read
+    # 1.0 in Lp(inf) and Lorentz(3, inf), and NaN in Lorentz(inf, 2)
+    for make in (lambda: fh.SpaceSpec.lp(math.inf), lambda: fh.SpaceSpec.weak_lp(math.inf),
+                 lambda: fh.SpaceSpec.lorentz(math.inf, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    with pytest.raises(ValueError, match="for q = inf use WeakLp"):
+        fh.SpaceSpec.lorentz(3, math.inf)
 
 
 def test_spacespec_derived_attributes():
@@ -145,6 +153,31 @@ def test_norm_divergence_flags(invw):
     assert fh.norm_info(invw, fh.SpaceSpec.weak_lp(2.0)).divergent is False
     blow = fh.from_callable(lambda x: 1.0 / (1.0 - x), 512)
     assert fh.norm_info(blow, fh.SpaceSpec.lp(1.5)).divergent
+
+
+ENDPOINT_SPACES = (fh.SpaceSpec.lp(1.2), fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lp(3),
+                   fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.lorentz(2, 3),
+                   fh.SpaceSpec.weak_lp(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(128, 2048), st.sampled_from(ENDPOINT_SPACES), st.sampled_from((1.0, -1.0)),
+       st.booleans(), st.floats(0.0, 1.0, exclude_max=True))
+def test_endpoint_power_singularities_are_diagnosed(n, space, side, divergent, u):
+    # (1 -+ x)^-beta on Chebyshev nodes: finite and unflagged as divergent for
+    # p*beta in [0.02, 0.85]; divergent, +inf and flagged for p*beta in
+    # [1.15, 1.9] with beta < 0.97
+    if divergent:
+        top = min(1.9, 0.97 * space.p)
+        pb = 1.15 + u * (top - 1.15)
+    else:
+        pb = 0.02 + u * 0.83
+    beta = pb / space.p
+    info = fh.norm_info(fh.from_callable(lambda x: (1.0 - side * x) ** -beta, n), space)
+    if divergent:
+        assert info.divergent and info.value == float("inf") and info.resolution_limited
+    else:
+        assert not info.divergent and np.isfinite(info.value)
 
 
 # ------------------------------------------------------------ step functions
@@ -268,9 +301,9 @@ def staircase_norm(f, space):
     return float(np.max(u ** (1 / space.p) * np.concatenate([v[1:], v[-1:]])))
 
 
-# (divergent, resolution_limited) flags of the batch_rows rows at 512 nodes:
-# only the two endpoint power singularities engage the blow-up fit, and the
-# zero-padded mild peak stays below the nonzero-median gate
+# (divergent, resolution_limited) flags of norm_info on the batch_rows rows
+# at 512 nodes: only the two endpoint power singularities engage the blow-up
+# fit, and the zero-padded mild peak stays below the nonzero-median gate
 BATCH_FLAGS = {
     "Lp(1.5)": ([0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
     "Lp(3)": ([0, 0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0]),
@@ -281,29 +314,26 @@ BATCH_FLAGS = {
 
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda sp: sp.label())
 def test_norms_batch_rows_equal_norm_info(space):
+    # norm_info row by row: the flag table, +inf on the divergent rows and
+    # the written-out staircase norm on the others
     f = fh.poly_fn([1.0], 512)
     rows = batch_rows(f.nodes)
-    vals, limited, divergent = fh.norms_batch(rows, f.nodes, f.weights, space)
-    assert vals.shape == limited.shape == divergent.shape == (len(rows),)
+    infos = [fh.norm_info(f.with_values(row), space) for row in rows]
     want_divergent, want_limited = BATCH_FLAGS[space.label()]
-    assert divergent.tolist() == [bool(b) for b in want_divergent]
-    assert limited.tolist() == [bool(b) for b in want_limited]
-    for k, row in enumerate(rows):
-        info = fh.norm_info(f.with_values(row), space)
-        assert divergent[k] == info.divergent
-        assert limited[k] == info.resolution_limited
+    assert [info.divergent for info in infos] == [bool(b) for b in want_divergent]
+    assert [info.resolution_limited for info in infos] == [bool(b) for b in want_limited]
+    for row, info in zip(rows, infos):
         if info.divergent:
-            assert vals[k] == float("inf")
+            assert info.value == float("inf")
         else:
-            assert abs(vals[k] - info.value) <= 1e-13 * max(info.value, 1e-300)
             want = staircase_norm(f.with_values(row), space)
-            assert vals[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert info.value == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_norms_batch_flags_differ_by_space():
     f = fh.poly_fn([1.0], 512)
-    rows = batch_rows(f.nodes)[4:5]
-    flags = [bool(fh.norms_batch(rows, f.nodes, f.weights, sp)[2][0]) for sp in BATCH_SPACES]
+    f = f.with_values(batch_rows(f.nodes)[4])
+    flags = [fh.norm_info(f, sp).divergent for sp in BATCH_SPACES]
     assert flags == [False, True, True, False]
 
 
@@ -312,37 +342,43 @@ REUSE_SPACES = (fh.SpaceSpec.lp(3), fh.SpaceSpec.lorentz(3, 1), fh.SpaceSpec.wea
 
 @pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
 def test_norms_batch_shared_workspace_matches_fresh_calls(space):
-    # blocks of varying height and magnitude through one workspace, a short
-    # last block included: stale rows of an earlier, larger block must not
-    # leak into any result, and earlier results must not change afterwards
+    # blocks of varying height and magnitude through one workspace of the
+    # value kernel, a short last block included: stale rows of an earlier,
+    # larger block must not leak into any result, and earlier results must
+    # not change afterwards
     f = fh.poly_fn([1.0], 256)
     rng = np.random.default_rng(17)
     peaks = batch_rows(f.nodes)
     work = NormWorkspace(16, len(f))
     results = []
+
+    def fresh(block):
+        return fh.spaces._norm_values(block, f.weights, space, NormWorkspace(len(block), len(f)))
+
     for count, scale in ((16, 1e6), (12, 0.0), (16, 1e-6), (1, 3.0), (5, 0.0), (3, 1.0)):
-        # scale 0 leaves the bare peaked rows, whose flags hinge on the
-        # blow-up gate (the mild zero-padded peak must stay unengaged)
+        # scale 0 leaves the bare peaked and zero rows
         block = scale * (rng.normal(size=(count, len(f))) + 1j * rng.normal(size=(count, len(f))))
         block += peaks[(np.arange(count) + count) % len(peaks)]
-        got = fh.norms_batch(block, f.nodes, f.weights, space, work)
+        got = fh.spaces._norm_values(block, f.weights, space, work)
         results.append((block, got))
-        want = fh.norms_batch(block.copy(), f.nodes, f.weights, space)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, fresh(block.copy()))
     for block, got in results:
-        want = fh.norms_batch(block, f.nodes, f.weights, space)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, fresh(block))
 
 
 @pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
 def test_norms_batch_is_the_value_kernel_plus_the_diagnosis(space):
-    # a block mixing rows the blow-up gate engages (the endpoint power
-    # peaks) with rows it leaves alone: the diagnosis only sets +inf, every
-    # other value has the kernel's bits, and the kernel's values are finite
+    # rows the blow-up gate engages (the endpoint power peaks) and rows it
+    # leaves alone, through norm_info one at a time: the diagnosis only sets
+    # +inf, every other value has the bits of the value kernel on the whole
+    # block, and the kernel's values are finite
     f = fh.poly_fn([1.0], 512)
     rng = np.random.default_rng(5)
     block = np.concatenate([batch_rows(f.nodes), rng.normal(size=(7, len(f)))])
-    vals, limited, divergent = fh.norms_batch(block, f.nodes, f.weights, space)
+    infos = [fh.norm_info(f.with_values(row), space) for row in block]
+    vals = np.array([info.value for info in infos])
+    limited = np.array([info.resolution_limited for info in infos])
+    divergent = np.array([info.divergent for info in infos])
     kernel = fh.spaces._norm_values(block, f.weights, space, NormWorkspace(len(block), len(f)))
     assert divergent.any() and not divergent.all() and limited.any()
     assert np.isfinite(kernel).all()
@@ -366,18 +402,22 @@ def test_power_stays_within_an_ulp_of_np_power(e):
 
 @pytest.mark.parametrize("space", REUSE_SPACES, ids=lambda sp: sp.label())
 def test_a_row_norm_does_not_depend_on_its_place(space):
-    # each row is summed on its own: its value is the same bits alone,
-    # at every place of a 128-row block, and through norm_info
+    # each row is summed on its own: its value kernel norm is the same bits
+    # alone, at every place of a 128-row block, and through norm_info where
+    # that does not report the row divergent
     f = fh.poly_fn([1.0], 512)
     rng = np.random.default_rng(23)
     block = rng.standard_cauchy((128, len(f))) * rng.uniform(0.1, 10.0, (128, 1))
     block[::7] += batch_rows(f.nodes)[3].real     # a few engage the blow-up fit
-    alone = np.array([fh.norms_batch(row[None, :], f.nodes, f.weights, space)[0][0]
+    alone = np.array([fh.spaces._norm_values(row[None, :], f.weights, space,
+                                             NormWorkspace(1, len(f)))[0]
                       for row in block])
-    assert all(fh.norm_info(f.with_values(row), space).value == value
-               for row, value in zip(block[::5], alone[::5]))
+    for row, value in zip(block[::5], alone[::5]):
+        info = fh.norm_info(f.with_values(row), space)
+        assert info.value == (float("inf") if info.divergent else value)
+    work = NormWorkspace(len(block), len(f))
     for shift in range(128):            # every row at every place
-        placed = fh.norms_batch(np.roll(block, shift, axis=0), f.nodes, f.weights, space)[0]
+        placed = fh.spaces._norm_values(np.roll(block, shift, axis=0), f.weights, space, work)
         assert np.array_equal(placed, np.roll(alone, shift))
 
 
@@ -434,17 +474,15 @@ def test_packed_rank_sort_matches_stable_argsort(space, monkeypatch):
 
     for n in SORT_SIZES:
         # distinct positive weights, so a misplaced row shows in the gather
-        nodes = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
         weights = rng.random(n) + 0.5
         for rows, near_ties in zip(rank_sort_rows(n, rng), (False, True)):
             want = stable_staircase_norms(rows, weights, space)
             work = NormWorkspace(len(rows), n)
             del fallbacks[:]
             monkeypatch.setattr(np, "argsort", counting_argsort)
-            vals, _, divergent = fh.norms_batch(rows, nodes, weights, space, work)
+            vals = fh.spaces._norm_values(rows, weights, space, work)
             monkeypatch.setattr(np, "argsort", argsort)
             assert len(fallbacks) == (len(rows) if near_ties else 0)
-            assert not divergent.any()
             if space in BITWISE_POWER_SPACES:
                 assert np.array_equal(vals, want)
             else:
@@ -471,7 +509,7 @@ def sort_gate(mags):
 def gate_rows(n, rng):
     """Rows on both sides of the gate: exact ties at peak/30 with half or
     more than half of the nonzero magnitudes there, values one ulp around
-    peak/30, zeros, an all-zero row, a NaN and heavy tails."""
+    peak/30, zeros, an all-zero row and heavy tails."""
     out = []
     for peak in (30.0, 1.0, 7.3):
         low = peak / 30.0
@@ -488,45 +526,39 @@ def gate_rows(n, rng):
         padded[0] = peak
         out.append(padded)
     out.append(np.zeros(n))
-    nan = rng.random(n)
-    nan[n // 3] = np.nan
-    out.append(nan)
     out.extend(rng.pareto(a, n) for a in (0.3, 0.6, 1.0, 3.0))
     return np.array(out)
 
 
 @pytest.mark.parametrize("n", [3, 8, 64, 512])
 def test_lp_count_gate_matches_the_sort_gate(n, monkeypatch):
-    # the L^p kernel sorts only rows where at most half of the nonzero
-    # magnitudes reach peak/30; the rows it gates, batched or one at a time,
-    # must be those the sort gate picks, in every space
+    # norm_info fits (_blowup_exponent) exactly the rows the sort gate
+    # picks, in every space: L^p sorts its row, Lorentz reads the kernel's
+    # rank sort
     rng = np.random.default_rng(n)
     nodes = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
     weights = rng.random(n) + 0.5
     rows = gate_rows(n, rng)
     want = sort_gate(rows)
     assert 0 < len(want) < len(rows)
-    real = fh.spaces._blowup_exponents
+    real = fh.spaces._blowup_exponent
     seen = []
 
     def recording(nodes, mags):
         seen.append(mags.copy())
         return real(nodes, mags)
 
-    monkeypatch.setattr(fh.spaces, "_blowup_exponents", recording)
+    monkeypatch.setattr(fh.spaces, "_blowup_exponent", recording)
     for space in (fh.SpaceSpec.lp(3), fh.SpaceSpec.lp(1.5), fh.SpaceSpec.lorentz(3, 1)):
         del seen[:]
-        fh.norms_batch(rows, nodes, weights, space)
-        assert np.array_equal(seen[0], rows[want])
-        del seen[:]
         for row in rows:
-            fh.norms_batch(row[None, :], nodes, weights, space)
+            fh.norm_info(fh.GridFunction(nodes, row, weights, "custom"), space)
         assert len(seen) == len(want)
-        assert np.array_equal(np.concatenate(seen), rows[want])
+        assert np.array_equal(np.array(seen), rows[want])
 
 
 def polyfit_exponent(nodes, mags):
-    """The per-row power-law fit of the blow-up diagnosis, written out."""
+    """The power-law fit of the blow-up diagnosis, written out."""
     x0 = nodes[np.argmax(mags)]
     if x0 > 0.9:
         dist = 1.0 - nodes
@@ -558,20 +590,19 @@ def test_blowup_exponents_match_polyfit(n):
         faint[::-1] * (1.0 + 0.1 * x),
         (1.0 - x) ** -1.2 + 3.0,
     ])
-    got, interior = fh.spaces._blowup_exponents(x, rows)
+    got, interior = zip(*(fh.spaces._blowup_exponent(x, row) for row in rows))
     want = [polyfit_exponent(x, row) for row in rows]
-    assert interior.tolist() == [False, False, True] + [False] * 5
+    assert list(interior) == [False, False, True] + [False] * 5
     assert got[2] == 0.0 and got[4] == 0.0
     assert got[0] > 0.5 and got[1] > 0.3
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
-    assert [len(a) for a in fh.spaces._blowup_exponents(x, rows[:0])] == [0, 0]
 
 
 def full_fit(nodes, mags):
-    """The endpoint power fit over all N columns, written out; the rows are
-    gathered row major, as the kernel gathers them, so numpy sums each row
-    pairwise."""
+    """The endpoint power fit over all N columns, written out for the rows
+    of ``mags``; each row is gathered on its own, so numpy sums it pairwise,
+    as the one-row fit does."""
     beta = np.zeros(len(mags))
     x0 = nodes[np.argmax(mags, axis=1)]
     for side, rows in ((1.0, np.flatnonzero(x0 > 0.9)), (-1.0, np.flatnonzero(x0 < -0.9))):
@@ -592,9 +623,9 @@ def full_fit(nodes, mags):
 
 
 @pytest.mark.parametrize("n", [64, 65, 100, 512, 2048])
-def test_nearest_node_fit_equals_the_full_fit(n, monkeypatch):
+def test_nearest_node_fit_equals_the_full_fit(n):
     # rows with 24 usable nodes among the 64 nearest, and rows that must
-    # read all N columns: zeros or faint values near the endpoint
+    # read farther: zeros or faint values near the endpoint
     x, _ = fh.make_grid(n)
     rank = np.empty(n, dtype=int)
     rank[np.argsort(1.0 - x, kind="stable")] = np.arange(n)
@@ -609,34 +640,10 @@ def test_nearest_node_fit_equals_the_full_fit(n, monkeypatch):
         np.where(rank < 5, right, 0.0),                       # 5 usable at all
         np.where(rank[::-1] % 3 == 0, left, 0.0),
     ])
-    widths = []
-    real = fh.spaces._power_fit
-
-    def recording(dist, mags, cols, *args):
-        widths.append(len(cols))
-        return real(dist, mags, cols, *args)
-
-    monkeypatch.setattr(fh.spaces, "_power_fit", recording)
-    # one row, then rows that all fit on the prefix, then every row: each
-    # endpoint with a short row falls back, and all its rows with it
-    for batch, read in ((rows[:1], {min(n, 64)}), (rows[:3], {min(n, 64)}),
-                        (rows, {min(n, 64), n})):
-        del widths[:]
-        beta, interior = fh.spaces._blowup_exponents(x, batch)
-        assert np.array_equal(beta, full_fit(x, batch))
-        assert not interior.any() and set(widths) == read
+    beta, interior = zip(*(fh.spaces._blowup_exponent(x, row) for row in rows))
+    assert np.array_equal(beta, full_fit(x, rows))
+    assert not any(interior)
     assert beta[0] > 0.5 and beta[5] == 0.0
-
-
-def test_a_row_fits_alone_as_in_a_batch():
-    # the fit gathers rows row major, so numpy sums each row in one order
-    # however many rows are fitted together
-    x, _ = fh.make_grid(512)
-    rows = np.array([(1.0 - x) ** -0.7 * (1.0 + 0.3 * np.sin(7.0 * x)),
-                     (1.0 - x) ** -0.45 + np.cos(5.0 * x)])
-    beta, _ = fh.spaces._blowup_exponents(x, rows)
-    alone = [fh.spaces._blowup_exponents(x, row[None, :])[0][0] for row in rows]
-    assert beta.min() > 0.4 and np.array_equal(beta, alone)
 
 
 def test_interior_peaks_are_resolution_limited():
