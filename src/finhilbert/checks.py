@@ -5,7 +5,7 @@ pass}``; a check may emit several rows (sub-checks carry ``id/subname``).
 Suites group the checks: ``identities`` (kernel, closed forms, inversion,
 Parseval), ``measure`` (vector-measure machinery) and ``norms``
 (rearrangement / Boyd).  Everything is deterministic for a fixed
-(nodes, cells, seed).
+(nodes, seed).
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ from .transform import fht_grid, fht_indicator, fht_over_w_point, pv_oracle
 @dataclass(frozen=True)
 class RunConfig:
     nodes: int = 512
-    cells: int = 12
     seed: int = 0
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError("nodes must be at least 16")
-        if self.cells < 1:
-            raise ValueError("cells must be positive")
 
 
 def row(check_id, claim, computed, expected, tolerance, passed=None):
@@ -365,13 +362,12 @@ def check_estimator_consistency(cfg):
     """
     space = SpaceSpec.lp(1.5)
     tol = 0.25
-    cells = max(cfg.cells, 12)
     base = dual_dictionary(space, size=64, n=cfg.nodes, seed=cfg.seed)
     worst = 0.0
     for coeffs in POLY_TEST_SET:
         f = poly_fn(coeffs, cfg.nodes)
-        est = optdomain_norm(f, space, cells=cells, search="exhaustive")
-        duals = base + (matched_dual(f, space, cells=cells, estimate=est),)
+        est = optdomain_norm(f, space, cells=12, search="exhaustive")
+        duals = base + (matched_dual(f, space, cells=12, estimate=est),)
         wn = weak_norm(f, space, duals)
         on = est.value
         worst = max(worst, abs(wn - on) / max(wn, on))

@@ -130,30 +130,28 @@ def _load_config_file(path):
     return out
 
 
-def _merge_config(args, parser):
-    """Config file mirrors the flags; explicit flags win."""
-    cfg = _load_config_file(args.config) if args.config else {}
+# config keys: the flags a file may set, with their types and defaults
+_CONFIG_KEYS = {"nodes": (int, 512), "seed": (int, 0), "suite": (str, None),
+                "out": (str, None), "format": (str, None)}
 
-    def pick(name, cast, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
+
+def _merge_config(args, parser):
+    """Config file mirrors the command's flags; explicit flags win.  A key
+    that is not a flag of the command is a usage error."""
+    cfg = _load_config_file(args.config) if args.config else {}
+    keys = {name: spec for name, spec in _CONFIG_KEYS.items() if hasattr(args, name)}
+    if unknown := sorted(set(cfg) - set(keys)):
+        parser.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+    for name, (cast, default) in keys.items():
+        if getattr(args, name) is not None:
+            continue
+        value = default
         if name in cfg:
             try:
-                return cast(cfg[name])
+                value = cast(cfg[name])
             except ValueError:
                 parser.error(f"bad config value for {name}: {cfg[name]!r}")
-        return default
-
-    args.nodes = pick("nodes", int, 512)
-    args.cells = pick("cells", int, 12)
-    args.seed = pick("seed", int, 0)
-    if getattr(args, "suite", None) is None and "suite" in cfg:
-        args.suite = cfg["suite"]
-    if getattr(args, "out", None) is None and "out" in cfg:
-        args.out = cfg["out"]
-    if getattr(args, "format", None) is None and "format" in cfg:
-        args.format = cfg["format"]
+        setattr(args, name, value)
     return args
 
 
@@ -236,10 +234,10 @@ def _solution_residual(particular, g):
 
 
 def cmd_verify(args, parser):
-    cfg = RunConfig(nodes=args.nodes, cells=args.cells, seed=args.seed)
+    cfg = RunConfig(nodes=args.nodes, seed=args.seed)
     rows = run_suite(args.suite or "all", cfg)
-    meta = {"suite": args.suite or "all", "nodes": cfg.nodes, "cells": cfg.cells,
-            "seed": cfg.seed, "version": __version__}
+    meta = {"suite": args.suite or "all", "nodes": cfg.nodes, "seed": cfg.seed,
+            "version": __version__}
     for r in sorted(rows, key=lambda r: r["check_id"]):
         mark = "PASS" if r["pass"] else "FAIL"
         print(f"[{mark}] {r['check_id']}: computed {r['computed']:.6g} "
@@ -268,10 +266,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--nodes", type=int, default=None,
                         help="grid size (default 512)")
-    common.add_argument("--cells", type=int, default=None,
-                        help="partition cells for supremum searches (default 12)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized spot checks (default 0)")
     common.add_argument("--config", default=None,
                         help="key=value file mirroring the flags; flags win")
 
@@ -289,6 +283,8 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the verification suite")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed for randomized spot checks (default 0)")
     p_verify.add_argument("--suite", default=None,
                           choices=("identities", "measure", "norms", "all"))
     p_verify.add_argument("--out", default=None, help="report path")

@@ -240,9 +240,13 @@ def const_fn(c=1.0, n=DEFAULT_NODES, family=CHEBYSHEV):
     return poly_fn([c], n, family)
 
 
+def indicator_profile(interval_set):
+    """The profile of chi_A: one constant piece per interval of A."""
+    return Profile(tuple((a, b, (1.0,), 0) for a, b in as_interval_set(interval_set)))
+
+
 def indicator_fn(interval_set, n=DEFAULT_NODES, family=CHEBYSHEV):
-    prof = Profile(tuple((a, b, (1.0,), 0) for a, b in as_interval_set(interval_set)))
-    return from_profile(prof, n, family)
+    return from_profile(indicator_profile(interval_set), n, family)
 
 
 def weight_fn(n=DEFAULT_NODES, family=CHEBYSHEV):

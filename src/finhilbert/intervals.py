@@ -25,18 +25,8 @@ class IntervalSet:
     def empty():
         return IntervalSet(())
 
-    @staticmethod
-    def full():
-        return IntervalSet(((-1.0, 1.0),))
-
     def measure(self):
         return sum(b - a for a, b in self.intervals)
-
-    def endpoints(self):
-        out = []
-        for a, b in self.intervals:
-            out.extend((a, b))
-        return out
 
     def complement(self):
         pieces, prev = [], -1.0

@@ -14,7 +14,9 @@ with seeded random restarts.  A cell where f vanishes cannot change a
 value, so neither search varies its sign, and the greedy search norms
 each distinct pattern once (a pattern and its negation are one).  The
 values T(f chi_B) that patterns combine are computed for all parts B in one
-call, by stacked profile transforms.  All randomized pieces are
+call, by stacked profile transforms, behind the jump guard of
+:func:`transform.fht_grid`: a node within 1e-12 of a cell edge where f
+jumps raises.  All randomized pieces are
 deterministic given the seed.
 
 Patterns are normed a block at a time by the value kernel
@@ -46,7 +48,6 @@ from .intervals import IntervalSet, as_interval_set
 from .profiles import Profile, fht_values_stacked
 from .spaces import NormWorkspace, SpaceSpec, _norm_values, norm
 from .transform import (
-    SingularEvaluationError,
     _guard_cuts,
     fht_grid,
     fht_indicator,
@@ -146,34 +147,28 @@ class OptNormEstimate:
     cells: int
 
 
-def _transform_basis(f, edges):
-    """T(f chi_cell) stacked per cell, evaluated on f's own grid
-    (:func:`_part_transforms` with the cells as parts), so piecewise
-    inputs keep their exact cuts; a structure with log terms is read as the
-    interpolant of its samples.  A node exactly on an inner cell edge raises
-    :class:`SingularEvaluationError`.
-    """
-    if len(hit := np.intersect1d(edges[1:-1], f.nodes)):
-        raise SingularEvaluationError(f"nodes on search cell edge(s) {hit.tolist()}")
-    return _part_transforms(f, [((a, b),) for a, b in zip(edges[:-1], edges[1:])])
+def _cells(cells):
+    """Edges of ``cells`` equal cells of (-1, 1), and the cells as parts."""
+    edges = np.linspace(-1.0, 1.0, cells + 1)
+    return edges, [IntervalSet(((a, b),)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _part_transforms(f, parts, guard=False):
+def _part_transforms(f, parts):
     """T(f chi_B) on f's nodes for each of the disjoint ``parts`` B, one row
     each, with the bits of ``fht_product_indicator(f, B).values``.
 
-    :func:`grid.cell_structure` of f is cut at every part, and the cuts are
+    :func:`grid.cell_structure` of f is cut at every part (a structure with
+    log terms is read as the interpolant of its samples), and the cuts are
     transformed together (:func:`profiles.fht_values_stacked`); no
     restricted grid function or image profile is built.  A part that
-    misses f gives exact zeros.  With ``guard``, a node within 1e-12 of a
-    jump of a cut raises :class:`SingularEvaluationError`, as in
-    :func:`transform.fht_grid`.
+    misses f gives exact zeros.  A node within 1e-12 of a jump of a cut
+    raises :class:`SingularEvaluationError`, as in
+    :func:`transform.fht_grid`; a part end where f vanishes is no jump.
     """
     prof = cell_structure(f)
     cuts = [prof.restricted(part) for part in parts]
-    if guard:
-        for cut in cuts:
-            _guard_cuts(cut, f.nodes)
+    for cut in cuts:
+        _guard_cuts(cut, f.nodes)
     return fht_values_stacked(cuts, f.nodes)
 
 
@@ -372,10 +367,18 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     two to see the gap.  Patterns are combined and normed a block at a time
     by the value kernel ``spaces._norm_values``, with no blow-up
     diagnosis, so the value is always finite.
+
+    The cell values T(f chi_cell) pass the jump guard of
+    :func:`transform.fht_grid`, as in ``semivariation``: a node within
+    1e-12 of a cell edge where f jumps raises
+    :class:`SingularEvaluationError`.  So does an odd number of Chebyshev
+    nodes with an even number of cells when f(0) != 0: the middle node,
+    6.1e-17, lies on the edge 0, where the value would be inflated by the
+    log of that distance.  An edge on a node where f vanishes is no jump.
     """
     cells = _check_search(cells, search, restarts, phases)
-    edges = np.linspace(-1.0, 1.0, cells + 1)
-    basis = _transform_basis(f, edges)
+    edges, parts = _cells(cells)
+    basis = _part_transforms(f, parts)
     best, signs = _search_best(basis, f, space, search, restarts, seed, phases)
     witness = ModulatingFunction(edges, signs)
     return OptNormEstimate(float(best), witness, search, cells)
@@ -392,19 +395,17 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
     so the two remain two routes; the block search and the norm kernel are
     shared with it.  A node within 1e-12 of a jump of f chi_{A and cell}
     raises :class:`SingularEvaluationError`, as ``fht_product_indicator``
-    does.  A cell that misses A, or on which f vanishes, has an exactly
-    zero value and is dead, as in ``optdomain_norm``: an exhaustive search
-    norms 2^(live-1) patterns, and a greedy one draws its random starts on
-    all cells, keeps their signs on dead cells and norms each distinct
-    pattern once.  The arguments are checked as ``optdomain_norm`` checks
+    and ``optdomain_norm`` do.  A cell that misses A, or on which f
+    vanishes, has an exactly zero value and is dead, as in
+    ``optdomain_norm``: an exhaustive search norms 2^(live-1) patterns, and
+    a greedy one draws its random starts on all cells, keeps their signs on
+    dead cells and norms each distinct pattern once.  The arguments are checked as ``optdomain_norm`` checks
     them, an empty A included, which gives 0 and all signs +1.
     """
     cells = _check_search(cells, search, restarts)
     interval_set = as_interval_set(interval_set)
-    edges = np.linspace(-1.0, 1.0, cells + 1)
-    parts = [interval_set.intersect(IntervalSet(((a, b),)))
-             for a, b in zip(edges[:-1], edges[1:])]
-    basis = _part_transforms(f, parts, guard=True)
+    edges, cell_sets = _cells(cells)
+    basis = _part_transforms(f, [interval_set.intersect(cell) for cell in cell_sets])
     best, signs = _search_best(basis, f, space, search, restarts, seed)
     witness = ModulatingFunction(edges, signs)
     return OptNormEstimate(float(best), witness, search, cells)
@@ -472,6 +473,7 @@ def matched_dual(f, space, cells=12, estimate=None):
 
     Adding it to a dual dictionary guarantees the scalar-measure estimate
     dominates the sign-search estimate, up to transform quadrature error.
+    The cell values are those of ``optdomain_norm``, with its jump guard.
     ``estimate`` is the exhaustive ``optdomain_norm(f, space, cells)`` when
     the caller already has it; otherwise it is computed here.
     """
@@ -480,8 +482,7 @@ def matched_dual(f, space, cells=12, estimate=None):
         est = optdomain_norm(f, space, cells=cells, search=EXHAUSTIVE)
     elif est.cells != int(cells):
         raise ValueError("the estimate was searched on a different number of cells")
-    edges = np.linspace(-1.0, 1.0, est.cells + 1)
-    basis = _transform_basis(f, edges)
+    basis = _part_transforms(f, _cells(est.cells)[1])
     img_vals = np.asarray(est.witness.coefficients) @ basis
     dual_vals = np.abs(img_vals) ** (space.p - 1) * np.sign(img_vals.real)
     g = f.with_values(dual_vals.astype(complex), None)
@@ -512,7 +513,10 @@ def blowup_witness(t, bound):
 
     Inverting (1/pi) ln|(1-x)/(t-x)| > 2M gives the radius
     (1-t)/(1 + exp(2 pi M)); the returned sample sits at half that distance
-    on the right of t.
+    on the right of t.  The sample is evaluated by ``fht_indicator``, which
+    refuses a point within 1e-12 of the jump at t: a bound whose sample
+    falls that close (M above about 4.3 at t = 0) raises
+    :class:`SingularEvaluationError`.
     """
     if not -1.0 < t < 1.0:
         raise ValueError("t must lie in (-1, 1)")

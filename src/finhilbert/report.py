@@ -1,6 +1,6 @@
 """Deterministic JSON / CSV writers for verification reports.
 
-Output is byte-identical for a fixed (seed, nodes, cells) apart from the
+Output is byte-identical for a fixed (seed, nodes) apart from the
 ``generated_at`` timestamp field.
 """
 

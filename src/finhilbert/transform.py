@@ -14,12 +14,14 @@ The input alone selects the evaluator:
 * a callable: subtract-the-singularity adaptive quadrature, point by point.
 
 T(f chi_A) is the transform of :func:`grid.restrict`, which cuts
-:func:`grid.cell_structure` at A.  Two quadrature rules are verification
-references, sharing no closed form with these evaluators: cos(theta) panel
-quadrature of T(h/w) (:func:`fht_over_w_point`; T(h w) is
-T((h (1 - x^2))/w)), and an independent symmetric-exclusion principal-value
-rule with Richardson extrapolation (:func:`pv_oracle`), the cross-checking
-oracle.
+:func:`grid.cell_structure` at A, and T(chi_A) (:func:`fht_indicator`) that
+of the profile of chi_A: every transform of a cut profile passes the one
+jump guard, :func:`_guard_cuts`, before :meth:`Profile.fht_values`.  Two
+quadrature rules are verification references, sharing no closed form with
+these evaluators: cos(theta) panel quadrature of T(h/w)
+(:func:`fht_over_w_point`; T(h w) is T((h (1 - x^2))/w)), and an
+independent symmetric-exclusion principal-value rule with Richardson
+extrapolation (:func:`pv_oracle`), the cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chebalg as ca
-from .grid import GridFunction, restrict
-from .intervals import as_interval_set
+from .grid import GridFunction, indicator_profile, restrict
 
 _CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
 
@@ -56,7 +57,7 @@ def fht_point(f, t):
     tt = float(np.asarray(t))
     _check_interior(tt)
     if isinstance(f, GridFunction):
-        return complex(_grid_transform_values(f, np.array([tt]))[0])
+        return complex(_profile_values(f.structure, np.array([tt]))[0])
     return complex(_fht_callable(f, tt))
 
 
@@ -66,9 +67,10 @@ def fht_grid(f):
     return f.with_values(*f.structure.fht_image(f.nodes))
 
 
-def _grid_transform_values(f, pts):
-    _guard_cuts(f.structure, pts)
-    return f.structure.fht_values(pts)
+def _profile_values(prof, pts):
+    """T(prof) at pts by :meth:`Profile.fht_values`, after :func:`_guard_cuts`."""
+    _guard_cuts(prof, pts)
+    return prof.fht_values(pts)
 
 
 def _guard_cuts(prof, pts, guard=_CUT_GUARD):
@@ -90,24 +92,14 @@ def _guard_cuts(prof, pts, guard=_CUT_GUARD):
 def fht_indicator(interval_set, x):
     """T(chi_A)(x) = (1/pi) sum over intervals (a,b) of ln|(b-x)/(a-x)|.
 
-    Intervals that touch are read as one: their logs cancel at the end they
-    share, so only the other ends are refused.
+    The closed form is that of the profile of chi_A, read as
+    :func:`fht_point` reads it: a point within 1e-12 of a jump of chi_A is
+    refused.  Intervals that touch have no jump at the end they share, and
+    an end at -1 or 1 is no jump inside (-1, 1), so the finite value is
+    returned there, e.g. at 1 - 1e-16 for A = (0, 1).
     """
-    interval_set = as_interval_set(interval_set)
     xs = _check_interior(x)
-    joined = []
-    for a, b in interval_set:
-        if joined and joined[-1][1] == a:
-            a = joined.pop()[0]
-        joined.append((a, b))
-    out = np.zeros(xs.shape)
-    for a, b in joined:
-        if np.any(np.abs(xs - a) < 1e-14) or np.any(np.abs(xs - b) < 1e-14):
-            raise SingularEvaluationError(
-                "transform of an indicator diverges at the interval endpoints"
-            )
-        out = out + np.log(np.abs((b - xs) / (a - xs)))
-    out = out / np.pi
+    out = _profile_values(indicator_profile(interval_set), xs).real
     return complex(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

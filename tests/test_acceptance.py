@@ -26,7 +26,7 @@ from finhilbert.checks import (
     run_suite,
 )
 
-CFG = RunConfig(nodes=512, cells=12, seed=0)
+CFG = RunConfig(nodes=512, seed=0)
 
 
 def report(name, rows, extra=""):

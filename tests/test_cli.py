@@ -381,11 +381,11 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append(cfg) or [])
     conf = tmp_path / "run.cfg"
-    conf.write_text("seed=5\ncells=3\n")
+    conf.write_text("seed=5\n")
     assert main(["verify", "--nodes", "64", "--config", str(conf)]) == EXIT_OK
     assert main(["verify"]) == EXIT_OK
-    assert (seen[0].nodes, seen[0].seed, seen[0].cells) == (64, 5, 3)
-    assert (seen[1].nodes, seen[1].seed, seen[1].cells) == (512, 0, 12)
+    assert (seen[0].nodes, seen[0].seed) == (64, 5)
+    assert (seen[1].nodes, seen[1].seed) == (512, 0)
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -395,12 +395,45 @@ def test_verify_config_file_merges(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append((suite, cfg)) or [])
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=5\ncells=3\nsuite=identities\n")
+    cfg.write_text("seed=5\nnodes=64\nsuite=identities\n")
     assert main(["verify", "--config", str(cfg)]) == EXIT_OK
     # flags win over the config file
     assert main(["verify", "--config", str(cfg), "--seed", "7", "--suite", "norms"]) == EXIT_OK
-    assert [(suite, run.seed, run.cells) for suite, run in seen] == [
-        ("identities", 5, 3), ("norms", 7, 3)]
+    assert [(suite, run.seed, run.nodes) for suite, run in seen] == [
+        ("identities", 5, 64), ("norms", 7, 64)]
+
+
+@pytest.mark.parametrize("line,key", [("node=64", "node"),
+                                      ("tol=left-inverse=1e-15", "tol"),
+                                      ("cells=3", "cells")])
+def test_config_file_refuses_unknown_keys(tmp_path, monkeypatch, capsys, line, key):
+    # a misspelt or retired key must not run with the defaults in silence
+    from finhilbert import cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: pytest.fail("the suite ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=5\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unknown config key(s) for verify: {key}" in capsys.readouterr().err
+
+
+def test_eval_takes_no_seed_and_verify_no_cells(tmp_path, capsys):
+    # eval and solve draw nothing at random, and no search takes a cell count
+    # from the command line
+    for argv in (["eval", "--f", "poly:1", "--seed", "3"],
+                 ["verify", "--cells", "12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--f", "poly:1", "--config", str(cfg)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unknown config key(s) for eval: seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- cold start

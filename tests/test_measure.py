@@ -415,7 +415,7 @@ def test_complex_phases_with_a_dead_first_cell():
     # dead cell 0: the two maxima differ by the roundoff of the phase
     f = fh.restrict(fh.poly_fn([0.3, 1.0, 1.0], 256), ivals((-0.6, 0.9)))
     edges = np.linspace(-1.0, 1.0, 7)
-    basis = fh.measure._transform_basis(f, edges)
+    basis = fh.measure._part_transforms(f, [ivals(cell) for cell in zip(edges[:-1], edges[1:])])
     assert not basis[0].any() and all(row.any() for row in basis[1:])
     full, _ = fh.measure._exhaustive_best(basis, f.weights, LP15, phases=4)
     est = fh.optdomain_norm(f, LP15, cells=6, phases=4)
@@ -555,7 +555,8 @@ def test_cell_basis_rows_equal_per_cell_transforms(kind, n):
     prof = fh.grid.cell_structure(f)
     for cells in (7, 12):
         edges = np.linspace(-1.0, 1.0, cells + 1)
-        basis = fh.measure._transform_basis(f, edges)
+        basis = fh.measure._part_transforms(f, [ivals(cell)
+                                                for cell in zip(edges[:-1], edges[1:])])
         want = [prof.restricted(ivals((a, b))).fht_values(f.nodes)
                 for a, b in zip(edges[:-1], edges[1:])]
         assert np.array_equal(basis, want)
@@ -797,6 +798,15 @@ def test_blowup_small_bound_gives_wide_interval():
     assert attained > 0.02
 
 
+def test_blowup_refuses_a_sample_inside_the_jump_guard():
+    # the sample sits (1 - t)/(2 (1 + exp(2 pi M))) right of the jump at t:
+    # 1.3e-12 for M = 4.25 at t = 0, 9.2e-13 for M = 4.3
+    interval, x, attained = fh.blowup_witness(0.0, 4.25)
+    assert x > 1e-12 and attained > 8.5
+    with pytest.raises(fh.SingularEvaluationError, match="discontinuity"):
+        fh.blowup_witness(0.0, 4.3)
+
+
 def test_blowup_validates_input():
     with pytest.raises(ValueError):
         fh.blowup_witness(1.5, 1.0)
@@ -906,11 +916,41 @@ def test_cell_readers_of_a_uniform_image_cut_its_samples(reader):
 def test_search_refuses_nodes_on_cell_edges():
     # 8 of 24 uniform nodes lie on edges of 16 cells, where T(f chi_cell)
     # diverges; -0.875 = -1 + 3/24 = -1 + 1/8 is the first
-    with pytest.raises(fh.SingularEvaluationError, match=r"edge\(s\) \[-0\.875, -0\.625"):
+    with pytest.raises(fh.SingularEvaluationError,
+                       match=r"^evaluation at discontinuity point\(s\) \[-0\.875\]$"):
         fh.optdomain_norm(fh.poly_fn([1], 24, family="uniform"), LP15, cells=16)
-    # odd Chebyshev grids put a node 6.1e-17 from the edge 0: no exact hit
-    est = fh.optdomain_norm(fh.poly_fn([1], 25), LP15, cells=16)
-    assert est.value == pytest.approx(6.63, abs=0.005)
+    # odd Chebyshev grids put a node 6.1e-17 from the edge 0, inside the
+    # 1e-12 guard, where T(f chi_cell) carries ln(6.1e-17)
+    with pytest.raises(fh.SingularEvaluationError, match=r"discontinuity point\(s\) \[0\.0\]"):
+        fh.optdomain_norm(fh.poly_fn([1], 25), LP15, cells=16)
+    # an edge exactly on a node where f vanishes is no jump: x on 25 uniform
+    # nodes, the middle one 0.0, gives the finite value on 4 cells
+    f = fh.poly_fn([0, 1], 25, family="uniform")
+    assert f.nodes[12] == 0.0
+    est = fh.optdomain_norm(f, LP15, cells=4)
+    assert est.value == fh.semivariation(f, FULL, LP15, cells=4).value
+    assert est.value == pytest.approx(0.7288, abs=5e-5)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 1.0], [1.0, 0.5]])
+@pytest.mark.parametrize("cells", [10, 12, 16])
+@pytest.mark.parametrize("n", [24, 25, 64, 65, 511, 512])
+def test_optdomain_norm_is_the_semivariation_over_the_whole_interval(n, cells, coeffs):
+    # one jump guard for both searches: the same bits, or both refuse.  At
+    # odd n with even cells the middle node lies 6.1e-17 from the edge 0,
+    # a jump of 1 + 0.5x but none of x, which vanishes there
+    f = fh.poly_fn(coeffs, n)
+
+    def value(search):
+        try:
+            return search().value
+        except fh.SingularEvaluationError:
+            return "refused"
+
+    od = value(lambda: fh.optdomain_norm(f, LP15, cells=cells))
+    sv = value(lambda: fh.semivariation(f, FULL, LP15, cells=cells))
+    assert od == sv
+    assert (od == "refused") == (n % 2 == 1 and coeffs[0] != 0.0)
 
 
 @pytest.mark.parametrize("n", [64, 512])

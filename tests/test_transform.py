@@ -235,8 +235,17 @@ def test_indicator_right_of_interval():
 
 
 def test_indicator_rejects_endpoint_evaluation():
-    with pytest.raises(fh.SingularEvaluationError):
-        fh.fht_indicator(ivals((0.0, 1.0)), 1.0 - 1e-16)
+    # the end 1 of (0, 1) is no jump inside (-1, 1): the finite closed form,
+    # as fht_point reads the same profile
+    near_one = 1.0 - 1e-16
+    val = fh.fht_indicator(ivals((0.0, 1.0)), near_one)
+    assert val == fh.fht_point(fh.indicator_fn(ivals((0.0, 1.0)), 64), near_one)
+    assert val.real == pytest.approx(math.log((1.0 - near_one) / near_one) / math.pi,
+                                     rel=1e-12)
+    # the interior end 0.5 of (0, 0.5) is a jump, refused within the 1e-12 guard
+    for x in (0.5, 0.5 - 1e-13, 0.5 + 1e-13):
+        with pytest.raises(fh.SingularEvaluationError, match="discontinuity"):
+            fh.fht_indicator(ivals((0.0, 0.5)), x)
     with pytest.raises(fh.TransformDomainError):
         fh.fht_indicator(ivals((0.0, 0.5)), 1.5)
 
