@@ -18,7 +18,6 @@ from .airfoil import (
     HIGH_INDEX,
     LOW_INDEX,
     NotInRangeError,
-    inversion_residuals,
     kernel_projection,
     left_inverse,
     range_defect,

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from . import chebalg as ca
-from .grid import GridFunction, integrate, sample_series
+from .grid import GridFunction, integrate
 from .profiles import _W2, Profile
-from .transform import _guard_cuts, fht_grid, fht_over_w_point
+from .transform import _guard_cuts
 
 HIGH_INDEX = "HighIndex"
 LOW_INDEX = "LowIndex"
@@ -122,78 +121,21 @@ class AirfoilSolution:
     range_defect: float = None
 
 
-def solve_airfoil(g, space, tol=RESIDUAL_TOL):
+def solve_airfoil(g, space):
     """Solve T(f) = g in the regime dictated by the space.
 
     High index: returns the right-inverse image; every f + c/w also solves.
-    Low index: checks the range condition first and raises
-    :class:`NotInRangeError` carrying the defect when it fails.
+    Low index: checks the range condition |int g/w| <= ``RESIDUAL_TOL``
+    first and raises :class:`NotInRangeError` carrying the defect when it
+    fails.
     """
     regime = regime_of(space)
     if regime == HIGH_INDEX:
         return AirfoilSolution(right_inverse(g), True, None)
     defect = range_defect(g)
-    if not defect <= tol:
+    if not defect <= RESIDUAL_TOL:
         raise NotInRangeError(defect)
     return AirfoilSolution(left_inverse(g), False, float(defect))
-
-
-def inversion_residuals(f, space, sample_points=None):
-    """Residual norms of the regime's inversion identities for a given f.
-
-    High index: T(T^(f)) - f  and  T^(T(f)) - (f - P(f)).
-    Low index:  Tˇ(T(f)) - f  and  T(Tˇ(h)) - h  for h = T(f), which lies in
-    the range by construction.  The outer transforms are evaluated by the
-    cos(theta) quadrature (not the coefficient identities), so the residuals
-    measure the analytic identities rather than round-tripping the algebra.
-    f is read by :func:`grid.sample_series`, which may raise ValueError.
-
-    Returns a dict identity-name -> {"sup_interior": ..., "lp": ...} where
-    the sup is over |x| <= 0.9.
-    """
-    regime = regime_of(space)
-    if sample_points is None:
-        sample_points = np.linspace(-0.9, 0.9, 61)
-    series = sample_series(f)
-    fvals = _cheb.chebval(sample_points, series)
-    out = {}
-    if regime == HIGH_INDEX:
-        q = -ca.fht_times_w_series(series)   # right inverse is q/w
-        tr = fht_over_w_point(lambda x: _cheb.chebval(x, q), sample_points)
-        out["T o rightinv - id"] = _residual_report(tr - fvals)
-
-        img = fht_grid(f)                    # T(f), log-mix image
-        that_vals = -fht_over_w_point(lambda x: img.eval_at(x) * (1.0 - x * x),
-                                      sample_points, grade_endpoints=True) \
-            / semicircle_weight(sample_points)
-        proj = kernel_projection(f)
-        out["rightinv o T - (id - P)"] = _residual_report(
-            that_vals - (fvals - proj.eval_at(sample_points))
-        )
-    else:
-        img = fht_grid(f)                    # h = T(f) lies in the range
-        # T(leftinv(h)) - h with leftinv(h) recovered by quadrature at
-        # mid_nodes, then transformed exactly from its (polynomial)
-        # interpolant; one panel call serves both point sets
-        mid_nodes = ca.chebyshev_nodes(96)
-        pts = np.concatenate([sample_points, mid_nodes])
-        leftinv = -semicircle_weight(pts) * fht_over_w_point(img.eval_at, pts,
-                                                              grade_endpoints=True)
-        tc_vals, u_vals = leftinv[:len(sample_points)], leftinv[len(sample_points):]
-        out["leftinv o T - id"] = _residual_report(tc_vals - fvals)
-
-        u_series = ca.fit_chebyshev(u_vals)
-        ttc = ca.fht_series(u_series, sample_points)
-        out["T o leftinv - id on range"] = _residual_report(ttc - img.eval_at(sample_points))
-    return out
-
-
-def _residual_report(residual_values):
-    res = np.abs(residual_values)
-    return {
-        "sup_interior": float(res.max()),
-        "rms": float(np.sqrt(np.mean(res**2))),
-    }
 
 
 # ------------------------------------------------------------------- Rybakov

@@ -17,12 +17,13 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .airfoil import (
-    inversion_residuals,
+    kernel_projection,
     range_defect,
     right_inverse,
     rybakov_functional,
+    semicircle_weight,
 )
-from .grid import const_fn, inv_weight_fn, poly_fn, restrict
+from .grid import const_fn, from_profile, inv_weight_fn, poly_fn, restrict
 from .intervals import IntervalSet
 from .measure import (
     blowup_witness,
@@ -30,12 +31,14 @@ from .measure import (
     matched_dual,
     optdomain_norm,
     parseval_defect,
+    random_interval_set,
     scalar_measure,
     semivariation,
     total_variation_scalar,
     vector_measure,
     weak_norm,
 )
+from .profiles import Profile
 from .spaces import (
     SpaceSpec,
     boyd_estimate,
@@ -158,10 +161,13 @@ def check_right_inverse(cfg):
 def check_left_inverse(cfg):
     """leftinverse(T(f)) = f on Lp(3) for the same polynomial set."""
     tol = 1e-5
+    pts = np.linspace(-0.9, 0.9, 61)
     worst = 0.0
     for coeffs in POLY_TEST_SET[:5]:
-        res = inversion_residuals(poly_fn(coeffs, cfg.nodes), SpaceSpec.lp(3))
-        worst = max(worst, res["leftinv o T - id"]["sup_interior"])
+        f = poly_fn(coeffs, cfg.nodes)
+        outer = -semicircle_weight(pts) * fht_over_w_point(fht_grid(f).eval_at, pts,
+                                                           grade_endpoints=True)
+        worst = max(worst, float(np.abs(outer - f.eval_at(pts)).max()))
     return [_bound_row("left-inverse",
                        "injectivity: -w T(T(f)/w) = f in the low-index regime",
                        worst, tol)]
@@ -170,13 +176,18 @@ def check_left_inverse(cfg):
 def check_projection(cfg):
     """rightinverse(T(f)) = f - P(f) with P the rank-one kernel projection."""
     tol = 1e-5
+    pts = np.linspace(-0.9, 0.9, 61)
     rows = []
     for name, coeffs in (("const", [1]), ("x^2", [0, 0, 1])):
-        res = inversion_residuals(poly_fn(coeffs, cfg.nodes), SpaceSpec.lp(1.5))
+        f = poly_fn(coeffs, cfg.nodes)
+        img = fht_grid(f)
+        outer = -fht_over_w_point(lambda x: img.eval_at(x) * (1.0 - x * x), pts,
+                                  grade_endpoints=True) / semicircle_weight(pts)
+        rest = f.eval_at(pts) - kernel_projection(f).eval_at(pts)
         rows.append(_bound_row(
             f"projection/{name}",
             "complement identity: -T(T(f) w)/w = f - ((1/pi) int f) / w",
-            res["rightinv o T - (id - P)"]["sup_interior"], tol))
+            float(np.abs(outer - rest).max()), tol))
     return rows
 
 
@@ -259,11 +270,7 @@ def check_rearrangement(cfg):
         k = int(rng.integers(2, 9))
         edges = np.concatenate([[-1.0], np.sort(rng.uniform(-1, 1, k - 1)), [1.0]])
         vals = rng.uniform(0, 3, k)
-        from .profiles import Profile
-
         prof = Profile(tuple((edges[i], edges[i + 1], (vals[i],), 0) for i in range(k)))
-        from .grid import from_profile
-
         f = from_profile(prof, cfg.nodes)
         r = rearrangement(f)
         # independent oracle: sort the (value, length) pairs directly
@@ -320,8 +327,6 @@ def check_semivariation(cfg):
     rng = np.random.default_rng(cfg.seed + 3)
     pool = POLY_TEST_SET[:6]
     worst = 0.0
-    from .measure import random_interval_set
-
     for _ in range(20):
         coeffs = pool[int(rng.integers(0, len(pool)))]
         f = poly_fn(coeffs, cfg.nodes)

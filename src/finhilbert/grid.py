@@ -307,17 +307,6 @@ def pairing(f, g):
     raise ValueError("pairing requires functions on the same nodes")
 
 
-def sample_series(f):
-    """Chebyshev coefficients of f as one series: its structure's plain
-    series, else the full-degree interpolant of its samples, which only
-    ``chebyshev-gauss`` samples have (ValueError otherwise)."""
-    coeffs = f.structure.series()
-    if coeffs is None and f.node_family != CHEBYSHEV:
-        raise ValueError(f"{f.node_family} samples without a series profile "
-                         "cannot be read as a Chebyshev series")
-    return f._interpolant if coeffs is None else coeffs
-
-
 def cell_structure(f):
     """A profile of f that :meth:`Profile.restricted` cuts exactly: the
     structure without log terms, else the interpolant of the samples alone

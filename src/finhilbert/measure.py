@@ -88,17 +88,16 @@ def scalar_measure(g, interval_set):
     return -total
 
 
-def total_variation_scalar(g, levels=(4, 16, 64, 256), interval=(-1.0, 1.0)):
+def total_variation_scalar(g, levels=(4, 16, 64, 256)):
     """Variation of the scalar measure over dyadic partitions, per level.
 
     Returns a list of (cells, variation); the sequence increases with
-    refinement and converges to the true variation |<m, g>|(interval).
+    refinement and converges to the true variation |<m, g>|(-1, 1).
     """
     img = fht_grid(g)
-    lo, hi = interval
     out = []
     for cells in levels:
-        edges = np.linspace(lo, hi, int(cells) + 1)
+        edges = np.linspace(-1.0, 1.0, int(cells) + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             total += abs(integrate_interval(img, a, b))
@@ -492,11 +491,12 @@ def matched_dual(f, space, cells=12, estimate=None):
 
 # ------------------------------------------------------------ random sets
 
-def random_interval_set(rng, max_intervals=8, lattice=400):
-    """Seeded random union of up to 8 disjoint intervals on a fixed lattice."""
-    k = int(rng.integers(1, max_intervals + 1))
-    cuts = np.sort(rng.choice(np.arange(1, lattice), size=2 * k, replace=False))
-    pts = -1.0 + 2.0 * cuts / lattice
+def random_interval_set(rng):
+    """Seeded random union of up to 8 disjoint intervals with ends on the
+    lattice -1 + j/200."""
+    k = int(rng.integers(1, 9))
+    cuts = np.sort(rng.choice(np.arange(1, 400), size=2 * k, replace=False))
+    pts = -1.0 + cuts / 200.0
     return IntervalSet(tuple((pts[2 * i], pts[2 * i + 1]) for i in range(k)))
 
 

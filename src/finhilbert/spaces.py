@@ -431,8 +431,9 @@ def default_dilation_dictionary(n=None, widths=(0.75, 0.5, 0.25, 0.125, 0.0625, 
     return tuple(indicator_fn(IntervalSet(((-a, a),)), n) for a in widths)
 
 
-def boyd_estimate(space, t_grid=None, dictionary=None):
-    """(lower, upper) Boyd index estimates from dilation-norm samples.
+def boyd_estimate(space, t_grid=None):
+    """(lower, upper) Boyd index estimates from dilation-norm samples of
+    :func:`default_dilation_dictionary`.
 
     lower = sup_{0<t<1} log||E_{1/t}|| / log t ;  upper is the infimum over
     t > 1 of the same quotient.  For the supported families both land at 1/p.
@@ -444,8 +445,7 @@ def boyd_estimate(space, t_grid=None, dictionary=None):
     large = [t for t in ts if t > 1.0]
     if not small or not large:
         raise ValueError("t_grid must contain points in (0,1) and in (1,oo)")
-    if dictionary is None:
-        dictionary = default_dilation_dictionary()
+    dictionary = default_dilation_dictionary()
     lower = max(
         np.log(dilation_opnorm(space, 1.0 / t, dictionary)) / np.log(t) for t in small
     )

@@ -63,10 +63,13 @@ def test_left_inverse_kills_constant(one):
     assert np.abs(out.values).max() <= 1e-10
 
 
-def test_left_inverse_inverts(lp3):
-    res = fh.inversion_residuals(fh.poly_fn([0, 1, 1], 256), lp3)
-    assert res["leftinv o T - id"]["sup_interior"] <= 1e-5
-    assert res["T o leftinv - id on range"]["sup_interior"] <= 1e-5
+def test_left_inverse_inverts():
+    # -w T(T(f)/w) = f, the outer transform by theta panels
+    f = fh.poly_fn([0, 1, 1], 256)
+    pts = np.linspace(-0.9, 0.9, 61)
+    outer = -fh.semicircle_weight(pts) * fht_over_w_point(fh.fht_grid(f).eval_at, pts,
+                                                          grade_endpoints=True)
+    assert np.abs(outer - f.eval_at(pts)).max() <= 1e-5
 
 
 def test_projection_fixes_kernel(invw):
@@ -170,13 +173,12 @@ STRUCTURED = {
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURED))
 def test_inverses_of_a_structure_take_no_theta_panels(kind, monkeypatch):
-    from finhilbert import airfoil, chebalg, transform
+    from finhilbert import chebalg, transform
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{kind} input must not take theta panels")
 
-    for module in (airfoil, transform):
-        monkeypatch.setattr(module, "fht_over_w_point", refuse)
+    monkeypatch.setattr(transform, "fht_over_w_point", refuse)
     monkeypatch.setattr(chebalg, "integrate_panels", refuse)
     f = STRUCTURED[kind](64)
     assert np.all(np.isfinite(fh.right_inverse(f).values))
@@ -335,11 +337,39 @@ def test_solve_critical_index(one):
         fh.solve_airfoil(one, fh.SpaceSpec.lp(2))
 
 
-def test_inversion_residuals_high_index(lp15):
+def test_right_inverse_and_complement_identity_by_theta_panels():
+    # T(-T(f w)/w) = f and -T(T(f) w)/w = f - P(f), the outer transforms by
+    # theta panels
+    pts = np.linspace(-0.9, 0.9, 61)
     for coeffs in ([1], [0, 0, 1]):
-        res = fh.inversion_residuals(fh.poly_fn(coeffs, 256), lp15)
-        assert res["T o rightinv - id"]["sup_interior"] <= 1e-5
-        assert res["rightinv o T - (id - P)"]["sup_interior"] <= 1e-5
+        f = fh.poly_fn(coeffs, 256)
+        q = fh.right_inverse(f).profile.series(-1)
+        outer = fht_over_w_point(lambda x: C.chebval(x, q), pts)
+        assert np.abs(outer - f.eval_at(pts)).max() <= 1e-5
+        img = fh.fht_grid(f)
+        outer = -fht_over_w_point(lambda x: img.eval_at(x) * (1.0 - x * x), pts,
+                                  grade_endpoints=True) / fh.semicircle_weight(pts)
+        rest = f.eval_at(pts) - fh.kernel_projection(f).eval_at(pts)
+        assert np.abs(outer - rest).max() <= 1e-5
+
+
+@pytest.mark.parametrize("row, polys", [("left-inverse", 5), ("projection", 2)])
+def test_inversion_rows_take_panels_only_for_what_they_report(row, polys, monkeypatch):
+    # one graded chebalg.integrate_panels call at the 61 reported points per
+    # polynomial; a graded table holds more shared panels than the one [0, pi]
+    from finhilbert import chebalg, checks
+
+    calls, inner = [], chebalg.integrate_panels
+
+    def spy(f, g, lo, hi, rows, counts):
+        calls.append((len(rows), len(lo) - 2 * len(rows) > 1))
+        return inner(f, g, lo, hi, rows, counts)
+
+    monkeypatch.setattr(chebalg, "integrate_panels", spy)
+    check = {"left-inverse": checks.check_left_inverse,
+             "projection": checks.check_projection}[row]
+    assert all(r["pass"] for r in check(checks.RunConfig(nodes=512)))
+    assert calls == [(61, True)] * polys
 
 
 def test_surjectivity_witness_in_lp(lp15):

@@ -14,7 +14,7 @@ PUBLIC = (
     "dilation_opnorm", "distribution", "dual_dictionary", "fht_grid", "fht_indicator",
     "fht_point", "fht_product_indicator", "from_callable", "from_profile",
     "indefinite_integral", "indicator_fn", "integrate", "integrate_interval",
-    "inv_weight_fn", "inversion_residuals", "kernel_projection", "left_inverse",
+    "inv_weight_fn", "kernel_projection", "left_inverse",
     "make_grid", "matched_dual", "norm", "norm_info", "optdomain_norm",
     "pairing", "parseval_defect", "poly_fn", "pv_oracle", "random_interval_set",
     "range_defect", "rearrangement", "rearrangement_decay", "regime_of", "restrict",

@@ -870,39 +870,27 @@ def test_set_arguments_read_one_way(reader):
 
 _COEFFS = [0.3, 1.0, 0.0, -0.5, 0.25]
 
-# each reader of a function cut into cells or read as one series
+# each reader of a function cut into cells
 READERS = {
     "optdomain_norm": lambda f: fh.optdomain_norm(f, LP15, cells=8).value,
     "semivariation": lambda f: fh.semivariation(f, _SET, LP15, cells=8).value,
     "fht_product_indicator": lambda f: fh.fht_product_indicator(f, _SET).values,
-    "inversion_residuals-high": lambda f: [
-        r["sup_interior"] for r in fh.inversion_residuals(f, LP15).values()],
-    "inversion_residuals-low": lambda f: [
-        r["sup_interior"] for r in fh.inversion_residuals(f, fh.SpaceSpec.lp(3)).values()],
 }
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-def test_readers_refuse_uniform_samples(reader):
-    # the series readers refuse them: a Chebyshev fit would read them as if
-    # they sat on Chebyshev nodes.  The cell readers cut their piecewise-linear
-    # interpolant, within its O(h^2) distance of the sampled polynomial
+def test_readers_cut_the_interpolant_of_uniform_samples(reader):
+    # the cell readers cut the piecewise-linear interpolant of uniform
+    # samples, within its O(h^2) distance of the sampled polynomial
     f = fh.from_callable(lambda x: np.polynomial.polynomial.polyval(x, _COEFFS), 64,
                          family="uniform")
-    if reader.startswith("inversion_residuals"):
-        with pytest.raises(ValueError, match="uniform samples"):
-            READERS[reader](f)
-        return
     got = np.asarray(READERS[reader](f))
     want = np.asarray(READERS[reader](fh.poly_fn(_COEFFS, 64, family="uniform")))
     assert np.all(np.isfinite(got))
     assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
 
 
-CELL_READERS = ("fht_product_indicator", "optdomain_norm", "semivariation")
-
-
-@pytest.mark.parametrize("reader", CELL_READERS)
+@pytest.mark.parametrize("reader", sorted(READERS))
 def test_cell_readers_of_a_uniform_image_cut_its_samples(reader):
     # T(p) has log terms at +-1, which cells cannot cut exactly, so the cell
     # readers cut the piecewise-linear interpolant of its samples, as they do
