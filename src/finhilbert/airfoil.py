@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebalg as ca
-from .grid import GridFunction, integrate
+from .grid import DEFAULT_NODES, GridFunction, integrate, make_grid
 from .profiles import _W2, Profile
 from .transform import _guard_cuts
 
@@ -147,8 +147,6 @@ def rybakov_functional(n=None):
     g0(t) = -(2/pi) ln((1 + w(t))/|t|): an even, negative function with an
     integrable logarithmic singularity at the origin, and T(g0) = sigma.
     """
-    from .grid import DEFAULT_NODES, make_grid
-
     n = n or DEFAULT_NODES
     nodes, weights = make_grid(n)
     sigma_over_w = Profile(((-1.0, 0.0, (-1.0,), -1), (0.0, 1.0, (1.0,), -1)))

@@ -59,16 +59,15 @@ class RunConfig:
             raise ValueError("nodes must be at least 16")
 
 
-def row(check_id, claim, computed, expected, tolerance, passed=None):
-    if passed is None:
-        passed = bool(abs(computed - expected) <= tolerance)
+def row(check_id, claim, computed, expected, tolerance):
+    """Row asserting |computed - expected| <= tolerance."""
     return {
         "check_id": check_id,
         "claim": claim,
         "computed": float(computed),
         "expected": float(expected),
         "tolerance": float(tolerance),
-        "pass": bool(passed),
+        "pass": bool(abs(computed - expected) <= tolerance),
     }
 
 

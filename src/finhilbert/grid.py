@@ -84,6 +84,11 @@ class GridFunction:
         """Chebyshev coefficients of the samples, fitted once per object."""
         return ca.fit_chebyshev(self.values)
 
+    @functools.cached_property
+    def _image(self):
+        """T(structure) on the nodes, computed once, read by ``fht_grid``."""
+        return self.with_values(*self.structure.fht_image(self.nodes))
+
     def with_values(self, values, profile=None):
         return GridFunction(self.nodes, values, self.weights, self.node_family, profile)
 
@@ -144,7 +149,7 @@ class GridFunction:
         return text
 
     @staticmethod
-    def from_csv(path_or_buf, node_family=CUSTOM):
+    def from_csv(path_or_buf):
         if hasattr(path_or_buf, "read"):
             rows = list(csv.DictReader(path_or_buf))
         else:
@@ -153,7 +158,7 @@ class GridFunction:
         nodes = np.array([float(r["node"]) for r in rows])
         vals = np.array([float(r["re"]) + 1j * float(r["im"]) for r in rows])
         weights = np.array([float(r["weight"]) for r in rows])
-        return GridFunction(nodes, vals, weights, node_family)
+        return GridFunction(nodes, vals, weights, CUSTOM)
 
     @staticmethod
     def from_json(text_or_path):
@@ -209,7 +214,7 @@ def _family_grid(n, family):
     return nodes, weights
 
 
-def from_callable(fn, n=DEFAULT_NODES, family=CHEBYSHEV, profile=None):
+def from_callable(fn, n=DEFAULT_NODES, family=CHEBYSHEV):
     """Sample a callable onto a grid.  The closure is used only here.
 
     A scalar result (a constant callable) is broadcast to every node; any
@@ -221,7 +226,7 @@ def from_callable(fn, n=DEFAULT_NODES, family=CHEBYSHEV, profile=None):
         vals = np.full(nodes.shape, vals)
     elif vals.shape != nodes.shape:
         raise ValueError(f"callable returned shape {vals.shape} for {len(nodes)} nodes")
-    return GridFunction(nodes, vals, weights, family, profile)
+    return GridFunction(nodes, vals, weights, family)
 
 
 def from_profile(profile, n=DEFAULT_NODES, family=CHEBYSHEV):
@@ -229,11 +234,10 @@ def from_profile(profile, n=DEFAULT_NODES, family=CHEBYSHEV):
     return GridFunction(nodes, profile.eval(nodes), weights, family, profile)
 
 
-def poly_fn(coeffs, n=DEFAULT_NODES, family=CHEBYSHEV, basis="power"):
-    """Polynomial sum c_k x^k (basis="power") or sum c_k T_k (basis="chebyshev")."""
+def poly_fn(coeffs, n=DEFAULT_NODES, family=CHEBYSHEV):
+    """The polynomial sum c_k x^k."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    cheb = np.polynomial.chebyshev.poly2cheb(c) if basis == "power" else c
-    return from_profile(Profile.poly(cheb), n, family)
+    return from_profile(Profile.poly(np.polynomial.chebyshev.poly2cheb(c)), n, family)
 
 
 def const_fn(c=1.0, n=DEFAULT_NODES, family=CHEBYSHEV):

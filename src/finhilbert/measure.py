@@ -46,7 +46,7 @@ from .grid import (
 )
 from .intervals import IntervalSet, as_interval_set
 from .profiles import Profile, fht_values_stacked
-from .spaces import NormWorkspace, SpaceSpec, _norm_values, norm
+from .spaces import LP, NormWorkspace, SpaceSpec, _norm_values, norm
 from .transform import (
     _guard_cuts,
     fht_grid,
@@ -412,23 +412,6 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
 
 # ---------------------------------------------------------------- dual bounds
 
-_image_cache = None
-
-
-def _cached_image(g):
-    """Transform image memo keyed by object identity (weakly referenced)."""
-    global _image_cache
-    import weakref
-
-    if _image_cache is None:
-        _image_cache = weakref.WeakKeyDictionary()
-    img = _image_cache.get(g)
-    if img is None:
-        img = fht_grid(g)
-        _image_cache[g] = img
-    return img
-
-
 def weak_norm(f, space, dual_dictionary):
     """Dictionary lower bound for sup_{||g||_X' <= 1} int |f| |T(g)| du."""
     if not dual_dictionary:
@@ -436,14 +419,24 @@ def weak_norm(f, space, dual_dictionary):
     fabs = np.abs(f.values)
     best = 0.0
     for g in dual_dictionary:
-        img = _cached_image(g)
-        best = max(best, float(f.weights @ (fabs * np.abs(img.values))))
+        best = max(best, float(f.weights @ (fabs * np.abs(fht_grid(g).values))))
     return best
 
 
+def _require_lp(space):
+    """Refuse a space other than L^p, whose associate L^{p'} norms the duals."""
+    if space.kind != LP:
+        raise ValueError(f"the dual dictionary is normed in L^p' and needs an Lp space, "
+                         f"not {space.label()}")
+
+
 def dual_dictionary(space, size=64, n=None, seed=0):
-    """Unit ball members of the associate space L^{p'}: normalized Chebyshev
-    polynomials, scaled indicators, and the Rybakov functional."""
+    """``size`` unit ball members of L^{p'} for an L^p ``space``: the normalized
+    T_k for k < min(16, size - 1), the Rybakov functional, then seeded random
+    indicators.  Another space, or a ``size`` below 1, raises ValueError."""
+    _require_lp(space)
+    if size < 1:
+        raise ValueError("the dual dictionary needs at least one member")
     n = n or DEFAULT_NODES
     dual_space = SpaceSpec.lp(space.associate_exponent())
     out = []
@@ -453,7 +446,7 @@ def dual_dictionary(space, size=64, n=None, seed=0):
         if np.isfinite(nv) and nv > 1e-12:
             out.append(g * (1.0 / nv))
 
-    for k in range(min(16, size)):
+    for k in range(min(16, size - 1)):
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
         normalized(from_profile(Profile.poly(coeffs), n))
@@ -474,8 +467,10 @@ def matched_dual(f, space, cells=12, estimate=None):
     dominates the sign-search estimate, up to transform quadrature error.
     The cell values are those of ``optdomain_norm``, with its jump guard.
     ``estimate`` is the exhaustive ``optdomain_norm(f, space, cells)`` when
-    the caller already has it; otherwise it is computed here.
+    the caller already has it; otherwise it is computed here.  Another
+    space than L^p raises ValueError, as in :func:`dual_dictionary`.
     """
+    _require_lp(space)
     est = estimate
     if est is None:
         est = optdomain_norm(f, space, cells=cells, search=EXHAUSTIVE)

@@ -30,7 +30,7 @@ def to_json(rows, meta=None):
     return json.dumps(report_payload(rows, meta), sort_keys=True, indent=1)
 
 
-def to_csv(rows, meta=None):
+def to_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(FIELDS)
@@ -42,7 +42,7 @@ def to_csv(rows, meta=None):
 
 
 def write_report(rows, path, fmt="json", meta=None):
-    text = to_json(rows, meta) if fmt == "json" else to_csv(rows, meta)
+    text = to_json(rows, meta) if fmt == "json" else to_csv(rows)
     with open(path, "w") as fh:
         fh.write(text)
     return text

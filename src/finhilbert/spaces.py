@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from .grid import DEFAULT_NODES, indicator_fn
 from .intervals import IntervalSet
 from .profiles import Profile
 
@@ -417,40 +418,36 @@ def dilation_opnorm(space, t, dictionary):
     return best
 
 
-def default_dilation_dictionary(n=None, widths=(0.75, 0.5, 0.25, 0.125, 0.0625, 0.03125)):
-    """Centred indicator spikes chi_(-a,a).
+_SPIKE_WIDTHS = (0.75, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+_BOYD_T_SMALL, _BOYD_T_LARGE = (1 / 6, 1 / 4, 1 / 3, 1 / 2), (2.0, 3.0, 4.0, 6.0)
+
+
+def default_dilation_dictionary():
+    """Centred indicator spikes chi_(-a,a), a in ``_SPIKE_WIDTHS``, on the
+    default nodes.
 
     On L^p, Lorentz and weak-L^p these attain the dilation operator norm
     s^{-1/p} exactly whenever the support fits after dilation, and their
     norms are computed in closed form, so the Boyd estimates are exact up to
     the t-grid.
     """
-    from .grid import DEFAULT_NODES, indicator_fn
-
-    n = n or DEFAULT_NODES
-    return tuple(indicator_fn(IntervalSet(((-a, a),)), n) for a in widths)
+    return tuple(indicator_fn(IntervalSet(((-a, a),)), DEFAULT_NODES) for a in _SPIKE_WIDTHS)
 
 
-def boyd_estimate(space, t_grid=None):
+def boyd_estimate(space):
     """(lower, upper) Boyd index estimates from dilation-norm samples of
     :func:`default_dilation_dictionary`.
 
-    lower = sup_{0<t<1} log||E_{1/t}|| / log t ;  upper is the infimum over
-    t > 1 of the same quotient.  For the supported families both land at 1/p.
+    lower = sup_{0<t<1} log||E_{1/t}|| / log t over ``_BOYD_T_SMALL``;  upper
+    is the infimum of the same quotient over ``_BOYD_T_LARGE``, t > 1.  For
+    the supported families both land at 1/p.
     """
-    if t_grid is None:
-        t_grid = (1 / 6, 1 / 4, 1 / 3, 1 / 2, 2.0, 3.0, 4.0, 6.0)
-    ts = [float(t) for t in t_grid if t > 0 and t != 1.0]
-    small = [t for t in ts if t < 1.0]
-    large = [t for t in ts if t > 1.0]
-    if not small or not large:
-        raise ValueError("t_grid must contain points in (0,1) and in (1,oo)")
     dictionary = default_dilation_dictionary()
     lower = max(
-        np.log(dilation_opnorm(space, 1.0 / t, dictionary)) / np.log(t) for t in small
+        np.log(dilation_opnorm(space, 1.0 / t, dictionary)) / np.log(t) for t in _BOYD_T_SMALL
     )
     upper = min(
-        np.log(dilation_opnorm(space, 1.0 / t, dictionary)) / np.log(t) for t in large
+        np.log(dilation_opnorm(space, 1.0 / t, dictionary)) / np.log(t) for t in _BOYD_T_LARGE
     )
     return float(lower), float(upper)
 

@@ -62,9 +62,10 @@ def fht_point(f, t):
 
 
 def fht_grid(f):
-    """T(f) at every node of f, with the profile of T(f.structure) if any."""
+    """T(f) at every node of f, with the profile of T(f.structure) if any:
+    computed once per f, behind a jump guard that runs on every call."""
     _guard_cuts(f.structure, f.nodes)
-    return f.with_values(*f.structure.fht_image(f.nodes))
+    return f._image
 
 
 def _profile_values(prof, pts):
@@ -275,9 +276,10 @@ class OracleConvergenceError(ValueError):
 
 
 _ORACLE_LIMIT = 200     # subintervals; the verify suite and the tests need at most 21
+_ORACLE_EPS = 1e-3      # the largest of the three exclusion radii
 
 
-def pv_oracle(f, t, eps=1e-3, singular=()):
+def pv_oracle(f, t, singular=()):
     """Independent check value: symmetric-exclusion PV quadrature with
     two-level Richardson extrapolation in the exclusion radius.
 
@@ -285,7 +287,7 @@ def pv_oracle(f, t, eps=1e-3, singular=()):
     is evaluated); the oracle evaluates ``f`` and nothing else, so it shares
     no closed form, profile transform or :mod:`chebalg` routine with the
     evaluators it checks.  Complex values of ``f`` are kept.  Error is
-    O(eps^5) for integrands smooth near t.
+    O(eps^5), eps = ``_ORACLE_EPS``, for integrands smooth near t.
 
     A scalar ``t`` returns a scalar, an array ``t`` an array of the same
     shape.  ``singular`` lists the jumps of f: either one sequence shared by
@@ -320,6 +322,7 @@ def pv_oracle(f, t, eps=1e-3, singular=()):
 
     scalar = np.ndim(t) == 0
     tt = _check_interior(t).ravel()
+    eps = _ORACLE_EPS
     if np.any(np.abs(tt) + eps >= 1.0):
         raise ValueError("the exclusion radius must keep t - eps and t + eps inside (-1, 1)")
     fn = f

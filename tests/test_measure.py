@@ -745,6 +745,43 @@ def test_weak_norm_requires_dictionary(one):
         fh.weak_norm(one, LP15, ())
 
 
+@pytest.mark.parametrize("size", [1, 8, 16, 17, 20, 64])
+def test_dual_dictionary_has_exactly_size_members(size):
+    duals = fh.dual_dictionary(LP15, size=size, n=128)
+    assert len(duals) == size
+    # T_0, ..., T_(k-1) with k = min(16, size - 1), then the Rybakov functional
+    k = min(16, size - 1)
+    ratio = duals[k].values / fh.rybakov_functional(128).values
+    assert np.ptp(ratio) <= 1e-12 * abs(ratio[0]) and ratio[0].real > 0
+    assert all(not g.profile.logs for g in duals[:k])
+    if size >= 17:   # from 17 members on, a dictionary is a prefix of a larger one
+        larger = fh.dual_dictionary(LP15, size=64, n=128)
+        assert all(np.array_equal(g.values, h.values) for g, h in zip(duals, larger))
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_dual_dictionary_refuses_an_empty_size(size):
+    with pytest.raises(ValueError, match="at least one member"):
+        fh.dual_dictionary(LP15, size=size, n=128)
+
+
+@pytest.mark.parametrize("space", [fh.SpaceSpec.weak_lp(2), fh.SpaceSpec.lorentz(3, 1)])
+def test_dual_dictionary_refuses_a_space_other_than_lp(space):
+    # members are normed in L^{p'}: for WeakLp(2) an indicator member reads
+    # 1.0 in L^2 but 2.0 in Lorentz(2, 1), the associate space
+    with pytest.raises(ValueError, match="needs an Lp space"):
+        fh.dual_dictionary(space, size=8, n=128)
+
+
+@pytest.mark.parametrize("space", [fh.SpaceSpec.weak_lp(2), fh.SpaceSpec.lorentz(3, 1)])
+def test_matched_dual_refuses_a_space_other_than_lp(space):
+    f = fh.poly_fn([0.3, 1, 1], 128)
+    with pytest.raises(ValueError, match="needs an Lp space"):
+        fh.matched_dual(f, space, cells=6)
+    with pytest.raises(ValueError, match="needs an Lp space"):
+        fh.matched_dual(f, space, cells=6, estimate=fh.optdomain_norm(f, LP15, cells=6))
+
+
 def test_estimator_consistency_sample():
     f = fh.poly_fn([0.3, 1, 1, 0, 1], 512)
     duals = fh.dual_dictionary(LP15, size=64, n=512) + (

@@ -728,11 +728,6 @@ def test_boyd_duality_spot_check():
     assert hi2 == pytest.approx(1 - lo, abs=0.05)
 
 
-def test_boyd_requires_spanning_grid():
-    with pytest.raises(ValueError):
-        fh.boyd_estimate(fh.SpaceSpec.lp(2), t_grid=(0.5, 0.25))
-
-
 # ------------------------------------------------------------------ decay probe
 
 def test_decay_of_bounded_function(one):

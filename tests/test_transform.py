@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 
 import finhilbert as fh
-from finhilbert import chebalg, profiles, transform
+from finhilbert import chebalg, checks, profiles, transform
 from finhilbert.cli import parse_function_spec
 from finhilbert.profiles import Profile
 from finhilbert.transform import fht_over_w_point
@@ -115,6 +115,43 @@ def test_grid_linearity(a, b):
     rhs = a * fh.fht_grid(f) + b * fh.fht_grid(g)
     scale = 1 + abs(a) + abs(b)
     assert np.abs(lhs.values - rhs.values).max() <= 1e-10 * scale
+
+
+def _count_images(monkeypatch):
+    calls = []
+    fht_image = Profile.fht_image
+    monkeypatch.setattr(Profile, "fht_image",
+                        lambda self, x: calls.append(1) or fht_image(self, x))
+    return calls
+
+
+def test_grid_image_is_computed_once(monkeypatch):
+    calls = _count_images(monkeypatch)
+    f = fh.indicator_fn((-0.3, 0.45), 128)
+    assert fh.fht_grid(f) is fh.fht_grid(f)
+    assert len(calls) == 1
+    fh.fht_grid(fh.indicator_fn((-0.3, 0.45), 128))     # another object: its own image
+    assert len(calls) == 2
+
+
+def test_grid_guard_runs_on_every_call():
+    prof = Profile(((-0.2, 0.5, (1.0,), 0),))
+    nodes = np.array([-0.6, 0.1, 0.3, 0.5 + 5e-13])
+    f = fh.GridFunction(nodes, prof.eval(nodes), np.full(4, 0.5), "custom", prof)
+    for _ in range(2):
+        with pytest.raises(fh.SingularEvaluationError, match=r"\[0\.5\]"):
+            fh.fht_grid(f)
+
+
+@pytest.mark.parametrize("check, images", [
+    ("check_parseval", 8),                  # 8 polynomials, 28 pairs
+    ("check_rybakov", 1),                   # g0, read by five rows
+    ("check_estimator_consistency", 74),    # 64 shared dual members, 10 matched duals
+])
+def test_checks_transform_each_grid_function_once(check, images, monkeypatch):
+    calls = _count_images(monkeypatch)
+    getattr(checks, check)(checks.RunConfig(nodes=512, seed=0))
+    assert len(calls) == images
 
 
 # ----------------------------------------------------------------------- routes
