@@ -20,7 +20,6 @@ import numpy as np
 from . import chebalg as ca
 from .grid import DEFAULT_NODES, GridFunction, integrate, make_grid
 from .profiles import _W2, Profile
-from .transform import _guard_cuts
 
 HIGH_INDEX = "HighIndex"
 LOW_INDEX = "LowIndex"
@@ -69,13 +68,12 @@ def regime_of(space):
 def right_inverse(f):
     """-T(f w)/w.  Satisfies T(right_inverse(f)) = f in the high-index regime.
 
-    Exact for every ``f.structure``, kinks included, refused at its jumps:
-    pieces times w stay in the profile algebra (powers -1, 0, 1 become 0, 1,
-    2), and log terms take T(c ln|. - a| w) = T((c w^2 ln|. - a|)/w).  A
-    plain series p keeps a profile, T(p w)/w.
+    Exact for every ``f.structure``, kinks included, with the jump guard of
+    :mod:`profiles`: pieces times w stay in the profile algebra (powers -1,
+    0, 1 become 0, 1, 2), and log terms take T(c ln|. - a| w) =
+    T((c w^2 ln|. - a|)/w).  A plain series p keeps a profile, T(p w)/w.
     """
     w, s = semicircle_weight(f.nodes), f.structure
-    _guard_cuts(s, f.nodes)
     vals = (Profile(s.pieces) if s.logs else s).times(_W).fht_values(f.nodes)
     if s.logs:
         vals = vals + Profile((), s.logs).times(Profile.poly(_W2)).fht_over_w_values(f.nodes)
@@ -88,12 +86,11 @@ def left_inverse(f):
     """-w T(f/w).  Satisfies left_inverse(T(f)) = f in the low-index regime.
 
     Exact for every ``f.structure`` by :meth:`Profile.fht_over_w_values`,
-    w^{-1} pieces and kinks included, refused at its jumps; a plain series p
-    keeps a profile, w T(p/w).  An f/w not integrable at -1 or 1, such as
-    1/w^2, raises ValueError.
+    w^{-1} pieces and kinks included, with the jump guard of
+    :mod:`profiles`; a plain series p keeps a profile, w T(p/w).  An f/w not
+    integrable at -1 or 1, such as 1/w^2, raises ValueError.
     """
     w, s = semicircle_weight(f.nodes), f.structure
-    _guard_cuts(s, f.nodes)
     vals = s.fht_over_w_values(f.nodes)
     p = s.series()
     prof = Profile.poly(-ca.fht_over_w_series(p), wpow=1) if p is not None else None
@@ -140,21 +137,20 @@ def solve_airfoil(g, space):
 
 # ------------------------------------------------------------------- Rybakov
 
-def rybakov_functional(n=None):
+def rybakov_functional(n=DEFAULT_NODES):
     """g0 = -w T(sigma/w) with sigma = -chi_(-1,0) + chi_(0,1).
 
     Split cos(theta) quadrature across the jump at 0 gives the closed form
     g0(t) = -(2/pi) ln((1 + w(t))/|t|): an even, negative function with an
     integrable logarithmic singularity at the origin, and T(g0) = sigma.
+    The samples are that closed form, not T(sigma/w) at the nodes: at an
+    odd n the middle node lies 6.1e-17 from the jump of sigma, where the
+    jump guard of :mod:`profiles` refuses the transform.
     """
-    n = n or DEFAULT_NODES
     nodes, weights = make_grid(n)
-    sigma_over_w = Profile(((-1.0, 0.0, (-1.0,), -1), (0.0, 1.0, (1.0,), -1)))
-    t_vals = sigma_over_w.fht_values(nodes)
-    w = semicircle_weight(nodes)
-    vals = -w * t_vals
     # structural decomposition: g0 = smooth + (2/pi) ln|x|
-    smooth_samples = vals - (2.0 / np.pi) * np.log(np.abs(nodes))
+    smooth_samples = -(2.0 / np.pi) * np.log1p(semicircle_weight(nodes))
+    vals = smooth_samples + (2.0 / np.pi) * np.log(np.abs(nodes))
     profile = Profile(((-1.0, 1.0, ca.fit_chebyshev(smooth_samples), 0),),
                       ((0.0, (2.0 / np.pi,)),))
     return GridFunction(nodes, vals, weights, "chebyshev-gauss", profile)

@@ -14,9 +14,8 @@ with seeded random restarts.  A cell where f vanishes cannot change a
 value, so neither search varies its sign, and the greedy search norms
 each distinct pattern once (a pattern and its negation are one).  The
 values T(f chi_B) that patterns combine are computed for all parts B in one
-call, by stacked profile transforms, behind the jump guard of
-:func:`transform.fht_grid`: a node within 1e-12 of a cell edge where f
-jumps raises.  All randomized pieces are
+call, by stacked profile transforms, with the jump guard of
+:mod:`profiles` at each cell edge where f jumps.  All randomized pieces are
 deterministic given the seed.
 
 Patterns are normed a block at a time by the value kernel
@@ -47,12 +46,7 @@ from .grid import (
 from .intervals import IntervalSet, as_interval_set
 from .profiles import Profile, fht_values_stacked
 from .spaces import LP, NormWorkspace, SpaceSpec, _norm_values, norm
-from .transform import (
-    _guard_cuts,
-    fht_grid,
-    fht_indicator,
-    fht_product_indicator,
-)
+from .transform import fht_grid, fht_indicator, fht_product_indicator
 from .airfoil import rybakov_functional
 
 EXHAUSTIVE = "exhaustive"
@@ -67,9 +61,8 @@ BLOCK_BYTES = 1 << 20
 
 # ------------------------------------------------------------- vector measure
 
-def vector_measure(interval_set, n=None):
+def vector_measure(interval_set, n=DEFAULT_NODES):
     """m(A) = T(chi_A) on the standard grid; additive with closed-form values."""
-    n = n or DEFAULT_NODES
     return fht_grid(indicator_fn(interval_set, n))
 
 
@@ -160,15 +153,11 @@ def _part_transforms(f, parts):
     log terms is read as the interpolant of its samples), and the cuts are
     transformed together (:func:`profiles.fht_values_stacked`); no
     restricted grid function or image profile is built.  A part that
-    misses f gives exact zeros.  A node within 1e-12 of a jump of a cut
-    raises :class:`SingularEvaluationError`, as in
-    :func:`transform.fht_grid`; a part end where f vanishes is no jump.
+    misses f gives exact zeros.  Each cut passes the jump guard of
+    :mod:`profiles`; a part end where f vanishes is no jump.
     """
     prof = cell_structure(f)
-    cuts = [prof.restricted(part) for part in parts]
-    for cut in cuts:
-        _guard_cuts(cut, f.nodes)
-    return fht_values_stacked(cuts, f.nodes)
+    return fht_values_stacked([prof.restricted(part) for part in parts], f.nodes)
 
 
 def _block_rows(n):
@@ -367,13 +356,12 @@ def optdomain_norm(f, space, cells=12, search=EXHAUSTIVE, restarts=32, seed=7,
     by the value kernel ``spaces._norm_values``, with no blow-up
     diagnosis, so the value is always finite.
 
-    The cell values T(f chi_cell) pass the jump guard of
-    :func:`transform.fht_grid`, as in ``semivariation``: a node within
-    1e-12 of a cell edge where f jumps raises
-    :class:`SingularEvaluationError`.  So does an odd number of Chebyshev
-    nodes with an even number of cells when f(0) != 0: the middle node,
-    6.1e-17, lies on the edge 0, where the value would be inflated by the
-    log of that distance.  An edge on a node where f vanishes is no jump.
+    The cell values T(f chi_cell) pass the jump guard of :mod:`profiles`,
+    as in ``semivariation``.  So an odd number of Chebyshev nodes with an
+    even number of cells raises :class:`SingularEvaluationError` when
+    f(0) != 0: the middle node, 6.1e-17, lies on the edge 0, where the value
+    would be inflated by the log of that distance.  An edge on a node where
+    f vanishes is no jump.
     """
     cells = _check_search(cells, search, restarts, phases)
     edges, parts = _cells(cells)
@@ -392,9 +380,9 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
     cell structure (in one call, :func:`_part_transforms`), independently
     of the transform basis ``optdomain_norm`` builds for the restriction,
     so the two remain two routes; the block search and the norm kernel are
-    shared with it.  A node within 1e-12 of a jump of f chi_{A and cell}
-    raises :class:`SingularEvaluationError`, as ``fht_product_indicator``
-    and ``optdomain_norm`` do.  A cell that misses A, or on which f
+    shared with it.  Each f chi_{A and cell} passes the jump guard of
+    :mod:`profiles`, as in ``fht_product_indicator`` and
+    ``optdomain_norm``.  A cell that misses A, or on which f
     vanishes, has an exactly zero value and is dead, as in
     ``optdomain_norm``: an exhaustive search norms 2^(live-1) patterns, and
     a greedy one draws its random starts on all cells, keeps their signs on
@@ -413,7 +401,9 @@ def semivariation(f, interval_set, space, cells=12, search=EXHAUSTIVE,
 # ---------------------------------------------------------------- dual bounds
 
 def weak_norm(f, space, dual_dictionary):
-    """Dictionary lower bound for sup_{||g||_X' <= 1} int |f| |T(g)| du."""
+    """Dictionary lower bound for sup_{||g||_X' <= 1} int |f| |T(g)| du.
+    Another space than L^p raises ValueError, as in :func:`dual_dictionary`."""
+    _require_lp(space)
     if not dual_dictionary:
         raise ValueError("dual dictionary must be nonempty")
     fabs = np.abs(f.values)
@@ -430,14 +420,13 @@ def _require_lp(space):
                          f"not {space.label()}")
 
 
-def dual_dictionary(space, size=64, n=None, seed=0):
+def dual_dictionary(space, size=64, n=DEFAULT_NODES, seed=0):
     """``size`` unit ball members of L^{p'} for an L^p ``space``: the normalized
     T_k for k < min(16, size - 1), the Rybakov functional, then seeded random
     indicators.  Another space, or a ``size`` below 1, raises ValueError."""
     _require_lp(space)
     if size < 1:
         raise ValueError("the dual dictionary needs at least one member")
-    n = n or DEFAULT_NODES
     dual_space = SpaceSpec.lp(space.associate_exponent())
     out = []
 
@@ -465,7 +454,8 @@ def matched_dual(f, space, cells=12, estimate=None):
 
     Adding it to a dual dictionary guarantees the scalar-measure estimate
     dominates the sign-search estimate, up to transform quadrature error.
-    The cell values are those of ``optdomain_norm``, with its jump guard.
+    The cell values are those of ``optdomain_norm``, with the jump guard of
+    :mod:`profiles`.
     ``estimate`` is the exhaustive ``optdomain_norm(f, space, cells)`` when
     the caller already has it; otherwise it is computed here.  Another
     space than L^p raises ValueError, as in :func:`dual_dictionary`.

@@ -24,10 +24,13 @@ which :meth:`Profile.fht_over_w_values` provides for the exact airfoil
 inverses; there a w^{-1} piece gives p/(1 - y^2), split by partial fractions.
 At a piece end :meth:`Profile.eval` reads the mean of the two one-sided
 limits, and the transforms take the finite part: each piece drops
-its p(end) ln 0 term, which at a kink cancels against the neighbour's; at a
-jump (:meth:`Profile.jumps`) they diverge and callers refuse the point.
-Results that leave the algebra are None, and callers fall back to
-sample-based rules:
+its p(end) ln 0 term, which at a kink cancels against the neighbour's.  At
+a jump (:meth:`Profile.jumps`) they diverge, so the exact transforms
+(:meth:`Profile.fht_values`, :meth:`Profile.fht_over_w_values`,
+:meth:`Profile.fht_image` and :func:`fht_values_stacked`) refuse a point
+within 1e-12 of a jump with :class:`SingularEvaluationError`; this is the
+library's one jump guard.  Results that leave the algebra are None, and
+callers fall back to sample-based rules:
 
 * :meth:`Profile.fht_profile` with log terms or a partial w^{-1} piece;
 * :meth:`Profile.restricted` with log terms;
@@ -51,6 +54,11 @@ from . import chebalg as ca
 _W2 = np.array([0.5, 0.0, -0.5])
 
 _JUMP_TOL = 1e-12      # relative size below which two values count as equal
+_CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
+
+
+class SingularEvaluationError(ValueError):
+    """Evaluation at a point where the transform has a genuine singularity."""
 
 
 def _coeffs(c):
@@ -166,6 +174,7 @@ class Profile:
         regular remainder (1/pi) int (c(y) - c(t))/(y - t) ln|y - a| / w(y) dy.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        _guard_cuts(self, x)
         out = np.zeros(x.shape, dtype=complex)
         for lo, hi, c, s in self.pieces:
             _add_piece_fht(out, x, lo, hi, c, s - 1)
@@ -307,8 +316,11 @@ def _fht_rows(profiles, x):
     would change the FFT length, and with it the bits); weighted pieces and
     log terms are transformed one by one.  Each row adds its pieces' values
     in piece order and then its log terms, as a profile alone does, so a
-    row's bits do not depend on the others.
+    row's bits do not depend on the others.  Each profile first passes
+    :func:`_guard_cuts` at x.
     """
+    for prof in profiles:
+        _guard_cuts(prof, x)
     out = np.zeros((len(profiles), len(x)), dtype=complex)
     smooth = [[None] * len(prof.pieces) for prof in profiles]
     order = [(k, j) for k, prof in enumerate(profiles) for j in range(len(prof.pieces))]
@@ -347,6 +359,22 @@ def _stack(pieces):
 
 
 # -------------------------------------------------------------------- helpers
+
+def _guard_cuts(prof, pts, guard=_CUT_GUARD):
+    """Raise if a point lies within ``guard`` of a jump of the profile, a log
+    singularity of the transforms of prof and prof * w^{+-1}.  Binary search
+    finds the few cuts near the points; only those ask :meth:`Profile.jumps`."""
+    cuts = prof.breakpoints()
+    if not cuts:
+        return
+    x = np.asarray(pts, dtype=float)
+    lo = np.searchsorted(cuts, x - 2 * guard)
+    hi = np.searchsorted(cuts, x + 2 * guard, side="right")
+    hit = sorted({p for k in np.flatnonzero(hi > lo) for p in cuts[lo[k]:hi[k]]
+                  if abs(x[k] - p) < guard})
+    if hit and (bad := [p for p, jump in zip(hit, prof.jumps(hit)) if jump]):
+        raise SingularEvaluationError(f"evaluation at discontinuity point(s) {bad}")
+
 
 def _padd(a, b):
     if len(a) < len(b):

@@ -9,19 +9,19 @@ The input alone selects the evaluator:
 * a grid function: the exact transform of its ``GridFunction.structure``
   (a profile, or the interpolant of profile-free samples, piecewise linear
   on ``uniform`` and ``custom`` nodes) by :meth:`Profile.fht_values`'s
-  coefficient identities and log kernels, refused within 1e-12 of a jump;
-  at a kink the finite parts of the two pieces sum to the true value;
+  coefficient identities and log kernels, with the jump guard of
+  :mod:`profiles`; at a kink the finite parts of the two pieces sum to the
+  true value;
 * a callable: subtract-the-singularity adaptive quadrature, point by point.
 
 T(f chi_A) is the transform of :func:`grid.restrict`, which cuts
 :func:`grid.cell_structure` at A, and T(chi_A) (:func:`fht_indicator`) that
-of the profile of chi_A: every transform of a cut profile passes the one
-jump guard, :func:`_guard_cuts`, before :meth:`Profile.fht_values`.  Two
-quadrature rules are verification references, sharing no closed form with
-these evaluators: cos(theta) panel quadrature of T(h/w)
-(:func:`fht_over_w_point`; T(h w) is T((h (1 - x^2))/w)), and an
-independent symmetric-exclusion principal-value rule with Richardson
-extrapolation (:func:`pv_oracle`), the cross-checking oracle.
+of the profile of chi_A.  Two quadrature rules are verification
+references, sharing no closed form with these evaluators: cos(theta) panel
+quadrature of T(h/w) (:func:`fht_over_w_point`; T(h w) is
+T((h (1 - x^2))/w)), and an independent symmetric-exclusion
+principal-value rule with Richardson extrapolation (:func:`pv_oracle`),
+the cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -30,16 +30,11 @@ import numpy as np
 
 from . import chebalg as ca
 from .grid import GridFunction, indicator_profile, restrict
-
-_CUT_GUARD = 1e-12     # evaluation this close to a jump of a profile is refused
+from .profiles import SingularEvaluationError
 
 
 class TransformDomainError(ValueError):
     """Evaluation point outside the open interval (-1, 1)."""
-
-
-class SingularEvaluationError(ValueError):
-    """Evaluation at a point where the transform has a genuine singularity."""
 
 
 def _check_interior(t):
@@ -57,50 +52,28 @@ def fht_point(f, t):
     tt = float(np.asarray(t))
     _check_interior(tt)
     if isinstance(f, GridFunction):
-        return complex(_profile_values(f.structure, np.array([tt]))[0])
+        return complex(f.structure.fht_values(np.array([tt]))[0])
     return complex(_fht_callable(f, tt))
 
 
 def fht_grid(f):
     """T(f) at every node of f, with the profile of T(f.structure) if any:
-    computed once per f, behind a jump guard that runs on every call."""
-    _guard_cuts(f.structure, f.nodes)
+    computed once per f (``GridFunction._image``).  A refused image is not
+    kept, so the refusal repeats on every call."""
     return f._image
-
-
-def _profile_values(prof, pts):
-    """T(prof) at pts by :meth:`Profile.fht_values`, after :func:`_guard_cuts`."""
-    _guard_cuts(prof, pts)
-    return prof.fht_values(pts)
-
-
-def _guard_cuts(prof, pts, guard=_CUT_GUARD):
-    """Raise if a point lies within ``guard`` of a jump of the profile, a log
-    singularity of the transforms of prof and prof * w^{+-1}.  Binary search
-    finds the few cuts near the points; only those ask :meth:`Profile.jumps`."""
-    cuts = prof.breakpoints()
-    if not cuts:
-        return
-    x = np.asarray(pts, dtype=float)
-    lo = np.searchsorted(cuts, x - 2 * guard)
-    hi = np.searchsorted(cuts, x + 2 * guard, side="right")
-    hit = sorted({p for k in np.flatnonzero(hi > lo) for p in cuts[lo[k]:hi[k]]
-                  if abs(x[k] - p) < guard})
-    if hit and (bad := [p for p, jump in zip(hit, prof.jumps(hit)) if jump]):
-        raise SingularEvaluationError(f"evaluation at discontinuity point(s) {bad}")
 
 
 def fht_indicator(interval_set, x):
     """T(chi_A)(x) = (1/pi) sum over intervals (a,b) of ln|(b-x)/(a-x)|.
 
     The closed form is that of the profile of chi_A, read as
-    :func:`fht_point` reads it: a point within 1e-12 of a jump of chi_A is
-    refused.  Intervals that touch have no jump at the end they share, and
-    an end at -1 or 1 is no jump inside (-1, 1), so the finite value is
-    returned there, e.g. at 1 - 1e-16 for A = (0, 1).
+    :func:`fht_point` reads it, with the jump guard of :mod:`profiles`.
+    Intervals that touch have no jump at the end they share, and an end at
+    -1 or 1 is no jump inside (-1, 1), so the finite value is returned
+    there, e.g. at 1 - 1e-16 for A = (0, 1).
     """
     xs = _check_interior(x)
-    out = _profile_values(indicator_profile(interval_set), xs).real
+    out = indicator_profile(interval_set).fht_values(xs).real
     return complex(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

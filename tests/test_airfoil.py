@@ -416,6 +416,12 @@ def test_rybakov_closed_form_value():
     orc = -math.sqrt(0.91) * fh.pv_oracle(
         lambda x: np.sign(x) / np.sqrt(1 - x * x), 0.3, singular=(0.0,))
     assert got == pytest.approx(orc, abs=1e-6)
+    # the samples are the closed form at every node, the middle one at odd n too
+    for n in (255, 512, 2048):
+        g0 = fh.rybakov_functional(n)
+        x = g0.nodes
+        want = -(2 / math.pi) * np.log((1 + np.sqrt(1 - x * x)) / np.abs(x))
+        assert (np.abs(g0.values - want) / np.maximum(1.0, np.abs(want))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [255, 257, 513])

@@ -106,10 +106,16 @@ def test_make_grid_returns_shared_read_only_arrays(family):
 
 @pytest.mark.parametrize("family, least", [("chebyshev-gauss", 3), ("uniform", 1)])
 def test_make_grid_refuses_too_few_nodes(family, least):
-    # below 3 Chebyshev nodes the calibration in span{1, w} is singular
+    # below 3 Chebyshev nodes the calibration in span{1, w} is singular; the
+    # builders that default to DEFAULT_NODES refuse too, n = 0 included
+    builders = [lambda n: fh.make_grid(n, family)]
+    if family == "chebyshev-gauss":
+        builders += [fh.rybakov_functional, lambda n: fh.vector_measure((0.0, 0.5), n),
+                     lambda n: fh.dual_dictionary(fh.SpaceSpec.lp(1.5), size=8, n=n)]
     for n in range(-1, least):
-        with pytest.raises(ValueError, match=f"at least {least} nodes"):
-            fh.make_grid(n, family)
+        for build in builders:
+            with pytest.raises(ValueError, match=f"at least {least} nodes"):
+                build(n)
     _, weights = fh.make_grid(least, family)
     assert abs(weights.sum() - 2.0) <= 1e-15
     assert np.abs(weights - weights[::-1]).max() <= 1e-15

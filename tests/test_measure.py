@@ -745,6 +745,18 @@ def test_weak_norm_requires_dictionary(one):
         fh.weak_norm(one, LP15, ())
 
 
+@pytest.mark.parametrize("space", [fh.SpaceSpec.weak_lp(2), fh.SpaceSpec.lorentz(3, 1)])
+def test_weak_norm_refuses_a_space_other_than_lp(space):
+    f = fh.poly_fn([0.5, 1], 128)
+    duals = fh.dual_dictionary(LP15, size=8, n=128)
+    with pytest.raises(ValueError, match="needs an Lp space"):
+        fh.weak_norm(f, space, duals)
+    # in L^p the value is the dictionary maximum, bit for bit
+    want = max(float(f.weights @ (np.abs(f.values) * np.abs(fh.fht_grid(g).values)))
+               for g in duals)
+    assert fh.weak_norm(f, LP15, duals) == want
+
+
 @pytest.mark.parametrize("size", [1, 8, 16, 17, 20, 64])
 def test_dual_dictionary_has_exactly_size_members(size):
     duals = fh.dual_dictionary(LP15, size=size, n=128)

@@ -388,3 +388,29 @@ def test_fht_image_computes_each_smooth_part_once(monkeypatch):
         assert img.profile is not None
         want = f.with_values(_piece_by_piece(f.structure, f.nodes))
         assert np.array_equal(img.values, want.values)
+
+
+# ------------------------------------------------------------------ jump guard
+
+EXACT_TRANSFORMS = {
+    "fht_values": lambda prof, x: prof.fht_values(x),
+    "fht_over_w_values": lambda prof, x: prof.fht_over_w_values(x),
+    "fht_image": lambda prof, x: prof.fht_image(x)[0],
+    "fht_values_stacked": lambda prof, x: fh.profiles.fht_values_stacked(
+        (Profile.poly((1.0,)), prof), x)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TRANSFORMS))
+def test_exact_transforms_refuse_jumps_and_read_kinks(name):
+    transform = EXACT_TRANSFORMS[name]
+    jump = Profile(((-0.2, 0.5, (1.0,), 0),))
+    with pytest.raises(fh.SingularEvaluationError,
+                       match=r"^evaluation at discontinuity point\(s\) \[0\.5\]$"):
+        transform(jump, np.array([0.1, 0.5 + 5e-13]))
+    # 1 + |x - 0.2| has a kink at 0.2: the point is read, and its value is the
+    # mean of the values 1e-6 to either side, up to O(1e-12)
+    kink = Profile(((-1.0, 0.2, (1.2, -1.0), 0), (0.2, 1.0, (0.8, 1.0), 0)))
+    got = transform(kink, np.array([0.2, 0.2 + 5e-13, 0.2 - 1e-6, 0.2 + 1e-6]))
+    assert np.all(np.isfinite(got))
+    assert np.abs(got[:2] - (got[2] + got[3]) / 2).max() <= 1e-10

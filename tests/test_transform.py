@@ -686,7 +686,7 @@ def test_cut_guard_lists_the_offending_cuts():
 
 
 def test_cut_guard_matches_the_pairwise_loop():
-    from finhilbert.transform import _guard_cuts
+    from finhilbert.profiles import _guard_cuts
 
     rng = np.random.default_rng(3)
     guard = 1e-12
