@@ -504,9 +504,11 @@ def fht_log_kernel(a_pt, t):
 
         K_a(t) = ln|t-a| L(t) - Re Li2((1-t)/(a-t)) + Re Li2((1+t)/(t-a))
 
-    with L = :func:`log_ratio`.  K_a jumps by pi^2 across t = a; there it
-    takes the symmetric principal value (ln^2(1-a) - ln^2(1+a)) / 2, the
-    mean of the two sides.
+    with L = :func:`log_ratio`.  Re Li2 is evaluated in real arithmetic
+    (:func:`_li2_real`): real ``spence`` for arguments up to 1, and the
+    inversion identity Li2(z) + Li2(1/z) = pi^2/3 - ln^2(z)/2 past 1.
+    K_a jumps by pi^2 across t = a; there it takes the symmetric principal
+    value (ln^2(1-a) - ln^2(1+a)) / 2, the mean of the two sides.
     """
     t = np.asarray(t, dtype=float)
     at = t == a_pt
@@ -520,10 +522,25 @@ def fht_log_kernel(a_pt, t):
 
 
 def _li2_real(z):
-    """Re Li2(z) for real z; complex evaluation covers the branch cut z > 1."""
+    """Re Li2(z) for real z, in float64 from real ``spence`` alone.
+
+    scipy's spence(x) = Li2(1 - x) is real for x >= 0, which covers z <= 1.
+    Past the branch point z = 1 the real part of the inversion identity
+
+        Li2(z) + Li2(1/z) = pi^2/3 - ln^2(z) / 2,    z > 1,
+
+    moves the argument into (0, 1).  Each lane runs its own route only, so
+    no log or divide of a lane of the other route is evaluated.
+    """
     from scipy.special import spence
 
-    return spence(1.0 - np.asarray(z, dtype=complex)).real
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    inv = z > 1.0
+    out[~inv] = spence(1.0 - z[~inv])
+    zi = z[inv]
+    out[inv] = np.pi ** 2 / 3.0 - 0.5 * np.log(zi) ** 2 - spence(1.0 - 1.0 / zi)
+    return out
 
 
 def fht_log_over_w_kernel(a_pt, t):

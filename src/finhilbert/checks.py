@@ -3,7 +3,7 @@
 Each check produces rows ``{check_id, claim, computed, expected, tolerance,
 pass}``; a check may emit several rows (sub-checks carry ``id/subname``).
 Suites group the checks: ``identities`` (kernel, closed forms, inversion,
-Parseval), ``measure`` (vector-measure machinery) and ``norms``
+Parseval, Tricomi), ``measure`` (vector-measure machinery) and ``norms``
 (rearrangement / Boyd).  Everything is deterministic for a fixed
 (nodes, seed).
 """
@@ -219,6 +219,27 @@ def check_parseval(cfg):
                        worst, tol)]
 
 
+def check_tricomi(cfg):
+    """Tricomi's product identity T(f Tg + g Tf) = Tf Tg - f g on polynomial pairs.
+
+    Both sides come from the exact profile algebra, so the row reads roundoff
+    and reaches the dilogarithm kernel of T(ln) without any quadrature.
+    """
+    tol = 1e-13
+    x = np.linspace(-0.95, 0.95, 39)
+    worst = 0.0
+    for cf, cg in zip(POLY_TEST_SET[:8], POLY_TEST_SET[1:9]):
+        f, g = Profile.poly(cf), Profile.poly(cg)
+        tf, tg = f.fht_profile(), g.fht_profile()
+        left = f.times(tg).plus(g.times(tf)).fht_values(x)
+        right = tf.eval(x) * tg.eval(x) - f.eval(x) * g.eval(x)
+        worst = max(worst, float(np.abs(left - right).max() / (1.0 + np.abs(right).max())))
+    return [_bound_row("tricomi/poly",
+                       "product identity T(f T(g) + g T(f)) = T(f) T(g) - f g, "
+                       "scope 1/p + 1/q < 1; 8 polynomial pairs, relative to "
+                       "1 + max|right|", worst, tol)]
+
+
 def check_rybakov(cfg):
     """The functional g0 with T(g0) = sign and |<m, g0>| = Lebesgue measure."""
     g0 = rybakov_functional(cfg.nodes)
@@ -403,7 +424,7 @@ SUITES = {
     "identities": (
         check_kernel, check_indicator_closed_form, check_right_inverse,
         check_left_inverse, check_projection, check_range_condition,
-        check_parseval,
+        check_parseval, check_tricomi,
     ),
     "measure": (
         check_rybakov, check_optdomain_search, check_semivariation,

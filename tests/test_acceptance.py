@@ -7,6 +7,8 @@ suite also runs through the CLI as ``finhilbert verify --suite all``.
 
 import time
 
+import pytest
+
 from finhilbert.checks import (
     RunConfig,
     check_boyd,
@@ -23,6 +25,7 @@ from finhilbert.checks import (
     check_rybakov,
     check_semivariation,
     check_sigma_additivity,
+    check_tricomi,
     run_suite,
 )
 
@@ -126,6 +129,27 @@ def test_criterion_14_estimator_consistency():
 def test_criterion_15_sigma_additivity():
     rows = check_sigma_additivity(CFG)
     report("15. ||m(0,eps)||_{L^1.5} decreasing and < 1e-3 at eps = 1e-6", rows)
+
+
+@pytest.mark.parametrize("nodes", [64, 255, 512, 2048])
+def test_criterion_16_tricomi_product_identity(nodes):
+    rows = check_tricomi(RunConfig(nodes=nodes, seed=0))
+    report(f"16. Tricomi product identity on 8 polynomial pairs <= 1e-13 "
+           f"(N = {nodes})", rows)
+
+
+@pytest.mark.parametrize("kernel, scale", [("fht_log_kernel", 1e-6),
+                                           ("fht_smooth_coeffs", 1e-7)])
+def test_tricomi_row_catches_a_perturbed_kernel(kernel, scale, monkeypatch):
+    # the exact transform of a log term and of a series piece, each off by a
+    # relative `scale`, fail the row
+    from finhilbert import chebalg
+
+    inner = getattr(chebalg, kernel)
+    monkeypatch.setattr(chebalg, kernel, lambda *args: inner(*args) * (1.0 + scale))
+    (row,) = check_tricomi(CFG)
+    assert not row["pass"]
+    assert row["computed"] > 10 * row["tolerance"]
 
 
 def test_full_suite_runs_in_budget():

@@ -1,5 +1,6 @@
 """Low-level series algebra against independent quadrature oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -158,6 +159,45 @@ def test_fht_log_kernel_against_pv():
     i0, i1 = oracle(1e-5), oracle(5e-6)
     want = 2 * i1 - i0
     assert ca.fht_log_kernel(a, t) == pytest.approx(want, abs=1e-7)
+
+
+# ------------------------------------------------------------- dilogarithm
+# Re Li2 on each route of the real evaluation, against mpmath at 30 digits.
+LI2_BRANCHES = {
+    "below_-1": np.concatenate([-np.logspace(0.01, 8, 40), [-1.5, -7.0]]),
+    "-1_to_0": np.linspace(-1.0, 0.0, 41),
+    "0_to_1": np.linspace(0.0, 1.0, 41),
+    "1_to_2": np.linspace(1.0, 2.0, 41)[1:],
+    "above_2": np.concatenate([np.logspace(0.31, 8, 40), [2.5, 7.0]]),
+    "near_1": 1.0 + np.array([-1e-12, -3e-13, -1e-15, 1e-15, 3e-13, 1e-12]),
+    "exact": np.array([-1.0, 0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("branch", list(LI2_BRANCHES))
+def test_li2_real_against_mpmath(branch):
+    z = LI2_BRANCHES[branch]
+    got = ca._li2_real(z)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.re(mpmath.polylog(2, mpmath.mpf(v)))) for v in z])
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+def test_dilogarithm_stays_real(monkeypatch):
+    # the log kernel evaluates Li2 from real spence only
+    import scipy.special
+
+    dtypes, inner = [], scipy.special.spence
+
+    def spy(x):
+        dtypes.append(np.asarray(x).dtype)
+        return inner(x)
+
+    monkeypatch.setattr(scipy.special, "spence", spy)
+    ca.fht_log_kernel(0.25, np.linspace(-0.99, 0.99, 64))
+    ca._li2_real(np.array([-3.0, 0.5, 1.0, 4.0]))
+    assert dtypes and all(d == np.float64 for d in dtypes)
 
 
 def test_fejer_weights_dct_matches_cosine_sum():
